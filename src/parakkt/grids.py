@@ -341,20 +341,12 @@ def integrate(field: SpaceTimeField, weights: SpaceTimeField) -> float:
 class FieldNorms:
     l2: float
     linf: float
-    l2_time_of_spatial_l2: float
 
 
 def field_norms(field: SpaceTimeField, weights: SpaceTimeField) -> FieldNorms:
-    """L2 over the cylinder, sup norm, and the time-L2 of the spatial L2.
-
-    The third value equals the first up to summation order; it is computed
-    through the per-level decomposition because reports quote it that way.
-    """
+    """L2 norm over the cylinder under the given weights, and the sup norm."""
     if not field.same_layout(weights):
         raise ConfigError("field and weights live on different grids")
-    sq = field.values**2
-    l2 = float(np.sqrt(np.sum(weights.values * sq)))
+    l2 = float(np.sqrt(np.sum(weights.values * field.values**2)))
     linf = float(np.max(np.abs(field.values))) if field.values.size else 0.0
-    per_level = np.sum(weights.values * sq, axis=1)
-    l2tl2 = float(np.sqrt(np.sum(per_level)))
-    return FieldNorms(l2, linf, l2tl2)
+    return FieldNorms(l2, linf)

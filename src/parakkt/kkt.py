@@ -15,7 +15,8 @@ import numpy as np
 
 from .exceptions import AuditError, ConfigError, HypothesisViolationError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, assemble_operator
-from .problem import ProblemSpec, eval_scalar_map
+from .parabolic import forward_residual, sample_initial_state
+from .problem import ProblemSpec, cylinder_env, eval_broadcast, eval_scalar_map
 
 __all__ = [
     "KKTPoint",
@@ -40,13 +41,16 @@ MULTIPLIER_SIGN_SLACK = 1e-10
 FEASIBILITY_SLACK = 1e-8
 
 
-def _b(val, shape):
-    return np.broadcast_to(np.asarray(val, dtype=float), shape)
-
-
-def _cylinder_env(grid: SpatialGrid, timegrid: TimeGrid) -> dict:
-    env = {k: v[None, :] for k, v in grid.spatial_env().items()}
-    env["t"] = timegrid.times[:, None]
+def _point_env(spec: ProblemSpec, x, t: float) -> dict:
+    """A 1x1 cylinder at one point, on which the scalar wrappers run."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.size != spec.dim:
+        raise ConfigError(
+            f"need {spec.dim} spatial coordinate(s) in {spec.dim} dimension(s), "
+            f"got {xs.size}"
+        )
+    env = {f"x{k + 1}": np.array([[xs[k]]]) for k in range(spec.dim)}
+    env["t"] = np.array([[float(t)]])
     return env
 
 
@@ -56,10 +60,11 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     Brackets each root by doubling steps away from the start value, then
     refines with Newton steps that fall back to bisection whenever they leave
     the bracket.  Convergence is by bracket width at machine precision.
+    ``fn`` and ``dfn`` return arrays of the shape of ``u0``.
     """
     shape = u0.shape
     u = np.array(u0, dtype=float)
-    v = _b(fn(u), shape).copy()
+    v = fn(u)
     if not np.all(np.isfinite(v)):
         raise HypothesisViolationError(f"{what}: non-finite evaluation at start")
     lo = u.copy()
@@ -74,8 +79,8 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
             break
         lo = np.where(need_lo, lo - step, lo)
         hi = np.where(need_hi, hi + step, hi)
-        vlo = np.where(need_lo, _b(fn(lo), shape), vlo)
-        vhi = np.where(need_hi, _b(fn(hi), shape), vhi)
+        vlo = np.where(need_lo, fn(lo), vlo)
+        vhi = np.where(need_hi, fn(hi), vhi)
         if not (np.all(np.isfinite(vlo)) and np.all(np.isfinite(vhi))):
             raise HypothesisViolationError(f"{what}: non-finite evaluation while bracketing")
         need_lo = vlo > 0
@@ -89,13 +94,13 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     u = 0.5 * (lo + hi)
     eps = np.finfo(float).eps
     for _ in range(_MAX_ROOT_ITER):
-        v = _b(fn(u), shape)
+        v = fn(u)
         lo = np.where(v <= 0, u, lo)
         hi = np.where(v > 0, u, hi)
         done = (hi - lo) <= 4.0 * eps * (1.0 + np.abs(u))
         if done.all():
             break
-        d = _b(dfn(u), shape)
+        d = dfn(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             trial = u - v / d
         ok = np.isfinite(trial) & (trial > lo) & (trial < hi)
@@ -105,42 +110,50 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
+def _boundary(spec: ProblemSpec, env: dict, y: np.ndarray) -> np.ndarray:
+    g = spec.constraint
+    return _monotone_root(
+        lambda u: eval_broadcast(g.eval, y.shape, y=y, u=u, **env),
+        lambda u: eval_broadcast(g.du, y.shape, y=y, u=u, **env),
+        np.zeros(y.shape), "constraint boundary",
+    )
+
+
+def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
+                    phi: np.ndarray):
+    cost, g = spec.cost, spec.constraint
+
+    def at(fn, u):
+        return eval_broadcast(fn, y.shape, y=y, u=u, **env)
+
+    boundary = _boundary(spec, env, y)
+    u_free = _monotone_root(lambda u: at(cost.du, u) - phi,
+                            lambda u: at(cost.duu, u),
+                            boundary.copy(), "control stationarity")
+    constrained = at(g.eval, u_free) > 0.0
+    u = np.where(constrained, boundary, u_free)
+    lu_b = at(cost.du, boundary)
+    gu_b = at(g.du, boundary)
+    if np.any(gu_b < 0.5 * spec.gamma2):
+        raise HypothesisViolationError(
+            "g_u dropped below half its declared lower bound on the constraint "
+            "boundary"
+        )
+    e = np.where(constrained, (phi - lu_b) / gu_b, 0.0)
+    return u, e, boundary, constrained
+
+
 def constraint_boundary_field(spec: ProblemSpec, grid: SpatialGrid,
                               timegrid: TimeGrid,
                               y_values: np.ndarray) -> np.ndarray:
     """Per-node root of u -> g(x, t, y, u); the feasible set is u <= root."""
-    env = _cylinder_env(grid, timegrid)
-    g = spec.constraint
-
-    def gval(u):
-        return g.eval(y=y_values, u=u, **env)
-
-    def gslope(u):
-        return g.du(y=y_values, u=u, **env)
-
-    return _monotone_root(gval, gslope, np.zeros_like(y_values),
-                          "constraint boundary")
+    return _boundary(spec, cylinder_env(grid, timegrid), y_values)
 
 
 def constraint_boundary(spec: ProblemSpec, x, t: float, y: float) -> float:
-    """Scalar convenience wrapper around the field version."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    env = {"x1": np.array([xs[0]])}
-    if spec.dim == 2:
-        if xs.size < 2:
-            raise ConfigError("need two spatial coordinates in two dimensions")
-        env["x2"] = np.array([xs[1]])
-    env["t"] = float(t)
-    yv = np.array([float(y)])
-    g = spec.constraint
-
-    def gval(u):
-        return g.eval(y=yv, u=u, **env)
-
-    def gslope(u):
-        return g.du(y=yv, u=u, **env)
-
-    return float(_monotone_root(gval, gslope, np.zeros(1), "constraint boundary")[0])
+    """Scalar wrapper: the field version on a 1x1 cylinder at (x, t)."""
+    boundary = _boundary(spec, _point_env(spec, x, t), np.array([[float(y)]]))
+    return float(boundary[0, 0])
 
 
 def control_update_field(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
@@ -151,70 +164,17 @@ def control_update_field(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGri
     multiplier (zero off the active set), the constraint boundary in u, and
     the mask of nodes where the constraint decided the value.
     """
-    env = _cylinder_env(grid, timegrid)
-    shape = y_values.shape
-    cost, g = spec.cost, spec.constraint
-    boundary = constraint_boundary_field(spec, grid, timegrid, y_values)
-
-    def sval(u):
-        return _b(cost.du(y=y_values, u=u, **env), shape) - phi_values
-
-    def sslope(u):
-        return cost.duu(y=y_values, u=u, **env)
-
-    u_free = _monotone_root(sval, sslope, boundary.copy(), "control stationarity")
-    g_free = _b(g.eval(y=y_values, u=u_free, **env), shape)
-    constrained = g_free > 0.0
-    u = np.where(constrained, boundary, u_free)
-    lu_b = _b(cost.du(y=y_values, u=boundary, **env), shape)
-    gu_b = _b(g.du(y=y_values, u=boundary, **env), shape)
-    if np.any(gu_b < 0.5 * spec.gamma2):
-        raise HypothesisViolationError(
-            "g_u dropped below half its declared lower bound on the constraint "
-            "boundary"
-        )
-    e = np.where(constrained, (phi_values - lu_b) / gu_b, 0.0)
-    return u, e, boundary, constrained
+    return _control_update(spec, cylinder_env(grid, timegrid), y_values,
+                           phi_values)
 
 
 def pointwise_control_update(spec: ProblemSpec, x, t: float, y: float,
                              phi: float):
-    """Scalar (u, e) update at a single point; mirrors the field version."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    grid_like_env = {"x1": np.array([[xs[0]]])}
-    if spec.dim == 2:
-        grid_like_env["x2"] = np.array([[xs[1]]])
-    grid_like_env["t"] = np.array([[float(t)]])
-    yv = np.array([[float(y)]])
-    pv = np.array([[float(phi)]])
-    cost, g = spec.cost, spec.constraint
-    shape = yv.shape
-
-    def gval(u):
-        return g.eval(y=yv, u=u, **grid_like_env)
-
-    def gslope(u):
-        return g.du(y=yv, u=u, **grid_like_env)
-
-    boundary = _monotone_root(gval, gslope, np.zeros(shape), "constraint boundary")
-
-    def sval(u):
-        return _b(cost.du(y=yv, u=u, **grid_like_env), shape) - pv
-
-    def sslope(u):
-        return cost.duu(y=yv, u=u, **grid_like_env)
-
-    u_free = _monotone_root(sval, sslope, boundary.copy(), "control stationarity")
-    if float(_b(gval(u_free), shape)[0, 0]) > 0.0:
-        lu_b = float(_b(cost.du(y=yv, u=boundary, **grid_like_env), shape)[0, 0])
-        gu_b = float(_b(g.du(y=yv, u=boundary, **grid_like_env), shape)[0, 0])
-        if gu_b < 0.5 * spec.gamma2:
-            raise HypothesisViolationError(
-                "g_u dropped below half its declared lower bound on the "
-                "constraint boundary"
-            )
-        return float(boundary[0, 0]), (float(phi) - lu_b) / gu_b
-    return float(u_free[0, 0]), 0.0
+    """Scalar (u, e) update: the field version on a 1x1 cylinder at (x, t)."""
+    u, e, _, _ = _control_update(spec, _point_env(spec, x, t),
+                                 np.array([[float(y)]]),
+                                 np.array([[float(phi)]]))
+    return float(u[0, 0]), float(e[0, 0])
 
 
 def recover_multiplier_division(spec: ProblemSpec, state: SpaceTimeField,
@@ -248,11 +208,10 @@ def recover_multiplier_max(spec: ProblemSpec, state: SpaceTimeField,
     the formula that certifies the sign condition by construction.
     """
     grid, timegrid = state.grid, state.timegrid
-    env = _cylinder_env(grid, timegrid)
-    shape = state.values.shape
-    boundary = constraint_boundary_field(spec, grid, timegrid, state.values)
-    lu_b = _b(spec.cost.du(y=state.values, u=boundary, **env), shape)
-    gu_b = _b(spec.constraint.du(y=state.values, u=boundary, **env), shape)
+    y = state.values
+    boundary = constraint_boundary_field(spec, grid, timegrid, y)
+    lu_b = eval_scalar_map(spec.cost.du, grid, timegrid, y, boundary)
+    gu_b = eval_scalar_map(spec.constraint.du, grid, timegrid, y, boundary)
     if np.any(np.abs(gu_b) < 0.5 * spec.gamma2):
         raise HypothesisViolationError(
             "g_u on the constraint boundary is below half the declared bound"
@@ -276,9 +235,7 @@ def h_potential_audit(spec: ProblemSpec, state: SpaceTimeField,
     on, so the audit reports the extremes over the grid.
     """
     grid, timegrid = state.grid, state.timegrid
-    fp = np.empty_like(state.values)
-    for k in range(timegrid.n_levels):
-        fp[k] = _b(spec.nonlinearity.df(y=state.values[k]), (grid.n_interior,))
+    fp = eval_broadcast(spec.nonlinearity.df, state.values.shape, y=state.values)
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, state.values,
                           control.values)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, state.values,
@@ -362,14 +319,9 @@ def strongly_active(multiplier: SpaceTimeField) -> np.ndarray:
     return multiplier.values > active_threshold(multiplier)
 
 
-def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
-    """Recompute all first-order residuals of a quadruple from scratch."""
-    state, control = point.state, point.control
-    phi, e = point.adjoint.values, point.multiplier.values
-    grid, timegrid = state.grid, state.timegrid
-    tau = timegrid.tau
-    y, u = state.values, control.values
-
+def _pointwise_residuals(spec: ProblemSpec, grid: SpatialGrid,
+                         timegrid: TimeGrid, y, u, phi, e):
+    """Largest (stationarity, complementarity, sign, feasibility) defects."""
     l_u = eval_scalar_map(spec.cost.du, grid, timegrid, y, u)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, y, u)
     g = eval_scalar_map(spec.constraint.eval, grid, timegrid, y, u)
@@ -377,26 +329,30 @@ def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     comp = float(np.max(np.abs(e * g)))
     sign = max(0.0, -float(np.min(e)))
     feas = max(0.0, float(np.max(g)))
+    return stat, comp, sign, feas
+
+
+def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
+    """Recompute all first-order residuals of a quadruple from scratch."""
+    state, control = point.state, point.control
+    phi, e = point.adjoint.values, point.multiplier.values
+    grid, timegrid = state.grid, state.timegrid
+    tau = timegrid.tau
+    y, u = state.values, control.values
+    stat, comp, sign, feas = _pointwise_residuals(spec, grid, timegrid, y, u,
+                                                  phi, e)
 
     A = assemble_operator(spec, grid).matrix
-    At = A.T.tocsr()
-    f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    from .parabolic import sample_initial_state
+    f_y = eval_broadcast(spec.nonlinearity.f, y.shape, y=y)
+    state_res = forward_residual(A, tau, y, f_y, u,
+                                 sample_initial_state(spec, grid))
 
-    state_res = float(np.max(np.abs(y[0] - sample_initial_state(spec, grid))))
-    for j in range(timegrid.n_levels - 1):
-        r = (y[j + 1] - y[j]) / tau + A @ y[j + 1] \
-            + np.asarray(f(y=y[j + 1]), dtype=float) - u[j + 1]
-        state_res = max(state_res, float(np.max(np.abs(r))))
-
+    # Backward recursion from a virtual zero beyond the last level.
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, y, u)
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, y, u)
-    adj_res = 0.0
-    ahead = np.zeros(grid.n_interior)
-    for m in range(timegrid.n_levels - 1, -1, -1):
-        fp = _b(df(y=y[m]), (grid.n_interior,))
-        r = phi[m] / tau + At @ phi[m] + fp * phi[m] - ahead / tau \
-            + (l_y[m] + e[m] * g_y[m])
-        adj_res = max(adj_res, float(np.max(np.abs(r))))
-        ahead = phi[m]
+    fp = eval_broadcast(spec.nonlinearity.df, y.shape, y=y)
+    ahead = np.vstack([phi[1:], np.zeros((1, grid.n_interior))])
+    r = phi / tau + (A.T.tocsr() @ phi.T).T + fp * phi - ahead / tau \
+        + (l_y + e * g_y)
+    adj_res = float(np.max(np.abs(r)))
     return ResidualReport(stat, comp, sign, feas, adj_res, state_res)

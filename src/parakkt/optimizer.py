@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     KKTPoint,
     ResidualReport,
+    _pointwise_residuals,
     constraint_boundary_field,
     control_update_field,
     kkt_residuals,
+    recover_multiplier_max,
 )
 from .parabolic import SolverOptions, solve_adjoint, solve_state
 from .problem import ProblemSpec, eval_scalar_map
@@ -106,24 +109,26 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     """Rebuild (adjoint, multiplier) from a frozen state/control pair.
 
     Sweeps the backward solve and the boundary-based multiplier formula until
-    the multiplier stops moving.  The result depends only on the inputs, so
-    two calls on the same pair agree to rounding regardless of when or where
-    the pair was produced.
+    the multiplier stops moving; ``SolveError`` reports the last change if
+    it still moves after ``max_sweeps`` sweeps.  The result depends only on
+    the inputs, so two calls on the same pair agree to rounding regardless of
+    when or where the pair was produced.
     """
-    from .kkt import recover_multiplier_max
-
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
     e = SpaceTimeField.zeros(grid, timegrid)
-    adjoint = None
+    gap = np.inf
     for _ in range(max_sweeps):
         adjoint = solve_adjoint(spec, state, control, e, solver)
         e_next = recover_multiplier_max(spec, state, adjoint)
         gap = float(np.max(np.abs(e_next.values - e.values)))
         e = e_next
         if gap <= 1e-14 * (1.0 + float(np.max(np.abs(e.values)))):
-            break
-    return adjoint, e
+            return adjoint, e
+    raise SolveError(
+        f"certificate sweeps did not settle in {max_sweeps} sweeps: last "
+        f"multiplier change {gap:.3e}"
+    )
 
 
 def _project_feasible(spec, grid, timegrid, u_values, y_values):
@@ -176,17 +181,10 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         )
         active = int(np.count_nonzero(constrained))
 
-        l_u = eval_scalar_map(spec.cost.du, grid, timegrid, state.values,
-                              control.values)
-        g_u = eval_scalar_map(spec.constraint.du, grid, timegrid,
-                              state.values, control.values)
-        g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
-                            state.values, control.values)
-        stat = float(np.max(np.abs(l_u - adjoint.values + e_new * g_u)))
-        comp = float(np.max(np.abs(e_new * g)))
-        feas = max(0.0, float(np.max(g)))
-        sign = max(0.0, -float(np.min(e_new)))
-
+        stat, comp, sign, feas = _pointwise_residuals(
+            spec, grid, timegrid, state.values, control.values,
+            adjoint.values, e_new
+        )
         if max(stat, comp, feas, sign) <= options.tol_kkt:
             trace.append(it, objective, 0.0, stat, comp, feas, active)
             # Refresh the adjoint with the candidate multiplier before
@@ -209,7 +207,8 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             continue
 
         direction = u_new - control.values
-        slope = float(np.sum(w.values * (l_u - adjoint.values) * direction))
+        gradient = reduced_gradient(spec, state, control, adjoint).values
+        slope = float(np.sum(w.values * gradient * direction))
         step = 1.0
         accepted = None
         fallback = None

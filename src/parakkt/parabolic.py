@@ -33,7 +33,7 @@ from .grids import (
     assemble_operator,
     quadrature_weights,
 )
-from .problem import ProblemSpec, eval_scalar_map
+from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
 
 __all__ = [
     "SolverOptions",
@@ -52,12 +52,9 @@ class SolverOptions:
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
     linear_solver_tol: float = 1e-12
-    scheme: str = "implicit-euler"
     linear_solver: str = "auto"
 
     def __post_init__(self):
-        if self.scheme != "implicit-euler":
-            raise ConfigError(f"unknown time scheme {self.scheme!r}")
         if self.linear_solver not in ("auto", "banded", "splu", "dense"):
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
 
@@ -126,10 +123,8 @@ def _step_machinery(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
 
 def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
-    vals = np.broadcast_to(
-        np.asarray(spec.initial_state(**grid.spatial_env()), dtype=float),
-        (grid.n_interior,),
-    ).copy()
+    vals = eval_broadcast(spec.initial_state, (grid.n_interior,),
+                          **grid.spatial_env())
     if not np.all(np.isfinite(vals)):
         raise ConfigError("initial state evaluates non-finite on the grid")
     return vals
@@ -188,7 +183,7 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
             else:
                 best = rnorm
                 stall = 0
-            fp = np.broadcast_to(np.asarray(df(y=y), dtype=float), y.shape)
+            fp = eval_broadcast(df, y.shape, y=y)
             y = y - stepper.solve(fp, res, j + 1)
             n_solves += 1
         max_newton = max(max_newton, n_solves)
@@ -255,7 +250,6 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
         raise ConfigError("state, control, and multiplier layouts differ")
     grid, timegrid = state.grid, state.timegrid
     tau = timegrid.tau
-    df = spec.nonlinearity.df
     _, stepper = _step_machinery(spec, grid, timegrid, options, adjoint=True)
 
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, state.values,
@@ -263,13 +257,26 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, state.values,
                           control.values)
     source = -(l_y + multiplier.values * g_y)
+    fp = eval_broadcast(spec.nonlinearity.df, state.values.shape,
+                        y=state.values)
 
     values = np.empty((timegrid.n_levels, grid.n_interior))
     ahead = np.zeros(grid.n_interior)
     for m in range(timegrid.n_levels - 1, -1, -1):
-        fp = np.broadcast_to(
-            np.asarray(df(y=state.values[m]), dtype=float), (grid.n_interior,)
-        )
-        values[m] = stepper.solve(fp, ahead / tau + source[m], m)
+        values[m] = stepper.solve(fp[m], ahead / tau + source[m], m)
         ahead = values[m]
     return SpaceTimeField(values, grid, timegrid)
+
+
+def forward_residual(A, tau: float, values: np.ndarray, reaction: np.ndarray,
+                     source: np.ndarray, initial) -> float:
+    """Largest defect of a forward sweep, initial level included.
+
+    Checks v_0 = initial and (v_{j+1} - v_j)/tau + A v_{j+1} + c_{j+1} =
+    r_{j+1} on every step, with the reaction c = f(y) for the state equation
+    and c = f'(y) z for the linearized one.
+    """
+    steps = (values[1:] - values[:-1]) / tau + (A @ values[1:].T).T \
+        + reaction[1:] - source[1:]
+    return max(float(np.max(np.abs(values[0] - initial))),
+               float(np.max(np.abs(steps))))

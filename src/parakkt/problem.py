@@ -81,20 +81,36 @@ class ProblemSpec:
             raise ConfigError("gamma1 and gamma2 must be positive")
 
 
+def cylinder_env(grid, timegrid) -> dict:
+    """Keyword environment of the whole space-time cylinder.
+
+    Coordinates come as (1, n_interior) rows and ``t`` as an (n_levels, 1)
+    column, so one call of a map with (n_levels, n_interior) fields ``y`` and
+    ``u`` covers every node on every level.
+    """
+    env = {k: v[None, :] for k, v in grid.spatial_env().items()}
+    env["t"] = timegrid.times[:, None]
+    return env
+
+
+def eval_broadcast(fn, shape, **args) -> np.ndarray:
+    """One call ``fn(**args)``, broadcast into a fresh float array of ``shape``.
+
+    The copy matters: a map may return one of its own arguments.
+    """
+    out = np.empty(shape)
+    out[...] = fn(**args)
+    return out
+
+
 def eval_scalar_map(fn, grid, timegrid, y, u):
     """Evaluate a keyword map on every interior node and level.
 
-    ``y`` and ``u`` are (n_levels, n_interior) arrays; the result has the
-    same shape, with scalars broadcast.
+    ``y`` and ``u`` are (n_levels, n_interior) arrays; the result is a fresh
+    array of the same shape, with scalars broadcast.
     """
-    env = grid.spatial_env()
-    out = np.empty((timegrid.n_levels, grid.n_interior))
-    for k, t in enumerate(timegrid.times):
-        out[k] = np.broadcast_to(
-            np.asarray(fn(t=t, y=y[k], u=u[k], **env), dtype=float),
-            (grid.n_interior,),
-        )
-    return out
+    return eval_broadcast(fn, (timegrid.n_levels, grid.n_interior), y=y, u=u,
+                          **cylinder_env(grid, timegrid))
 
 
 @dataclass(frozen=True)
@@ -194,24 +210,17 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
     if spec.diffusion is None:
         ell_min, symmetry_ok = 1.0, True
     else:
-        a11 = np.broadcast_to(
-            np.asarray(spec.diffusion[0][0](**x_env), dtype=float), (len(pts),)
-        )
+        a11 = eval_broadcast(spec.diffusion[0][0], (len(pts),), **x_env)
         _finite_or_raise(a11, "a11", pts, spec.dim)
         if spec.dim == 1:
             ell_min, symmetry_ok = float(np.min(a11)), True
         else:
-            a22 = np.broadcast_to(
-                np.asarray(spec.diffusion[1][1](**x_env), dtype=float), (len(pts),)
-            )
+            a22 = eval_broadcast(spec.diffusion[1][1], (len(pts),), **x_env)
             _finite_or_raise(a22, "a22", pts, spec.dim)
             if spec.diffusion[0][1] is None:
                 a12 = np.zeros(len(pts))
             else:
-                a12 = np.broadcast_to(
-                    np.asarray(spec.diffusion[0][1](**x_env), dtype=float),
-                    (len(pts),),
-                )
+                a12 = eval_broadcast(spec.diffusion[0][1], (len(pts),), **x_env)
                 _finite_or_raise(a12, "a12", pts, spec.dim)
             # Smallest eigenvalue of a symmetric 2x2 matrix, in closed form.
             half_tr = 0.5 * (a11 + a22)
@@ -222,24 +231,20 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
 
     y_only = env["y"]
     f0 = float(np.asarray(spec.nonlinearity.f(y=np.zeros(1)), dtype=float).ravel()[0])
-    fp = np.broadcast_to(
-        np.asarray(spec.nonlinearity.df(y=y_only), dtype=float), (len(pts),)
-    )
+    fp = eval_broadcast(spec.nonlinearity.df, (len(pts),), y=y_only)
     _finite_or_raise(fp, "f'", pts, spec.dim)
-    fvals = np.broadcast_to(
-        np.asarray(spec.nonlinearity.f(y=y_only), dtype=float), (len(pts),)
-    )
+    fvals = eval_broadcast(spec.nonlinearity.f, (len(pts),), y=y_only)
     _finite_or_raise(fvals, "f", pts, spec.dim)
     slope_min = float(np.min(fp))
     f_zero_ok = abs(f0) <= 1e-14
     pass_reaction = f_zero_ok and slope_min >= spec.nonlinearity.lower_slope - 1e-12
 
-    luu = np.broadcast_to(np.asarray(spec.cost.duu(**env), dtype=float), (len(pts),))
+    luu = eval_broadcast(spec.cost.duu, (len(pts),), **env)
     _finite_or_raise(luu, "L_uu", pts, spec.dim)
-    gu = np.broadcast_to(np.asarray(spec.constraint.du(**env), dtype=float), (len(pts),))
+    gu = eval_broadcast(spec.constraint.du, (len(pts),), **env)
     _finite_or_raise(gu, "g_u", pts, spec.dim)
     for fn, what in ((spec.cost.eval, "L"), (spec.constraint.eval, "g")):
-        vals = np.broadcast_to(np.asarray(fn(**env), dtype=float), (len(pts),))
+        vals = eval_broadcast(fn, (len(pts),), **env)
         _finite_or_raise(vals, what, pts, spec.dim)
     i_luu = int(np.argmin(luu))
     i_gu = int(np.argmin(gu))

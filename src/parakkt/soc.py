@@ -19,13 +19,14 @@ import numpy as np
 from .exceptions import AuditError
 from .grids import (
     SpaceTimeField,
+    assemble_operator,
     objective_weights,
     quadrature_weights,
 )
 from .kkt import KKTPoint, active_threshold
 from .optimizer import _restored_trial, discrete_objective
-from .parabolic import SolverOptions, solve_linear_parabolic
-from .problem import ProblemSpec, eval_scalar_map
+from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
+from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
 
 __all__ = [
     "CriticalDirection",
@@ -51,14 +52,9 @@ class CriticalDirection:
 
 
 def _df_field(spec, state):
-    grid, timegrid = state.grid, state.timegrid
-    out = np.empty_like(state.values)
-    for k in range(timegrid.n_levels):
-        out[k] = np.broadcast_to(
-            np.asarray(spec.nonlinearity.df(y=state.values[k]), dtype=float),
-            (grid.n_interior,),
-        )
-    return SpaceTimeField(out, grid, timegrid)
+    y = state.values
+    return SpaceTimeField(eval_broadcast(spec.nonlinearity.df, y.shape, y=y),
+                          state.grid, state.timegrid)
 
 
 def linearized_state(spec: ProblemSpec, point: KKTPoint,
@@ -72,22 +68,10 @@ def linearized_state(spec: ProblemSpec, point: KKTPoint,
 
 
 def _c2_residual(spec, point, v, z):
-    grid, timegrid = v.grid, v.timegrid
-    tau = timegrid.tau
-    from .grids import assemble_operator
-
-    A = assemble_operator(spec, grid).matrix
-    df = spec.nonlinearity.df
-    res = float(np.max(np.abs(z.values[0])))
-    for j in range(timegrid.n_levels - 1):
-        fp = np.broadcast_to(
-            np.asarray(df(y=point.state.values[j + 1]), dtype=float),
-            (grid.n_interior,),
-        )
-        r = (z.values[j + 1] - z.values[j]) / tau + A @ z.values[j + 1] \
-            + fp * z.values[j + 1] - v.values[j + 1]
-        res = max(res, float(np.max(np.abs(r))))
-    return res
+    A = assemble_operator(spec, v.grid).matrix
+    fp = _df_field(spec, point.state).values
+    return forward_residual(A, v.timegrid.tau, z.values, fp * z.values,
+                            v.values, 0.0)
 
 
 def quadratic_form(spec: ProblemSpec, point: KKTPoint,
@@ -117,12 +101,7 @@ def quadratic_form(spec: ProblemSpec, point: KKTPoint,
     g_yy = eval_scalar_map(spec.constraint.dyy, grid, timegrid, y, u)
     g_yu = eval_scalar_map(spec.constraint.dyu, grid, timegrid, y, u)
     g_uu = eval_scalar_map(spec.constraint.duu, grid, timegrid, y, u)
-    fpp = np.empty_like(y)
-    for k in range(timegrid.n_levels):
-        fpp[k] = np.broadcast_to(
-            np.asarray(spec.nonlinearity.ddf(y=y[k]), dtype=float),
-            (grid.n_interior,),
-        )
+    fpp = eval_broadcast(spec.nonlinearity.ddf, y.shape, y=y)
     e = point.multiplier.values
     phi = point.adjoint.values
     density = (

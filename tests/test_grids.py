@@ -142,7 +142,6 @@ class TestWeights:
         n = field_norms(c, w)
         assert n.linf == 2.0
         assert n.l2 == pytest.approx(2.0, rel=1e-14)
-        assert n.l2_time_of_spatial_l2 == pytest.approx(2.0, rel=1e-14)
 
     def test_norms_scale_linearly(self, grid1d, tg):
         rng = np.random.default_rng(7)

@@ -24,6 +24,7 @@ from parakkt import (
     recover_multiplier_max,
     strongly_active,
 )
+from parakkt.exceptions import ConfigError
 from parakkt.kkt import FEASIBILITY_SLACK, active_threshold
 
 
@@ -196,6 +197,41 @@ class TestControlUpdate:
         direct = constraint_boundary(spec, x0, 0.5, point.state.values[32, 3])
         assert b[32, 3] == pytest.approx(direct, abs=1e-12)
         np.testing.assert_allclose(b, 0.4, atol=1e-9)
+
+
+    @pytest.mark.parametrize(
+        "helper",
+        [lambda spec: pointwise_control_update(spec, (0.5,), 0.5, 0.0, 0.1),
+         lambda spec: constraint_boundary(spec, (0.5,), 0.5, 0.0)],
+        ids=["control_update", "boundary"],
+    )
+    def test_scalar_helpers_check_the_coordinate_count(self, helper):
+        with pytest.raises(ConfigError, match="spatial coordinate"):
+            helper(parakkt.builtin_problem("tracking_box_2d"))
+
+    def test_field_update_matches_pointwise_in_two_dimensions(self):
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        timegrid = TimeGrid(n_levels=9, horizon=spec.horizon)
+        rng = np.random.default_rng(5)
+        shape = (timegrid.n_levels, grid.n_interior)
+        y = rng.uniform(-2.0, 2.0, shape)
+        phi = rng.uniform(-0.2, 0.2, shape)
+        u_f, e_f, bound, constrained = control_update_field(
+            spec, grid, timegrid, y, phi
+        )
+        assert constrained.any() and not constrained.all()
+        xs = grid.interior_coords
+        for m in (0, 4, 8):
+            t = timegrid.times[m]
+            for i in range(0, grid.n_interior, 5):
+                u_p, e_p = pointwise_control_update(
+                    spec, tuple(xs[i]), t, y[m, i], phi[m, i]
+                )
+                assert u_f[m, i] == pytest.approx(u_p, abs=1e-12)
+                assert e_f[m, i] == pytest.approx(e_p, abs=1e-12)
+                b_p = constraint_boundary(spec, tuple(xs[i]), t, y[m, i])
+                assert bound[m, i] == pytest.approx(b_p, abs=1e-12)
 
 
 class TestMultiplierRecovery:

@@ -9,9 +9,12 @@ from parakkt import (
     SolverOptions,
     SpatialGrid,
     TimeGrid,
+    loads,
+    recompute_certificate,
     solve_ocp,
     strongly_active,
 )
+from parakkt.exceptions import SolveError
 from parakkt.kkt import FEASIBILITY_SLACK
 from parakkt.optimizer import TRACE_HEADER
 
@@ -119,3 +122,35 @@ class TestTwoDimensions:
         assert trace.converged
         assert report.kkt_error <= 1e-8
         assert float(np.max(point.control.values)) <= 0.5 + FEASIBILITY_SLACK
+
+
+class TestCertificateRecomputation:
+    @pytest.fixture(scope="class")
+    def mixed_point(self):
+        """Tracking cost under the mixed constraint u + 0.25 y^3 - 0.4 <= 0."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+            "expr = u - 0.4\ndy = 0\ndu = 1\ndyy = 0",
+            "expr = u + 0.25*y^3 - 0.4\ndy = 0.75*y^2\ndu = 1\ndyy = 1.5*y",
+        )
+        spec = loads(text)
+        grid = SpatialGrid(extents=spec.extents, nodes=(33,))
+        timegrid = TimeGrid(n_levels=65, horizon=spec.horizon)
+        point, trace, _ = solve_ocp(spec, grid, timegrid,
+                                    OptimizerOptions(tol_kkt=1e-8))
+        assert trace.converged
+        return spec, point
+
+    def test_default_sweeps_reproduce_the_solver_pair(self, mixed_point):
+        spec, point = mixed_point
+        adjoint, e = recompute_certificate(spec, point.state, point.control)
+        np.testing.assert_allclose(adjoint.values, point.adjoint.values,
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(e.values, point.multiplier.values,
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("max_sweeps", [1, 2, 3])
+    def test_exhausted_sweeps_raise(self, mixed_point, max_sweeps):
+        spec, point = mixed_point
+        with pytest.raises(SolveError, match="did not settle"):
+            recompute_certificate(spec, point.state, point.control,
+                                  max_sweeps=max_sweeps)

@@ -168,7 +168,5 @@ class TestFailureModes:
                 solve_state(spec, u)
 
     def test_option_validation(self):
-        with pytest.raises(ConfigError, match="unknown time scheme"):
-            SolverOptions(scheme="rk4")
         with pytest.raises(ConfigError, match="unknown linear solver"):
             SolverOptions(linear_solver="qr")

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import parakkt
 from parakkt import (
+    SpatialGrid,
+    TimeGrid,
     builtin_audit_box,
     builtin_problem,
     catalog_names,
@@ -17,6 +19,8 @@ from parakkt import (
     validate_hypotheses,
 )
 from parakkt.exceptions import GrammarError, ProblemIOError
+from parakkt.expressions import SPACE_TIME_VARS, parse_expression
+from parakkt.problem import eval_broadcast, eval_scalar_map
 
 CATALOG = (
     "example31_poly",
@@ -166,3 +170,77 @@ class TestHypothesisValidation:
         assert rep.min_gu > 0.0
         assert rep.min_luu == pytest.approx(0.1, rel=1e-12)
         assert len(rep.argmin_luu) == 4
+
+
+def level_loop(fn, grid, timegrid, y, u):
+    """Reference evaluation: one map call per time level."""
+    env = grid.spatial_env()
+    out = np.empty((timegrid.n_levels, grid.n_interior))
+    for k, t in enumerate(timegrid.times):
+        out[k] = np.broadcast_to(
+            np.asarray(fn(t=t, y=y[k], u=u[k], **env), dtype=float),
+            (grid.n_interior,),
+        )
+    return out
+
+
+def cylinder(dim, seed=0):
+    if dim == 1:
+        grid, timegrid = SpatialGrid((1.0,), (33,)), TimeGrid(65, 1.0)
+    else:
+        grid, timegrid = SpatialGrid((1.0, 1.0), (9, 9)), TimeGrid(17, 0.5)
+    rng = np.random.default_rng(seed)
+    shape = (timegrid.n_levels, grid.n_interior)
+    return grid, timegrid, rng.normal(size=shape), rng.normal(size=shape)
+
+
+class TestCylinderEvaluation:
+    """The one broadcast call must reproduce the per-level loop bit for bit."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_every_slot_matches_level_loop(self, name):
+        spec = builtin_problem(name)
+        grid, timegrid, y, u = cylinder(spec.dim)
+        for smap in (spec.cost, spec.constraint):
+            for slot in ("eval", "dy", "du", "dyy", "dyu", "duu"):
+                fn = getattr(smap, slot)
+                np.testing.assert_array_equal(
+                    eval_scalar_map(fn, grid, timegrid, y, u),
+                    level_loop(fn, grid, timegrid, y, u),
+                )
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_nonlinearity_fields_match_level_loop(self, name):
+        spec = builtin_problem(name)
+        grid, timegrid, y, _ = cylinder(spec.dim)
+        nl = spec.nonlinearity
+        for fn in (nl.f, nl.df, nl.ddf):
+            ref = np.array([
+                np.broadcast_to(np.asarray(fn(y=row), dtype=float), row.shape)
+                for row in y
+            ])
+            np.testing.assert_array_equal(eval_broadcast(fn, y.shape, y=y), ref)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_time_inside_transcendentals(self, dim):
+        fn = parse_expression(
+            "sin(pi*t)*exp(-t*x1)*y + u^2*exp(0.5*t) - cos(3*t)*x1*u",
+            SPACE_TIME_VARS(dim),
+        )
+        grid, timegrid, y, u = cylinder(dim, seed=1)
+        np.testing.assert_array_equal(
+            eval_scalar_map(fn, grid, timegrid, y, u),
+            level_loop(fn, grid, timegrid, y, u),
+        )
+
+    def test_result_is_a_fresh_writable_array(self):
+        grid, timegrid, y, u = cylinder(1)
+        out = eval_scalar_map(parse_expression("u", SPACE_TIME_VARS(1)),
+                              grid, timegrid, y, u)
+        assert not np.shares_memory(out, u)
+        out[0, 0] = 123.0
+        assert u[0, 0] != 123.0
+        const = eval_scalar_map(parse_expression("2", SPACE_TIME_VARS(1)),
+                                grid, timegrid, y, u)
+        assert const.shape == u.shape and const.flags.writeable
+        np.testing.assert_array_equal(const, 2.0)
