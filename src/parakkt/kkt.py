@@ -4,7 +4,10 @@ Everything here operates node by node: because the running cost is strongly
 convex in u and the constraint is strictly increasing in u, the minimizer of
 the pointwise Lagrangian and the constraint boundary are well-defined roots
 of scalar monotone functions, which we compute with a safeguarded bracketed
-Newton iteration vectorized over the whole space-time cylinder.
+Newton iteration vectorized over the whole space-time cylinder.  A node stops
+as soon as its residual is exactly zero or its Newton step is at rounding
+level, 4 eps (1 + |u|); the bracket, refined by bisection whenever a Newton
+step leaves it, is the safeguard for maps Newton handles badly.
 """
 
 from __future__ import annotations
@@ -57,10 +60,14 @@ def _point_env(spec: ProblemSpec, x, t: float) -> dict:
 def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     """Roots of a per-point strictly increasing function, vectorized.
 
-    Brackets each root by doubling steps away from the start value, then
-    refines with Newton steps that fall back to bisection whenever they leave
-    the bracket.  Convergence is by bracket width at machine precision.
-    ``fn`` and ``dfn`` return arrays of the shape of ``u0``.
+    Brackets each root by doubling steps away from the start value, on the
+    side where the sign says the root lies, then refines with Newton steps
+    that fall back to bisection whenever they leave the bracket.  A node is
+    done once its residual is exactly zero, its bracket is at most
+    4 eps (1 + |u|) wide, or its Newton step is finite, inside the bracket
+    and at most that long, in which case it takes that last step.  Done
+    nodes keep their value while the others go on.  ``fn`` and ``dfn``
+    return arrays of the shape of ``u0``.
     """
     shape = u0.shape
     u = np.array(u0, dtype=float)
@@ -77,10 +84,12 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if not (need_lo.any() or need_hi.any()):
             break
-        lo = np.where(need_lo, lo - step, lo)
-        hi = np.where(need_hi, hi + step, hi)
-        vlo = np.where(need_lo, fn(lo), vlo)
-        vhi = np.where(need_hi, fn(hi), vhi)
+        if need_lo.any():
+            lo = np.where(need_lo, lo - step, lo)
+            vlo = np.where(need_lo, fn(lo), vlo)
+        if need_hi.any():
+            hi = np.where(need_hi, hi + step, hi)
+            vhi = np.where(need_hi, fn(hi), vhi)
         if not (np.all(np.isfinite(vlo)) and np.all(np.isfinite(vhi))):
             raise HypothesisViolationError(f"{what}: non-finite evaluation while bracketing")
         need_lo = vlo > 0
@@ -91,20 +100,29 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
             f"{what}: no sign change within {_MAX_BRACKET_DOUBLINGS} bracket doublings; "
             "the monotonicity assumption in u looks violated"
         )
-    u = 0.5 * (lo + hi)
+    # A bracket end may already be a root, which no Newton step would enter.
+    u = np.where(vlo == 0, lo, np.where(vhi == 0, hi, 0.5 * (lo + hi)))
     eps = np.finfo(float).eps
+    done = np.zeros(shape, dtype=bool)
     for _ in range(_MAX_ROOT_ITER):
         v = fn(u)
         lo = np.where(v <= 0, u, lo)
         hi = np.where(v > 0, u, hi)
-        done = (hi - lo) <= 4.0 * eps * (1.0 + np.abs(u))
+        tol = 4.0 * eps * (1.0 + np.abs(u))
+        d = dfn(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trial = u - v / d
+        # A step rounded onto a bracket end says the root lies within an ulp
+        # of it: try the next float inside rather than bisect toward it.
+        trial = np.where(trial == lo, np.nextafter(lo, hi),
+                         np.where(trial == hi, np.nextafter(hi, lo), trial))
+        ok = np.isfinite(d) & np.isfinite(trial) & (trial > lo) & (trial < hi)
+        landed = done | (v == 0) | ((hi - lo) <= tol)
+        small_step = ok & (np.abs(trial - u) <= tol)
+        u = np.where(landed, u, np.where(ok, trial, 0.5 * (lo + hi)))
+        done = landed | small_step
         if done.all():
             break
-        d = dfn(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            trial = u - v / d
-        ok = np.isfinite(trial) & (trial > lo) & (trial < hi)
-        u = np.where(ok, trial, 0.5 * (lo + hi))
     else:
         raise SolveError(f"{what}: root refinement did not converge")
     return u

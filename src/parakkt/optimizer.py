@@ -25,7 +25,6 @@ from .exceptions import SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     KKTPoint,
-    ResidualReport,
     _pointwise_residuals,
     constraint_boundary_field,
     control_update_field,
@@ -214,7 +213,12 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         fallback = None
         for _ in range(options.max_backtracks + 1):
             trial_u = control.values + step * direction
-            trial = _restored_trial(spec, grid, timegrid, trial_u, solver)
+            try:
+                trial = _restored_trial(spec, grid, timegrid, trial_u, solver)
+            except SolveError:
+                # A trial whose state solve fails is a rejected step.
+                step *= options.backtrack_factor
+                continue
             if slope < 0 and trial[2] <= objective + options.armijo_c1 * step * slope:
                 accepted = (step, trial)
                 break

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import OracleError
-from .grids import SpaceTimeField, SpatialGrid, TimeGrid, assemble_operator
+from .grids import SpatialGrid, TimeGrid, assemble_operator
 from .kkt import KKTPoint
 from .parabolic import sample_initial_state
 from .problem import ProblemSpec

@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import ConfigError, SolveError
 from .grids import (
-    DiscreteOperator,
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,

@@ -24,7 +24,7 @@ from .grids import (
     quadrature_weights,
 )
 from .kkt import KKTPoint, active_threshold
-from .optimizer import _restored_trial, discrete_objective
+from .optimizer import _restored_trial
 from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
 from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
 

@@ -24,8 +24,10 @@ from parakkt import (
     recover_multiplier_max,
     strongly_active,
 )
-from parakkt.exceptions import ConfigError
-from parakkt.kkt import FEASIBILITY_SLACK, active_threshold
+from parakkt.exceptions import ConfigError, HypothesisViolationError
+from parakkt.kkt import FEASIBILITY_SLACK, _monotone_root, active_threshold
+
+EPS = np.finfo(float).eps
 
 
 def hand_spec():
@@ -269,3 +271,118 @@ class TestPotentialAudit:
         )
         assert audit.lower == float(np.min(audit.field.values))
         assert audit.upper == float(np.max(audit.field.values))
+
+
+def bracket_width_root(fn, dfn, u0):
+    """Reference: the bracket-width-only loop, stopping at 4 eps (1 + |u|)."""
+    u = np.array(u0, dtype=float)
+    v = fn(u)
+    lo, hi, vlo, vhi = u.copy(), u.copy(), v.copy(), v.copy()
+    step = np.ones(u.shape)
+    need_lo, need_hi = vlo > 0, vhi < 0
+    while need_lo.any() or need_hi.any():
+        lo = np.where(need_lo, lo - step, lo)
+        hi = np.where(need_hi, hi + step, hi)
+        vlo = np.where(need_lo, fn(lo), vlo)
+        vhi = np.where(need_hi, fn(hi), vhi)
+        need_lo, need_hi = vlo > 0, vhi < 0
+        step *= 2.0
+    u = 0.5 * (lo + hi)
+    while True:
+        v = fn(u)
+        lo = np.where(v <= 0, u, lo)
+        hi = np.where(v > 0, u, hi)
+        if np.all((hi - lo) <= 4.0 * EPS * (1.0 + np.abs(u))):
+            return u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial = u - v / dfn(u)
+        ok = np.isfinite(trial) & (trial > lo) & (trial < hi)
+        u = np.where(ok, trial, 0.5 * (lo + hi))
+
+
+def counted(fn):
+    """``fn`` with a call counter, the way a tracer counts root evaluations."""
+    def wrapped(u):
+        wrapped.calls += 1
+        return fn(u)
+    wrapped.calls = 0
+    return wrapped
+
+
+def linear_map(a, b, c, y):
+    return lambda u: a * u - b, lambda u: a + 0.0 * u
+
+
+def cubic_map(a, b, c, y):
+    return lambda u: a * u + c * u**3 - b, lambda u: a + 3.0 * c * u**2
+
+
+def poly_map(a, b, c, y):
+    """The example31_poly constraint y^4 u^3 + (y^2 + 1) u, shifted by b."""
+    return (lambda u: y**4 * u**3 + (y**2 + 1.0) * u - b,
+            lambda u: 3.0 * y**4 * u**2 + y**2 + 1.0)
+
+
+node_params = st.lists(
+    st.tuples(st.floats(0.1, 10.0), st.floats(-10.0, 10.0),
+              st.floats(0.0, 5.0), st.floats(-2.0, 2.0)),
+    min_size=1, max_size=6,
+)
+
+
+class TestMonotoneRoot:
+    @pytest.mark.parametrize("family", [linear_map, cubic_map, poly_map],
+                             ids=["linear", "cubic", "example31_poly"])
+    @given(params=node_params,
+           start=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_matches_bracket_width_reference(self, family, params, start):
+        a, b, c, y = (np.array(col) for col in zip(*params))
+        fn, dfn = family(a, b, c, y)
+        u0 = np.full(a.shape, start)
+        u = _monotone_root(fn, dfn, u0, "test")
+        ref = bracket_width_root(fn, dfn, u0)
+        # Each rule stops about 4 eps (1 + |u|) from the root at most, the
+        # reference by bracket width and this one by Newton step length.
+        assert np.all(np.abs(u - ref) <= 8.0 * EPS * (1.0 + np.abs(ref)))
+
+    @given(a=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=6),
+           b=st.floats(-1.0, 1.0))
+    def test_linear_maps_take_few_evaluations(self, a, b):
+        a = np.array(a)
+        fn = counted(lambda u: a * u - b)
+        u = _monotone_root(fn, lambda u: a + 0.0 * u, np.zeros(a.shape), "test")
+        assert fn.calls <= 6
+        np.testing.assert_allclose(u, b / a, rtol=4.0 * EPS, atol=4.0 * EPS)
+
+    def test_bracket_grows_only_on_the_needed_side(self):
+        seen = []
+
+        def fn(u):
+            seen.append(u.copy())
+            return u - 100.0
+
+        u = _monotone_root(fn, lambda u: np.ones_like(u), np.zeros(3), "test")
+        np.testing.assert_array_equal(u, 100.0)
+        assert all(np.all(s >= 0.0) for s in seen)
+
+    def test_exact_zero_at_the_start_stops_at_once(self):
+        fn = counted(lambda u: u - 0.25)
+        u = _monotone_root(fn, lambda u: np.ones_like(u), np.full(4, 0.25), "test")
+        np.testing.assert_array_equal(u, 0.25)
+        assert fn.calls == 2
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(HypothesisViolationError, match="at start"):
+            _monotone_root(lambda u: np.where(u > 0.0, u - 1.0, np.inf),
+                           lambda u: np.ones_like(u), np.array([1.0, -1.0]),
+                           "test")
+
+    def test_non_finite_bracket_raises(self):
+        with pytest.raises(HypothesisViolationError, match="while bracketing"):
+            _monotone_root(lambda u: np.where(u > 2.0, np.nan, u - 5.0),
+                           lambda u: np.ones_like(u), np.zeros(2), "test")
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(HypothesisViolationError, match="no sign change"):
+            _monotone_root(lambda u: np.arctan(u) - 2.0,
+                           lambda u: 1.0 / (1.0 + u**2), np.zeros(2), "test")

@@ -154,3 +154,39 @@ class TestCertificateRecomputation:
         with pytest.raises(SolveError, match="did not settle"):
             recompute_certificate(spec, point.state, point.control,
                                   max_sweeps=max_sweeps)
+
+
+class TestLineSearchFailures:
+    """A trial whose state solve fails is a rejected step, not a crash."""
+
+    @staticmethod
+    def failing_state_solve(monkeypatch, fail_at):
+        """Patches ``solve_state`` to raise on its ``fail_at``-th call (0: never)."""
+        from parakkt import optimizer
+
+        original = optimizer.solve_state
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise SolveError("state Newton stalled (injected)")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_state", patched)
+        return calls
+
+    def test_failed_trial_shrinks_the_step(self, monkeypatch):
+        _, (_, clean, _) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        assert clean.rows[0][2] == 1.0
+        restore = self.failing_state_solve(monkeypatch, fail_at=0)
+        solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9, max_outer=0)
+        self.failing_state_solve(monkeypatch, fail_at=len(restore) + 1)
+        _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        assert trace.converged and report.kkt_error <= 1e-9
+        assert trace.rows[0][2] == 0.5
+
+    def test_failed_initial_restore_still_raises(self, monkeypatch):
+        self.failing_state_solve(monkeypatch, fail_at=1)
+        with pytest.raises(SolveError, match="injected"):
+            solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
