@@ -7,7 +7,9 @@ All three solvers march the same one-step systems
 differing only in the direction of the sweep, the operator (``A`` or its
 transpose), and where the zero-order coefficient comes from.  The adjoint
 sweep is the exact transpose of the forward linearized sweep, which is what
-makes the reduced gradient exact in the discrete duality pairing.
+makes the reduced gradient exact in the discrete duality pairing.  Each
+step system goes straight to LAPACK ``gtsv`` when the matrix is tridiagonal
+(every 1-D grid) and to a fresh SuperLU factorization otherwise.
 
 The adjoint field is stored on all time levels.  Its last stored level is
 the solution of the first backward step started from a virtual zero beyond
@@ -50,7 +52,6 @@ _STALL_LIMIT = 5
 class SolverOptions:
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
-    linear_solver_tol: float = 1e-12
     linear_solver: str = "auto"
 
     def __post_init__(self):
@@ -66,47 +67,54 @@ class StateSolveReport:
 
 
 class _StepSolver:
-    """Solves (M + diag(d)) x = b repeatedly for a fixed sparse M."""
+    """Solves (M + diag(d)) x = b repeatedly for a fixed sparse M.
+
+    ``"banded"`` takes the three diagonals of M once and passes each system
+    to LAPACK ``gtsv`` (a 1x1 system is a division); it needs bandwidth at
+    most 1, and ``"auto"`` picks it then, as on every 1-D grid.  ``"splu"``
+    copies the CSC data of M, adds d at the diagonal positions found once,
+    and factors that with SuperLU through ``spla.splu``.  ``"dense"`` calls
+    ``np.linalg.solve`` and stays as an independent backend for cross-checks.
+    """
 
     def __init__(self, matrix: sp.spmatrix, mode: str):
-        n = matrix.shape[0]
         coo = matrix.tocoo()
-        if mode == "auto":
-            bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-            mode = "banded" if bw <= 2 else "splu"
-        self.mode = mode
-        self.n = n
-        if mode == "banded":
-            self.lo = int(np.max(coo.row - coo.col)) if coo.nnz else 0
-            self.up = int(np.max(coo.col - coo.row)) if coo.nnz else 0
-            ab = np.zeros((self.lo + self.up + 1, n))
-            np.add.at(ab, (self.up + coo.row - coo.col, coo.col), coo.data)
-            self.ab = ab
-        elif mode == "splu":
+        bw = int(np.abs(coo.row - coo.col).max())
+        self.mode = mode if mode != "auto" else ("banded" if bw <= 1 else "splu")
+        if self.mode == "banded":
+            if bw > 1:
+                raise ConfigError(f"linear solver 'banded' needs a tridiagonal "
+                                  f"step matrix; this one has bandwidth {bw}")
+            self.dl, self.d, self.du = (matrix.diagonal(k) for k in (-1, 0, 1))
+            self.gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self.d,))
+        elif self.mode == "splu":
             self.base = matrix.tocsc()
-        elif mode == "dense":
-            self.base = matrix.toarray()
+            self.base.sort_indices()
+            cols = np.repeat(np.arange(self.base.shape[1]), np.diff(self.base.indptr))
+            self.diag_pos = np.flatnonzero(self.base.indices == cols)
         else:
-            raise ConfigError(f"unknown linear solver {mode!r}")
+            self.base = matrix.toarray()
 
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
+        info = 0
         try:
-            if self.mode == "banded":
-                ab = self.ab.copy()
-                ab[self.up, :] += diag_add
-                x = scipy.linalg.solve_banded(
-                    (self.lo, self.up), ab, rhs, check_finite=False
-                )
+            if self.mode == "banded" and self.d.size == 1:
+                x = rhs / (self.d + diag_add)
+            elif self.mode == "banded":
+                x, info = self.gtsv(self.dl, self.d + diag_add, self.du, rhs,
+                                    overwrite_d=True)[3:]
             elif self.mode == "splu":
-                mat = (self.base + sp.diags(diag_add).tocsc()).tocsc()
-                x = spla.splu(mat).solve(rhs)
+                data = self.base.data.copy()
+                data[self.diag_pos] += diag_add
+                x = spla.splu(sp.csc_matrix((data, self.base.indices, self.base.indptr),
+                                            shape=self.base.shape)).solve(rhs)
             else:
                 x = np.linalg.solve(self.base + np.diag(diag_add), rhs)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             ) from exc
-        if not np.all(np.isfinite(x)):
+        if info != 0 or not np.isfinite(x).all():
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             )
@@ -151,7 +159,7 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
     for j in range(timegrid.n_levels - 1):
         y_prev = values[j]
         u_lvl = control.values[j + 1]
-        scale = 1.0 + np.max(np.abs(y_prev)) + np.max(np.abs(u_lvl))
+        scale = 1.0 + np.abs(y_prev).max() + np.abs(u_lvl).max()
         tol = options.newton_tol * scale
         y = y_prev.copy()
         best = np.inf
@@ -160,7 +168,7 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
         while True:
             fy = np.asarray(f(y=y), dtype=float)
             res = (y - y_prev) / tau + A @ y + fy - u_lvl
-            rnorm = float(np.max(np.abs(res)))
+            rnorm = float(np.abs(res).max())
             if not np.isfinite(rnorm):
                 raise SolveError(
                     f"state Newton produced non-finite residual at step {j + 1}"

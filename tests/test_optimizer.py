@@ -109,6 +109,13 @@ class TestOptions:
         assert ta.converged and tb.converged
         assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
+    def test_tight_tolerance_on_a_coarse_grid(self):
+        """The line search near the solution converges at tol 1e-11 on 9x9."""
+        _, (_, trace, report) = solve("tracking_box_1d", (9,), 9, tol_kkt=1e-11)
+        assert trace.converged
+        assert len(trace.rows) <= 12
+        assert report.kkt_error <= 1e-11
+
     def test_determinism(self):
         _, (a, _, ra) = solve("strictly_feasible_1d", (9,), 9, tol_kkt=1e-9)
         _, (b, _, rb) = solve("strictly_feasible_1d", (9,), 9, tol_kkt=1e-9)

@@ -4,6 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
 import parakkt
 from parakkt import (
@@ -16,6 +21,8 @@ from parakkt import (
     solve_state,
 )
 from parakkt.exceptions import ConfigError, SolveError
+from parakkt.grids import assemble_operator
+from parakkt.parabolic import _StepSolver
 
 
 def exact_decay(grid, timegrid):
@@ -35,6 +42,16 @@ def manufactured_forcing(grid, timegrid):
         return -y + np.pi**2 * y + y**3
 
     return SpaceTimeField.from_function(grid, timegrid, fn)
+
+
+def step_matrix(spec, nodes, tau):
+    """I/tau + A on the interior nodes, built as the step solvers build it."""
+    grid = SpatialGrid(extents=spec.extents, nodes=nodes)
+    return (sp.identity(grid.n_interior, format="csr") / tau
+            + assemble_operator(spec, grid).matrix).tocsr()
+
+
+CROSS_DIFFUSION = "\n[a]\na11 = 1 + 0.5*x1\na12 = 0.3*x1*x2\na22 = 1 + x2^2\n"
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +144,69 @@ class TestLinearizedSolve:
                 mms_spec, pot, rhs, np.zeros(n), use_adjoint_operator=True
             ).values[1]
         np.testing.assert_allclose(adj, fwd.T, atol=1e-13)
+
+
+class TestStepSolver:
+    """Each mode returns what the library call it replaces returns, bit for bit."""
+
+    @given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+    def test_banded_matches_solve_banded(self, n, seed):
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.uniform(2.5, 4.0, n)
+        matrix = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
+        d, b = rng.uniform(0.0, 3.0, n), rng.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + d, lower
+        x = _StepSolver(matrix, "banded").solve(d, b, 1)
+        assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+
+    @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
+    def test_splu_matches_a_fresh_factorization(self, a_section):
+        text = parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section
+        matrix = step_matrix(loads(text), (9, 9), 1.0 / 16)
+        rng = np.random.default_rng(3)
+        d, b = rng.uniform(0.0, 3.0, matrix.shape[0]), rng.normal(size=matrix.shape[0])
+        d[::4] = 0.0
+        stepper = _StepSolver(matrix, "auto")
+        assert stepper.mode == "splu"
+        base = matrix.tocsc()
+        expected = spla.splu((base + sp.diags(d).tocsc()).tocsc()).solve(b)
+        assert np.array_equal(stepper.solve(d, b, 1), expected)
+
+    @pytest.mark.parametrize("mode, nodes", [
+        ("banded", (17,)), ("splu", (9, 9)), ("dense", (9, 9)),
+    ])
+    def test_repeated_solves_leave_the_stepper_unchanged(self, mode, nodes):
+        name = "tracking_box_1d" if len(nodes) == 1 else "tracking_box_2d"
+        matrix = step_matrix(parakkt.builtin_problem(name), nodes, 0.1)
+        rng = np.random.default_rng(5)
+        d, b = rng.uniform(0.0, 3.0, matrix.shape[0]), rng.normal(size=matrix.shape[0])
+        d_in, b_in = d.copy(), b.copy()
+        stepper = _StepSolver(matrix, mode)
+        first = stepper.solve(d, b, 1)
+        assert np.array_equal(stepper.solve(d, b, 2), first)
+        assert np.array_equal(d, d_in) and np.array_equal(b, b_in)
+
+    @pytest.mark.parametrize("mode", ["banded", "splu", "dense"])
+    @pytest.mark.parametrize("matrix, d", [
+        ([[1.0]], [-1.0]), ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]),
+    ])
+    def test_singular_systems_raise(self, mode, matrix, d):
+        stepper = _StepSolver(sp.csr_matrix(matrix), mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="singular step matrix at step 4"):
+                stepper.solve(np.array(d), np.ones(len(d)), 4)
+
+    def test_banded_rejects_a_two_dimensional_step_matrix(self):
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        with pytest.raises(ConfigError, match="bandwidth 7"):
+            _StepSolver(step_matrix(spec, (9, 9), 0.1), "banded")
+        g = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        u = SpaceTimeField.zeros(g, TimeGrid(3, spec.horizon))
+        with pytest.raises(ConfigError, match="bandwidth"):
+            solve_state(spec, u, SolverOptions(linear_solver="banded"))
 
 
 class TestFailureModes:
