@@ -310,8 +310,9 @@ def _add_common(p, grids=True):
                    help="seed for every randomized piece of this run")
     p.add_argument("--linear-solver", default="auto",
                    choices=("auto", "banded", "splu", "dense"),
-                   help="step solver; auto: banded (LAPACK gtsv) at bandwidth "
-                   "<= 1, as on every 1-D grid, else splu; banded needs <= 1")
+                   help="step solver; auto: banded (LAPACK gtsv) at bandwidth <= 1, "
+                   "as on every 1-D grid, else splu (one SuperLU factorization per "
+                   "sweep, refined to rounding); banded needs <= 1")
     if grids:
         p.add_argument("--nx", type=int, default=33,
                        help="nodes along the first axis, boundary included")

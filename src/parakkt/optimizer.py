@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
+    FEASIBILITY_SLACK,
     KKTPoint,
     _pointwise_residuals,
     constraint_boundary_field,
@@ -145,6 +146,12 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
             break
         u = projected
         state, _ = solve_state(spec, SpaceTimeField(u, grid, timegrid), solver)
+    else:
+        worst = float(np.max(eval_scalar_map(spec.constraint.eval, grid, timegrid,
+                                             state.values, u)))
+        if worst > FEASIBILITY_SLACK:
+            raise SolveError(f"feasibility restoration left the constraint "
+                             f"violated by {worst:.3e} after 2 projections")
     control = SpaceTimeField(u, grid, timegrid)
     return control, state, discrete_objective(spec, state, control)
 

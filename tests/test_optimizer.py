@@ -130,6 +130,22 @@ class TestTwoDimensions:
         assert report.kkt_error <= 1e-8
         assert float(np.max(point.control.values)) <= 0.5 + FEASIBILITY_SLACK
 
+    def test_linear_solver_choice_does_not_change_the_answer(self):
+        _, (a, ta, _) = solve("tracking_box_2d", (9, 9), 9, tol_kkt=1e-10)
+        _, (b, tb, _) = solve("tracking_box_2d", (9, 9), 9, tol_kkt=1e-10,
+                              solver=SolverOptions(linear_solver="dense"))
+        assert ta.converged and tb.converged
+        assert a.objective == pytest.approx(b.objective, rel=1e-12)
+
+    def test_certificate_does_not_depend_on_the_linear_solver(self):
+        spec, (point, trace, _) = solve("tracking_box_2d", (9, 9), 9, tol_kkt=1e-10)
+        assert trace.converged
+        runs = [recompute_certificate(spec, point.state, point.control,
+                                      SolverOptions(linear_solver=ls))
+                for ls in ("splu", "dense")]
+        for splu_field, dense_field in zip(*runs):
+            assert float(np.max(np.abs(splu_field.values - dense_field.values))) <= 1e-10
+
 
 class TestCertificateRecomputation:
     @pytest.fixture(scope="class")
@@ -197,3 +213,41 @@ class TestLineSearchFailures:
         self.failing_state_solve(monkeypatch, fail_at=1)
         with pytest.raises(SolveError, match="injected"):
             solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+
+
+class TestRestorationCheck:
+    """Two projection passes that both move u must end feasible."""
+
+    @staticmethod
+    def shifted_boundary(monkeypatch, shifts):
+        """Raises the constraint boundary by ``shifts[k]`` on its k-th call."""
+        from parakkt import kkt
+
+        original = kkt._boundary
+        calls = []
+
+        def patched(spec, env, y):
+            shift = shifts[len(calls)] if len(calls) < len(shifts) else 0.0
+            calls.append(shift)
+            return original(spec, env, y) + shift
+
+        monkeypatch.setattr(kkt, "_boundary", patched)
+        return calls
+
+    def test_infeasible_initial_restore_raises(self, monkeypatch):
+        # u_init 1 lies above the boundary 0.4; both passes move u, and the
+        # second leaves it 1e-6 above the boundary.
+        self.shifted_boundary(monkeypatch, [2e-6, 1e-6])
+        with pytest.raises(SolveError, match="restoration left the constraint "
+                                             "violated by 1.000e-06"):
+            solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9, u_init=1.0)
+
+    def test_infeasible_trial_is_a_rejected_step(self, monkeypatch):
+        # Calls: initial restore, first control update, first trial's two
+        # passes.  The update's candidate then lies above the boundary, and
+        # the trial's two passes both move it and leave it infeasible.
+        calls = self.shifted_boundary(monkeypatch, [0.0, 3e-6, 2e-6, 1e-6])
+        _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        assert len(calls) > 4
+        assert trace.converged and report.kkt_error <= 1e-9
+        assert trace.rows[0][2] == 0.5

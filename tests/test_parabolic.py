@@ -17,6 +17,7 @@ from parakkt import (
     SpatialGrid,
     TimeGrid,
     loads,
+    solve_adjoint,
     solve_linear_parabolic,
     solve_state,
 )
@@ -146,8 +147,33 @@ class TestLinearizedSolve:
         np.testing.assert_allclose(adj, fwd.T, atol=1e-13)
 
 
+    @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
+    def test_adjoint_sweep_transposes_the_forward_sweep_in_2d(self, a_section):
+        """<S r, s> = <r, S* s> for the forward sweep S and the reversed adjoint
+        sweep S*, with a potential that differs on every level."""
+        spec = loads(parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section)
+        g = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        tg = TimeGrid(9, spec.horizon)
+        rng = np.random.default_rng(11)
+        pot = rng.uniform(0.0, 3.0, (tg.n_levels, g.n_interior))
+        r, s = rng.normal(size=(2, tg.n_levels, g.n_interior))
+
+        def field(values):
+            return SpaceTimeField(values, g, tg)
+
+        def reverse(values):
+            return np.vstack([values[:1], values[:0:-1]])
+
+        z = solve_linear_parabolic(spec, field(pot), field(r), 0.0).values
+        p = reverse(solve_linear_parabolic(spec, field(reverse(pot)), field(reverse(s)),
+                                           0.0, use_adjoint_operator=True).values)
+        lhs, rhs = np.sum(z[1:] * s[1:]), np.sum(r[1:] * p[1:])
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(z[1:] * s[1:]))
+
+
 class TestStepSolver:
-    """Each mode returns what the library call it replaces returns, bit for bit."""
+    """Each mode returns what the library call it replaces returns: bit for bit,
+    and a refined ``splu`` solve to the accuracy of a fresh factorization."""
 
     @given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
     def test_banded_matches_solve_banded(self, n, seed):
@@ -173,6 +199,77 @@ class TestStepSolver:
         base = matrix.tocsc()
         expected = spla.splu((base + sp.diags(d).tocsc()).tocsc()).solve(b)
         assert np.array_equal(stepper.solve(d, b, 1), expected)
+
+    @staticmethod
+    def backward_error(matrix, d, x, b):
+        """Componentwise (Oettli-Prager) backward error of x for (M + diag(d)) x = b."""
+        r = b - (matrix @ x + d * x)
+        return np.max(np.abs(r) / (abs(matrix) @ np.abs(x) + np.abs(d * x) + np.abs(b)))
+
+    @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
+    @given(steps=st.lists(st.tuples(st.sampled_from([0.0, 0.01, 1.0, 50.0, 1e3]),
+                                    st.integers(0, 2**32 - 1)), min_size=1, max_size=6))
+    def test_splu_refines_to_a_fresh_factorization(self, a_section, steps):
+        """Every solve of a diagonal sequence is as accurate as a fresh LU."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section
+        matrix = step_matrix(loads(text), (9, 9), 1.0 / 16)
+        stepper = _StepSolver(matrix, "splu")
+        eps = np.finfo(float).eps
+        for size, seed in steps:
+            rng = np.random.default_rng(seed)
+            d = rng.uniform(0.0, size, matrix.shape[0])
+            b = rng.normal(size=matrix.shape[0])
+            x = stepper.solve(d, b, 1)
+            fresh = spla.splu((matrix.tocsc() + sp.diags(d).tocsc()).tocsc()).solve(b)
+            assert np.max(np.abs(x - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+            assert self.backward_error(matrix, d, x, b) <= max(
+                2 * eps, self.backward_error(matrix, d, fresh, b))
+
+    @staticmethod
+    def counted_splu(monkeypatch):
+        original, calls = spla.splu, []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        return original, calls
+
+    def test_a_diagonal_jump_refactors_once(self, monkeypatch):
+        matrix = step_matrix(parakkt.builtin_problem("tracking_box_2d"), (9, 9), 1.0 / 16)
+        original, calls = self.counted_splu(monkeypatch)
+        rng = np.random.default_rng(7)
+        d, b = rng.uniform(0.0, 0.1, matrix.shape[0]), rng.normal(size=matrix.shape[0])
+        stepper = _StepSolver(matrix, "splu")
+        stepper.solve(d, b, 1)
+        stepper.solve(d * 1.01, b, 2)
+        assert len(calls) == 1
+        x = stepper.solve(d + 1e4, b, 3)
+        assert len(calls) == 2
+        expected = original((matrix.tocsc() + sp.diags(d + 1e4).tocsc()).tocsc()).solve(b)
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_non_finite_right_hand_side_raises(self, shift):
+        matrix = step_matrix(parakkt.builtin_problem("tracking_box_2d"), (9, 9), 0.1)
+        d, b = np.zeros(matrix.shape[0]), np.ones(matrix.shape[0])
+        stepper = _StepSolver(matrix, "splu")
+        stepper.solve(d, b, 1)
+        b[3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="singular step matrix at step 2"):
+                stepper.solve(d + shift, b, 2)
+
+    def test_adjoint_sweep_at_a_converged_state_factors_once(self, monkeypatch):
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        point, trace, _ = parakkt.solve_ocp(spec, grid, TimeGrid(17, spec.horizon))
+        assert trace.converged
+        _, calls = self.counted_splu(monkeypatch)
+        solve_adjoint(spec, point.state, point.control, point.multiplier)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode, nodes", [
         ("banded", (17,)), ("splu", (9, 9)), ("dense", (9, 9)),
