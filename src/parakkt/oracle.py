@@ -6,7 +6,9 @@ levels past the initial one) and solved by a primal-dual active-set method
 that knows nothing about parabolic structure.  Its multipliers, rescaled by
 the objective weight of a single node, must then agree with the adjoint and
 multiplier fields of the PDE-side solver; that agreement is the strongest
-correctness check the package has.
+correctness check the package has.  Only the spatial operator and the initial
+state are taken from the PDE side; the stepping is restated here.  Each
+instance builds its equality Jacobian once and refreshes only its values.
 """
 
 from __future__ import annotations
@@ -100,15 +102,29 @@ def _bcast(val, shape):
     return np.broadcast_to(np.asarray(val, dtype=float), shape)
 
 
+def _diag_pair_csr(left, right, m):
+    """CSR with left[r] at column r mod m and right[r] at r mod m + m: the
+    ``sp.diags`` blocks side by side, exact zeros left out as ``sp.diags`` does."""
+    vals = np.stack([left, right], axis=1)
+    col = np.arange(left.size) % m
+    keep = vals != 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))])
+    return sp.csr_matrix((vals[keep], np.stack([col, col + m], axis=1)[keep], indptr),
+                         shape=(left.size, 2 * m))
+
+
 def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
                       timegrid: TimeGrid) -> NLPInstance:
     """Stack the stepped problem into an NLP over (y, u) at levels 1..K.
 
     The objective carries the uniform node weight tau * h^d, the stepping
-    residuals and the constraint rows are unweighted.  On construction the
-    analytic gradient and Jacobians are spot-checked against central finite
-    differences at a seeded point; a mismatch is a construction bug and
-    raises immediately.
+    residuals and the constraint rows are unweighted.  The equality
+    Jacobian, with its blocks I/tau + A and -I/tau, and the positions of its
+    y-block diagonal are built once; each call copies the values and adds
+    f'(y) there.  The constraint Jacobian and the Hessian are diagonal pairs
+    assembled straight into CSR.  On construction the analytic gradient and
+    Jacobians are spot-checked against central finite differences at a seeded
+    point; a mismatch is a construction bug and raises immediately.
     """
     n = grid.n_interior
     big_k = timegrid.n_levels - 1
@@ -126,6 +142,15 @@ def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
     shape = (big_k, n)
     nl = spec.nonlinearity
     cost, con = spec.cost, spec.constraint
+    step = sp.identity(n) / tau + A
+    lower = -sp.identity(n) / tau
+    jac0 = sp.hstack([
+        sp.bmat([[step if i == j else lower if i == j + 1 else None
+                  for j in range(big_k)] for i in range(big_k)], format="csr"),
+        -sp.identity(big_k * n, format="csr"),
+    ], format="csr")
+    rows = np.repeat(np.arange(big_k * n), np.diff(jac0.indptr))
+    diag_pos = np.flatnonzero(jac0.indices == rows)
 
     def split(z):
         y = z[: big_k * n].reshape(big_k, n)
@@ -145,27 +170,15 @@ def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
 
     def eq(z):
         y, u = split(z)
-        out = np.empty(shape)
-        prev = y0
-        for j in range(big_k):
-            out[j] = (y[j] - prev) / tau + A @ y[j] \
-                + np.asarray(nl.f(y=y[j]), dtype=float) - u[j]
-            prev = y[j]
-        return out.ravel()
+        prev = np.vstack([y0, y[:-1]])
+        return ((y - prev) / tau + (A @ y.T).T + _bcast(nl.f(y=y), shape) - u).ravel()
 
     def eq_jac(z):
         y, _ = split(z)
-        blocks_y = []
-        for j in range(big_k):
-            fp = _bcast(nl.df(y=y[j]), (n,))
-            row = [None] * big_k
-            row[j] = sp.identity(n) / tau + A + sp.diags(fp)
-            if j > 0:
-                row[j - 1] = -sp.identity(n) / tau
-            blocks_y.append(row)
-        jy = sp.bmat(blocks_y, format="csr")
-        ju = -sp.identity(big_k * n, format="csr")
-        return sp.hstack([jy, ju], format="csr")
+        data = jac0.data.copy()
+        data[diag_pos] += _bcast(nl.df(y=y), shape).ravel()
+        return sp.csr_matrix((data, jac0.indices.copy(), jac0.indptr.copy()),
+                             shape=jac0.shape)
 
     def ineq(z):
         y, u = split(z)
@@ -175,7 +188,7 @@ def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
         y, u = split(z)
         gy = _bcast(con.dy(y=y, u=u, **env), shape).ravel()
         gu = _bcast(con.du(y=y, u=u, **env), shape).ravel()
-        return sp.hstack([sp.diags(gy), sp.diags(gu)], format="csr")
+        return _diag_pair_csr(gy, gu, big_k * n)
 
     def hessian(z, lam, mu):
         y, u = split(z)
@@ -187,17 +200,12 @@ def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
         g_yy = _bcast(con.dyy(y=y, u=u, **env), shape)
         g_yu = _bcast(con.dyu(y=y, u=u, **env), shape)
         g_uu = _bcast(con.duu(y=y, u=u, **env), shape)
-        fpp = np.empty(shape)
-        for j in range(big_k):
-            fpp[j] = _bcast(nl.ddf(y=y[j]), (n,))
+        fpp = _bcast(nl.ddf(y=y), shape)
         d_yy = (omega * l_yy + lam2 * fpp + mu2 * g_yy).ravel()
         d_yu = (omega * l_yu + mu2 * g_yu).ravel()
         d_uu = (omega * l_uu + mu2 * g_uu).ravel()
-        return sp.bmat(
-            [[sp.diags(d_yy), sp.diags(d_yu)],
-             [sp.diags(d_yu), sp.diags(d_uu)]],
-            format="csr",
-        )
+        return _diag_pair_csr(np.concatenate([d_yy, d_yu]),
+                              np.concatenate([d_yu, d_uu]), big_k * n)
 
     instance = NLPInstance(
         n_vars=n_vars,
@@ -286,7 +294,12 @@ def _kkt_residual(instance, z, lam, mu, working):
     parts = [stat, feq]
     if working.size:
         parts.append(gin[working])
-    return np.concatenate(parts) if len(parts) > 1 else stat, stat, feq, gin
+    res = np.concatenate(parts) if len(parts) > 1 else stat
+    return res, stat, feq, gin, grad, jf, jg
+
+
+def _complementarity(mu, gin):
+    return float(np.max(np.abs(mu * gin), initial=0.0))
 
 
 def solve_nlp_active_set(instance: NLPInstance,
@@ -312,16 +325,15 @@ def solve_nlp_active_set(instance: NLPInstance,
         for _ in range(max_newton):
             mu = np.zeros(n_ineq)
             mu[working] = mu_w
-            res, stat, feq, gin = _kkt_residual(instance, z, lam, mu, working)
-            scale = 1.0 + float(np.max(np.abs(instance.gradient(z))))
+            res, stat, feq, gin, grad, jf, jg = _kkt_residual(instance, z, lam, mu,
+                                                              working)
+            scale = 1.0 + float(np.max(np.abs(grad)))
             rnorm = float(np.max(np.abs(res)))
             if not np.isfinite(rnorm):
                 raise OracleError("oracle Newton produced a non-finite residual")
             if rnorm <= NEWTON_TOL * scale:
                 break
             h = instance.hessian(z, lam, mu)
-            jf = instance.eq_jac(z)
-            jg = instance.ineq_jac(z)
             con_jacs = []
             con_rhs = []
             if n_eq:
@@ -404,7 +416,7 @@ def solve_nlp_active_set(instance: NLPInstance,
 
     mu = np.zeros(n_ineq)
     mu[working] = np.maximum(mu_w, 0.0)
-    _, stat, feq, gin = _kkt_residual(instance, z, lam, mu, working)
+    _, stat, feq, gin, *_ = _kkt_residual(instance, z, lam, mu, working)
     sol = NLPSolution(
         z=z,
         lam=lam,
@@ -416,7 +428,7 @@ def solve_nlp_active_set(instance: NLPInstance,
         stationarity_inf=float(np.max(np.abs(stat))),
         feas_eq_inf=float(np.max(np.abs(feq), initial=0.0)),
         feas_ineq=max(0.0, float(np.max(gin, initial=0.0))),
-        complementarity=float(np.abs(mu @ gin)),
+        complementarity=_complementarity(mu, gin),
     )
     sol.validate()
     return sol

@@ -1,7 +1,10 @@
-"""Stacked dense NLP used as an independent cross-check."""
+"""Stacked sparse NLP used as an independent cross-check."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import parakkt
 from parakkt import (
@@ -15,8 +18,11 @@ from parakkt import (
     solve_ocp,
     unpack_solution,
 )
+from parakkt import oracle
 from parakkt.exceptions import OracleError
-from parakkt.oracle import STATIONARITY_TOL
+from parakkt.grids import assemble_operator
+from parakkt.oracle import STATIONARITY_TOL, NLPInstance, NLPSolution
+from parakkt.parabolic import sample_initial_state
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +123,198 @@ class TestMultiplierCorrespondence:
         cmp = compare_multipliers(instance, sol, point)
         assert cmp.adjoint_l2 <= 1e-6
         assert cmp.multiplier_l2 <= 1e-6
+
+
+def _reference_instance(spec, grid, timegrid):
+    """The instance next to one whose stepping residual loops over levels and
+    whose matrices are built from scratch by scipy's constructors on every
+    call: the reference for the built-once assembly."""
+    new = discretize_to_nlp(spec, grid, timegrid)
+    n = grid.n_interior
+    big_k = timegrid.n_levels - 1
+    tau = timegrid.tau
+    omega = new.meta["omega"]
+    A = assemble_operator(spec, grid).matrix
+    y0 = sample_initial_state(spec, grid)
+    env = oracle._level_env(spec, grid, timegrid.times[1:])
+    shape = (big_k, n)
+    nl, cost, con = spec.nonlinearity, spec.cost, spec.constraint
+    bcast = oracle._bcast
+
+    def split(z):
+        return z[: big_k * n].reshape(shape), z[big_k * n:].reshape(shape)
+
+    def eq(z):
+        y, u = split(z)
+        out = np.empty(shape)
+        prev = y0
+        for j in range(big_k):
+            out[j] = (y[j] - prev) / tau + A @ y[j] \
+                + np.asarray(nl.f(y=y[j]), dtype=float) - u[j]
+            prev = y[j]
+        return out.ravel()
+
+    def eq_jac(z):
+        y, _ = split(z)
+        blocks_y = []
+        for j in range(big_k):
+            fp = bcast(nl.df(y=y[j]), (n,))
+            row = [None] * big_k
+            row[j] = sp.identity(n) / tau + A + sp.diags(fp)
+            if j > 0:
+                row[j - 1] = -sp.identity(n) / tau
+            blocks_y.append(row)
+        jy = sp.bmat(blocks_y, format="csr")
+        ju = -sp.identity(big_k * n, format="csr")
+        return sp.hstack([jy, ju], format="csr")
+
+    def ineq_jac(z):
+        y, u = split(z)
+        gy = bcast(con.dy(y=y, u=u, **env), shape).ravel()
+        gu = bcast(con.du(y=y, u=u, **env), shape).ravel()
+        return sp.hstack([sp.diags(gy), sp.diags(gu)], format="csr")
+
+    def hessian(z, lam, mu):
+        y, u = split(z)
+        lam2 = lam.reshape(shape)
+        mu2 = mu.reshape(shape)
+        l_yy = bcast(cost.dyy(y=y, u=u, **env), shape)
+        l_yu = bcast(cost.dyu(y=y, u=u, **env), shape)
+        l_uu = bcast(cost.duu(y=y, u=u, **env), shape)
+        g_yy = bcast(con.dyy(y=y, u=u, **env), shape)
+        g_yu = bcast(con.dyu(y=y, u=u, **env), shape)
+        g_uu = bcast(con.duu(y=y, u=u, **env), shape)
+        fpp = np.empty(shape)
+        for j in range(big_k):
+            fpp[j] = bcast(nl.ddf(y=y[j]), (n,))
+        d_yy = (omega * l_yy + lam2 * fpp + mu2 * g_yy).ravel()
+        d_yu = (omega * l_yu + mu2 * g_yu).ravel()
+        d_uu = (omega * l_uu + mu2 * g_uu).ravel()
+        return sp.bmat(
+            [[sp.diags(d_yy), sp.diags(d_yu)],
+             [sp.diags(d_yu), sp.diags(d_uu)]],
+            format="csr",
+        )
+
+    ref = dataclasses.replace(new, eq=eq, eq_jac=eq_jac, ineq_jac=ineq_jac,
+                              hessian=hessian)
+    return new, ref
+
+
+def _instances(name, nodes, levels):
+    spec = parakkt.builtin_problem(name)
+    grid = SpatialGrid(extents=spec.extents, nodes=nodes)
+    timegrid = TimeGrid(n_levels=levels, horizon=spec.horizon)
+    return _reference_instance(spec, grid, timegrid)
+
+
+def _assert_same_csr(a, b):
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
+
+ASSEMBLY_CASES = [
+    ("tracking_box_1d", (5,), 5),
+    ("example31_poly", (7,), 6),
+    ("tracking_box_2d", (5, 5), 5),
+]
+
+
+class TestBuiltOnceAssembly:
+    @pytest.mark.parametrize("name, nodes, levels", ASSEMBLY_CASES)
+    def test_matrices_equal_the_scipy_constructors(self, name, nodes, levels):
+        new, ref = _instances(name, nodes, levels)
+        m = new.n_vars // 2
+        rng = np.random.default_rng(3)
+        for draw in range(40):
+            z = rng.standard_normal(new.n_vars)
+            lam = rng.standard_normal(m)
+            mu = np.abs(rng.standard_normal(m))
+            if draw % 2:        # exact zeros, so that sp.diags drops entries
+                z[::3] = 0.0
+                mu[::2] = 0.0
+            np.testing.assert_array_equal(new.eq(z), ref.eq(z))
+            _assert_same_csr(new.eq_jac(z), ref.eq_jac(z))
+            _assert_same_csr(new.ineq_jac(z), ref.ineq_jac(z))
+            _assert_same_csr(new.hessian(z, lam, mu), ref.hessian(z, lam, mu))
+        gy_block = new.ineq_jac(z)[:, :m]
+        if name == "example31_poly":
+            assert gy_block.nnz > 0
+            assert new.ineq_jac(z).nnz < 2 * m       # the zeros of the last z
+            assert new.hessian(z, lam, mu).nnz < 4 * m
+        else:
+            assert gy_block.nnz == 0
+
+    def test_eq_jac_returns_fresh_arrays(self):
+        new, _ = _instances("example31_poly", (7,), 6)
+        rng = np.random.default_rng(5)
+        z1, z2 = rng.standard_normal((2, new.n_vars))
+        first = new.eq_jac(z1)
+        assert (new.eq_jac(z2) != first).nnz > 0
+        again = new.eq_jac(z1)
+        _assert_same_csr(again, first)
+        again.data[:] = np.nan
+        again.indices[:] = 0
+        again.indptr[:] = 0
+        _assert_same_csr(new.eq_jac(z1), first)
+
+    def test_solution_is_bitwise_the_reference_solution(self):
+        new, ref = _instances("tracking_box_1d", (5,), 5)
+        a, b = solve_nlp_active_set(new), solve_nlp_active_set(ref)
+        for f in dataclasses.fields(NLPSolution):
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+        assert a.n_set_changes == 10
+
+
+class TestChecks:
+    def test_complementarity_is_the_largest_product(self):
+        new, _ = _instances("example31_poly", (7,), 6)
+        sol = solve_nlp_active_set(new)
+        products = sol.mu * new.ineq(sol.z)
+        assert np.count_nonzero(products) > 1
+        assert sol.complementarity == float(np.max(np.abs(products)))
+
+    def test_complementarity_terms_cannot_cancel(self):
+        mu = np.array([1.0, 1.0])
+        comp = oracle._complementarity(mu, np.array([1e-6, -1e-6]))
+        assert comp == 1e-6
+        sol = NLPSolution(z=np.zeros(2), lam=np.zeros(0), mu=mu, objective=0.0,
+                          working_set=np.arange(2), n_set_changes=2, converged=True,
+                          stationarity_inf=0.0, feas_eq_inf=0.0, feas_ineq=0.0,
+                          complementarity=comp)
+        with pytest.raises(OracleError, match="complementarity"):
+            sol.validate()
+
+    @staticmethod
+    def _toy(jac_error):
+        def eq_jac(z):
+            jac = np.array([[2.0 * z[0], 1.0, -1.0], [0.0, np.cos(z[1]), 0.0]])
+            jac[1, 2] += jac_error
+            return sp.csr_matrix(jac)
+
+        return NLPInstance(
+            n_vars=3,
+            objective=lambda z: 0.5 * float(z @ z),
+            gradient=lambda z: z.copy(),
+            hessian=lambda z, lam, mu: sp.identity(3, format="csr"),
+            eq=lambda z: np.array([z[0] ** 2 + z[1] - z[2], np.sin(z[1])]),
+            eq_jac=eq_jac,
+            ineq=lambda z: z[:1] - 1.0,
+            ineq_jac=lambda z: sp.csr_matrix(np.array([[1.0, 0.0, 0.0]])),
+        )
+
+    def test_self_check_passes_an_exact_toy(self):
+        oracle._self_check(self._toy(0.0))
+
+    def test_self_check_catches_a_wrong_jacobian_entry(self):
+        with pytest.raises(OracleError, match="equality Jacobian self-check"):
+            oracle._self_check(self._toy(1e-3))
+
+    def test_self_check_covers_the_built_once_jacobian(self, small_tracking):
+        _, _, _, instance, _, _ = small_tracking
+        shape = (instance.n_vars // 2, instance.n_vars)
+        bump = sp.csr_matrix(([1e-3], ([2], [5])), shape=shape)
+        wrong = dataclasses.replace(instance,
+                                    eq_jac=lambda z: instance.eq_jac(z) + bump)
+        with pytest.raises(OracleError, match="equality Jacobian self-check"):
+            oracle._self_check(wrong)
