@@ -137,23 +137,39 @@ def _project_feasible(spec, grid, timegrid, u_values, y_values):
 
 
 def _restored_trial(spec, grid, timegrid, u_values, solver):
-    """State solve plus feasibility restoration; returns (u, state, objective)."""
-    u = u_values
-    state, _ = solve_state(spec, SpaceTimeField(u, grid, timegrid), solver)
+    """State solves plus feasibility restoration of a stack of controls.
+
+    ``u_values`` holds B controls, shape (B, n_levels, n_interior).  All are
+    solved in one stacked state sweep and projected onto the constraint;
+    the rows the projection moved are solved again in one sweep, at most
+    twice, and a row moved by both passes must end feasible.  Returns one
+    (control, state, objective) per row, each what restoring that row alone
+    gives.  A failure raises ``SolveError``.
+    """
+    controls = [SpaceTimeField(u, grid, timegrid) for u in u_values]
+    states = [state for state, _ in solve_state(spec, controls, solver)]
+    rows = list(range(len(controls)))
     for _ in range(2):
-        projected = _project_feasible(spec, grid, timegrid, u, state.values)
-        if np.array_equal(projected, u):
+        projected = _project_feasible(spec, grid, timegrid,
+                                      np.array([controls[r].values for r in rows]),
+                                      np.array([states[r].values for r in rows]))
+        moved = [(r, u) for r, u in zip(rows, projected)
+                 if not np.array_equal(u, controls[r].values)]
+        if not moved:
             break
-        u = projected
-        state, _ = solve_state(spec, SpaceTimeField(u, grid, timegrid), solver)
+        rows = [r for r, _ in moved]
+        for r, u in moved:
+            controls[r] = SpaceTimeField(u, grid, timegrid)
+        for r, (state, _) in zip(rows, solve_state(spec, [controls[r] for r in rows], solver)):
+            states[r] = state
     else:
-        worst = float(np.max(eval_scalar_map(spec.constraint.eval, grid, timegrid,
-                                             state.values, u)))
-        if worst > FEASIBILITY_SLACK:
-            raise SolveError(f"feasibility restoration left the constraint "
-                             f"violated by {worst:.3e} after 2 projections")
-    control = SpaceTimeField(u, grid, timegrid)
-    return control, state, discrete_objective(spec, state, control)
+        for r in rows:
+            worst = float(np.max(eval_scalar_map(spec.constraint.eval, grid, timegrid,
+                                                 states[r].values, controls[r].values)))
+            if worst > FEASIBILITY_SLACK:
+                raise SolveError(f"feasibility restoration left the constraint "
+                                 f"violated by {worst:.3e} after 2 projections")
+    return [(c, y, discrete_objective(spec, y, c)) for c, y in zip(controls, states)]
 
 
 def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
@@ -173,7 +189,7 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     u_values = np.full((timegrid.n_levels, grid.n_interior),
                        float(options.u_init))
     control, state, objective = _restored_trial(spec, grid, timegrid,
-                                                u_values, solver)
+                                                u_values[None], solver)[0]
     e_values = np.zeros_like(control.values)
 
     adjoint = None
@@ -221,7 +237,8 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         for _ in range(options.max_backtracks + 1):
             trial_u = control.values + step * direction
             try:
-                trial = _restored_trial(spec, grid, timegrid, trial_u, solver)
+                trial = _restored_trial(spec, grid, timegrid, trial_u[None],
+                                        solver)[0]
             except SolveError:
                 # A trial whose state solve fails is a rejected step.
                 step *= options.backtrack_factor

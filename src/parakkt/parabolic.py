@@ -12,6 +12,13 @@ step system goes straight to LAPACK ``gtsv`` when the matrix is tridiagonal
 (every 1-D grid); otherwise one SuperLU factorization serves a whole sweep,
 each solve refined against it to rounding (see ``_StepSolver``).
 
+The state sweep marches a stack of controls at once, level by level: one
+residual, one step solve and one f' evaluation per Newton iteration serve
+every row of the stack, while each row keeps its own Newton bookkeeping and
+ends bit for bit where its own sweep would (see ``_march_states``).  A
+single control is the stack of one.  The growth probe of ``soc`` restores
+its trials this way.
+
 The adjoint field is stored on all time levels.  Its last stored level is
 the solution of the first backward step started from a virtual zero beyond
 the horizon, so it is of size O(tau) rather than literally zero; writing the
@@ -20,6 +27,8 @@ literal zero instead would break the exactness of the gradient.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,17 +89,25 @@ class _StepSolver:
     most 2 eps, and M + diag(d) is factored and held instead once a
     correction fails to halve that error or it is not finite.  ``"dense"``
     (``np.linalg.solve``) stays as an independent backend for cross-checks.
+
+    A solver made for ``rows`` > 1 also solves a stack of up to that many
+    systems, given as flat vectors d and b of k * n entries (k <= rows; d
+    may also be a scalar).  In
+    ``"banded"`` mode the stack is one ``gtsv`` call on the block-diagonal
+    matrix, its diagonals tiled with zero joins, which eliminates each block
+    exactly as a call of its own would.  The other modes solve the rows one
+    by one, in order, on the one solver.
     """
 
-    def __init__(self, matrix: sp.spmatrix, mode: str):
-        coo = matrix.tocoo()
-        bw = int(np.abs(coo.row - coo.col).max())
+    def __init__(self, matrix: sp.spmatrix, mode: str, rows: int = 1):
+        bw = _bandwidth(matrix)
+        self.n = matrix.shape[0]
         self.mode = mode if mode != "auto" else ("banded" if bw <= 1 else "splu")
         if self.mode == "banded":
             if bw > 1:
                 raise ConfigError(f"linear solver 'banded' needs a tridiagonal "
                                   f"step matrix; this one has bandwidth {bw}")
-            self.dl, self.d, self.du = (matrix.diagonal(k) for k in (-1, 0, 1))
+            self.dl, self.d, self.du = _tiled_diagonals(matrix, rows)
             self.gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self.d,))
         elif self.mode == "splu":
             self.base = matrix.tocsc()
@@ -104,25 +121,35 @@ class _StepSolver:
 
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
         info = 0
+        m = rhs.size
         try:
-            if self.mode == "banded" and self.d.size == 1:
-                x = rhs / (self.d + diag_add)
+            if self.mode == "banded" and self.n == 1:
+                x = rhs / (self.d[:m] + diag_add)
             elif self.mode == "banded":
-                x, info = self.gtsv(self.dl, self.d + diag_add, self.du, rhs,
-                                    overwrite_d=True)[3:]
+                x, info = self.gtsv(self.dl[:m - 1], self.d[:m] + diag_add,
+                                    self.du[:m - 1], rhs, overwrite_d=True)[3:]
             elif self.mode == "splu":
-                x = self._refined_solve(diag_add, rhs)
+                x = self._by_row(self._refined_solve, diag_add, rhs)
             else:
-                x = np.linalg.solve(self.base + np.diag(diag_add), rhs)
+                x = self._by_row(self._dense_solve, diag_add, rhs)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             ) from exc
-        if info != 0 or not np.isfinite(x).all():
+        if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             )
         return x
+
+    def _by_row(self, solve_one, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        if rhs.size == self.n:
+            return solve_one(diag_add, rhs)
+        d = np.broadcast_to(diag_add, rhs.shape).reshape(-1, self.n)
+        return np.concatenate([solve_one(*row) for row in zip(d, rhs.reshape(-1, self.n))])
+
+    def _dense_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.base + np.diag(np.broadcast_to(diag_add, rhs.shape)), rhs)
 
     def _refined_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if self.lu is None:
@@ -148,12 +175,49 @@ class _StepSolver:
             x = x + self.lu.solve(r)
 
 
+def _tiled_diagonals(matrix: sp.spmatrix, rows: int):
+    """Sub-, main and superdiagonal of the block-diagonal stack of ``rows``
+    copies of a tridiagonal matrix, with zeros where two blocks join."""
+    def off(k):
+        return np.tile(np.append(matrix.diagonal(k), 0.0), rows)[:-1]
+    return off(-1), np.tile(matrix.diagonal(), rows), off(1)
+
+
+def _bandwidth(matrix: sp.spmatrix) -> int:
+    coo = matrix.tocoo()
+    return int(np.abs(coo.row - coo.col).max())
+
+
+def _stacked_product(matrix: sp.csr_matrix, rows: int):
+    """y -> A y on every n-block of a flat stack of at most ``rows`` blocks.
+
+    A tridiagonal A multiplies through its tiled diagonals, adding
+    A[i, i-1] y[i-1] and A[i, i] y[i] first and A[i, i+1] y[i+1] last: the
+    order in which ``csr_matvec`` sums a sorted row, so every block gets the
+    sums ``A @ y`` gives it alone.  Any other A multiplies block by block.
+    """
+    n = matrix.shape[0]
+    if _bandwidth(matrix) > 1:
+        return lambda y: (matrix @ y if y.size == n else
+                          np.concatenate([matrix @ b for b in y.reshape(-1, n)]))
+    lower, diag, upper = _tiled_diagonals(matrix, rows)
+
+    def product(y):
+        m = y.size
+        out = diag[:m] * y
+        out[1:] += lower[:m - 1] * y[:-1]
+        out[:-1] += upper[:m - 1] * y[1:]
+        return out
+
+    return product
+
+
 def _step_machinery(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
-                    options: SolverOptions, adjoint: bool):
+                    options: SolverOptions, adjoint: bool, rows: int = 1):
     op = assemble_operator(spec, grid, adjoint=adjoint)
     base = (sp.identity(grid.n_interior, format="csr") / timegrid.tau
             + op.matrix).tocsr()
-    return op, _StepSolver(base, options.linear_solver)
+    return op, _StepSolver(base, options.linear_solver, rows)
 
 
 def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
@@ -164,78 +228,146 @@ def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
     return vals
 
 
-def solve_state(spec: ProblemSpec, control: SpaceTimeField,
+def solve_state(spec: ProblemSpec, control: SpaceTimeField | Sequence[SpaceTimeField],
                 options: SolverOptions | None = None):
     """March the semilinear state equation driven by the given control.
 
     Returns the state field together with a report carrying the worst Newton
     iteration count, the final residual of every step, and the ratio of the
     state sup norm to the natural size of the data.
+
+    ``control`` may also be a sequence of controls on the same grids.  They
+    are then marched as one stack (see ``_march_states``) and the result is
+    a list with one (state, report) pair per control, each the pair that
+    control gives alone.  A failure raises the ``SolveError`` of the first
+    control that fails, with the message that control raises alone.
     """
     options = options or SolverOptions()
-    grid, timegrid = control.grid, control.timegrid
+    single = isinstance(control, SpaceTimeField)
+    controls = [control] if single else list(control)
+    if not controls:
+        raise ConfigError("a state solve needs at least one control")
+    grid, timegrid = controls[0].grid, controls[0].timegrid
+    if not all(c.same_layout(controls[0]) for c in controls):
+        raise ConfigError("controls of one state solve live on different grids")
+    u = np.stack([c.values for c in controls], axis=1)
+    values, max_newton, step_res = _march_states(spec, grid, timegrid, u, options)
+
+    qw = quadrature_weights(grid, timegrid)
+    pairs = []
+    for b, c in enumerate(controls):
+        state = SpaceTimeField(values[:, b], grid, timegrid)
+        data_size = float(np.sqrt(np.sum(qw.values * c.values**2)))
+        data_size += float(np.max(np.abs(state.values[0])))
+        sup = float(np.max(np.abs(state.values)))
+        if sup == 0.0:
+            ratio = 0.0
+        elif data_size == 0.0:
+            ratio = float("inf")
+        else:
+            ratio = sup / data_size
+        pairs.append((state, StateSolveReport(max_newton[b], step_res[b], ratio)))
+    return pairs[0] if single else pairs
+
+
+def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
+                  u: np.ndarray, options: SolverOptions):
+    """Implicit Euler with Newton per step for a stack of B controls at once.
+
+    ``u`` has shape (n_levels, B, n_interior).  Every Newton iteration of a
+    level evaluates one residual over the flat stack of its rows (A y from
+    ``_stacked_product``), makes one stacked step solve and one f'
+    evaluation.  Tolerance, stall count and iteration cap are kept per row
+    in Python floats.  A row is frozen the moment it converges: its
+    right-hand side is zeroed, so its step is zero and it keeps the iterate
+    its own sweep stops at.  A row that fails stops, and so does every row
+    above it, whose outcome no longer matters; the rows below march on and
+    the lowest failed row's error is raised at the end.  A level starts
+    from the iterate the level before ended on, so its first residual
+    reuses the f(y) and A y computed there.
+
+    Returns the (n_levels, B, n_interior) states, each row's worst Newton
+    count and its (n_levels - 1) final step residuals.
+    """
+    n_levels, n_rows, n = u.shape
     tau = timegrid.tau
     f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    op, stepper = _step_machinery(spec, grid, timegrid, options, adjoint=False)
-    A = op.matrix
+    op, stepper = _step_machinery(spec, grid, timegrid, options, adjoint=False,
+                                  rows=n_rows)
+    product = _stacked_product(op.matrix, n_rows)
+    starts = np.arange(0, n_rows * n, n)
 
-    values = np.empty((timegrid.n_levels, grid.n_interior))
-    values[0] = sample_initial_state(spec, grid)
-    max_newton = 0
-    step_res = np.zeros(timegrid.n_levels - 1)
-    for j in range(timegrid.n_levels - 1):
-        y_prev = values[j]
-        u_lvl = control.values[j + 1]
-        scale = 1.0 + np.abs(y_prev).max() + np.abs(u_lvl).max()
-        tol = options.newton_tol * scale
-        y = y_prev.copy()
-        best = np.inf
-        stall = 0
+    def row_max(v):
+        return np.maximum.reduceat(np.abs(v), starts[:v.size // n]).tolist()
+
+    u_max = np.abs(u).max(axis=2).tolist()
+    u = u.reshape(n_levels, -1)
+    values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
+    values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
+    max_newton = [0] * n_rows
+    step_res = np.zeros((n_rows, n_levels - 1))
+    limit, failure = n_rows, None     # rows >= limit have stopped
+    fy = ay = None                    # f(y) and A y at the current iterate
+    for j in range(n_levels - 1):
+        k = limit
+        y = y_prev = values[j, :k * n]
+        u_lvl = u[j + 1, :k * n]
+        tol = [options.newton_tol * (1.0 + a + b)
+               for a, b in zip(row_max(y_prev), u_max[j + 1])]
+        best = [math.inf] * k
+        stall = [0] * k
+        live = list(range(k))
+        frozen = None                 # 0 on converged rows, once there are any
         n_solves = 0
         while True:
-            fy = np.asarray(f(y=y), dtype=float)
-            res = (y - y_prev) / tau + A @ y + fy - u_lvl
-            rnorm = float(np.abs(res).max())
-            if not np.isfinite(rnorm):
-                raise SolveError(
-                    f"state Newton produced non-finite residual at step {j + 1}"
-                )
-            if rnorm <= tol:
+            if fy is None:
+                fy, ay = np.asarray(f(y=y), dtype=float), product(y)
+            res = (y - y_prev) / tau + ay + fy - u_lvl
+            rnorms = row_max(res)
+            still = []
+            for i in live:
+                rnorm = rnorms[i]
+                if not math.isfinite(rnorm):
+                    message = f"state Newton produced non-finite residual at step {j + 1}"
+                elif rnorm <= tol[i]:
+                    step_res[i, j] = rnorm
+                    max_newton[i] = max(max_newton[i], n_solves)
+                    if frozen is None:
+                        frozen = np.ones(y.size)
+                    frozen[i * n:(i + 1) * n] = 0.0
+                    continue
+                elif n_solves >= options.newton_max_iter:
+                    message = (f"state Newton did not converge at step {j + 1}: "
+                               f"residual {rnorm:.3e} after {n_solves} iterations")
+                elif rnorm >= best[i] and stall[i] + 1 >= _STALL_LIMIT:
+                    message = (f"state Newton stalled at step {j + 1}: residual "
+                               f"{rnorm:.3e} after {n_solves} iterations")
+                else:
+                    stall[i] = stall[i] + 1 if rnorm >= best[i] else 0
+                    best[i] = min(best[i], rnorm)
+                    still.append(i)
+                    continue
+                limit, failure = i, message
                 break
-            if n_solves >= options.newton_max_iter:
-                raise SolveError(
-                    f"state Newton did not converge at step {j + 1}: residual "
-                    f"{rnorm:.3e} after {n_solves} iterations"
-                )
-            if rnorm >= best:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    raise SolveError(
-                        f"state Newton stalled at step {j + 1}: residual "
-                        f"{rnorm:.3e} after {n_solves} iterations"
-                    )
-            else:
-                best = rnorm
-                stall = 0
-            fp = eval_broadcast(df, y.shape, y=y)
-            y = y - stepper.solve(fp, res, j + 1)
+            live = still
+            if limit < k:
+                k = limit
+                y, y_prev, u_lvl, res = y[:k * n], y_prev[:k * n], u_lvl[:k * n], res[:k * n]
+                frozen = None if frozen is None else frozen[:k * n]
+                fy = None
+            if not live:
+                break
+            # A converged row solves for a zero step, which leaves it as it is.
+            rhs = res if frozen is None else res * frozen
+            y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
+            fy = None
             n_solves += 1
-        max_newton = max(max_newton, n_solves)
-        step_res[j] = rnorm
-        values[j + 1] = y
-
-    state = SpaceTimeField(values, grid, timegrid)
-    qw = quadrature_weights(grid, timegrid)
-    data_size = float(np.sqrt(np.sum(qw.values * control.values**2)))
-    data_size += float(np.max(np.abs(values[0])))
-    sup = float(np.max(np.abs(values)))
-    if sup == 0.0:
-        ratio = 0.0
-    elif data_size == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = sup / data_size
-    return state, StateSolveReport(max_newton, step_res, ratio)
+        values[j + 1, :k * n] = y
+        if limit == 0:
+            break
+    if failure is not None:
+        raise SolveError(failure)
+    return values.reshape(n_levels, n_rows, n), max_newton, step_res
 
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,

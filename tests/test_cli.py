@@ -143,6 +143,19 @@ class TestDiagnostics:
         assert lines[0] == "trial,ratio,norm_du,feasible"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("option, value", [
+        ("--trials", 0), ("--trials", -2), ("--radius", 0),
+    ])
+    def test_soc_refuses_a_bad_trial_count_or_radius(self, tmp_path, capsys,
+                                                     option, value):
+        rc = run(
+            "soc", "--problem", "tracking_box_1d",
+            "--nx", 9, "--nt", 9, "--tol", "1e-9", option, value, "--out", tmp_path,
+        )
+        assert rc == 2
+        assert "error kind=config exit=2" in capsys.readouterr().err
+        assert not (tmp_path / "growth.csv").exists()
+
     def test_holder_writes_bin_tables(self, tmp_path):
         rc = run(
             "holder", "--problem", "tracking_box_1d",

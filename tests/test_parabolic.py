@@ -109,6 +109,56 @@ class TestStateSolve:
         assert float(np.max(np.abs(y.values))) > 0.0
 
 
+class TestStackedStateSolve:
+    """A sequence of controls marches as one stack; each row is bit for bit
+    what its control gives alone."""
+
+    @staticmethod
+    def controls(*levels):
+        spec = parakkt.builtin_problem("tracking_box_1d")
+        g = SpatialGrid(extents=spec.extents, nodes=(17,))
+        tg = TimeGrid(33, spec.horizon)
+        return spec, [SpaceTimeField(np.full((33, 15), c), g, tg) for c in levels]
+
+    @pytest.mark.parametrize("ls", ["auto", "dense"])
+    def test_rows_with_different_newton_counts_match_single_solves(self, ls):
+        spec, controls = self.controls(0.0, 1.0, 30.0)
+        options = SolverOptions(linear_solver=ls)
+        pairs = solve_state(spec, controls, options)
+        assert [rep.max_newton_iterations for _, rep in pairs] == [0, 2, 4]
+        for control, (state, rep) in zip(controls, pairs):
+            alone, rep_alone = solve_state(spec, control, options)
+            assert state.values.tobytes() == alone.values.tobytes()
+            assert rep.step_residuals.tobytes() == rep_alone.step_residuals.tobytes()
+            assert rep.bound_ratio == rep_alone.bound_ratio
+
+    def test_a_stalling_row_raises_its_own_error(self):
+        spec, (good, bad, other) = self.controls(1.0, 1e4, 30.0)
+        with pytest.raises(SolveError) as alone:
+            solve_state(spec, bad)
+        assert "stalled at step 1" in str(alone.value)
+        with pytest.raises(SolveError) as stacked:
+            solve_state(spec, [good, bad, other])
+        assert str(stacked.value) == str(alone.value)
+
+    def test_the_first_failing_row_decides_the_error(self):
+        """The non-finite row fails first in time; the stalling row still marches
+        on when it comes first, and its error is the one raised."""
+        spec, (stalls, blows_up) = self.controls(1e4, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="stalled"):
+                solve_state(spec, [stalls, blows_up])
+            with pytest.raises(SolveError, match="non-finite"):
+                solve_state(spec, [blows_up, stalls])
+
+    def test_controls_on_different_grids_are_refused(self):
+        spec, (a,) = self.controls(0.0)
+        b = SpaceTimeField.zeros(a.grid, TimeGrid(17, spec.horizon))
+        with pytest.raises(ConfigError, match="different grids"):
+            solve_state(spec, [a, b])
+
+
 class TestLinearizedSolve:
     def test_matches_nonlinear_solve_for_zero_potential(self, mms_spec):
         """With the reaction frozen at zero state the linear path agrees."""
@@ -186,6 +236,32 @@ class TestStepSolver:
         ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + d, lower
         x = _StepSolver(matrix, "banded").solve(d, b, 1)
         assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+
+    @given(rows=st.integers(1, 9), spare=st.integers(0, 3), n=st.integers(1, 130),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_banded_solve_matches_one_solve_per_row(self, rows, spare, n, seed):
+        """One ``gtsv`` call on ``rows`` stacked systems, from a solver made for
+        up to ``rows + spare``, returns each row's own solve bit for bit."""
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        diag = rng.uniform(2.5, 4.0, n)
+        matrix = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
+        d, b = rng.uniform(0.0, 3.0, rows * n), rng.normal(size=rows * n)
+        stacked = _StepSolver(matrix, "banded", rows + spare).solve(d, b, 1)
+        alone = _StepSolver(matrix, "banded")
+        expected = np.concatenate([alone.solve(d[i:i + n], b[i:i + n], 1)
+                                   for i in range(0, rows * n, n)])
+        assert stacked.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ["banded", "splu", "dense"])
+    def test_a_singular_row_of_a_stack_raises(self, mode):
+        stepper = _StepSolver(sp.csr_matrix([[1.0, 1.0], [1.0, 1.0]]), mode, 3)
+        d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        b = np.array([1.0, 2.0, 1.0, 0.0, 1.0, 2.0])    # the middle row has no solution
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="singular step matrix at step 6"):
+                stepper.solve(d, b, 6)
 
     @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
     def test_splu_matches_a_fresh_factorization(self, a_section):

@@ -11,7 +11,40 @@ from parakkt import (
     sample_critical_direction,
     strongly_active,
 )
-from parakkt.grids import objective_weights
+from parakkt.exceptions import ConfigError
+from parakkt.grids import objective_weights, quadrature_weights
+from parakkt.optimizer import _restored_trial
+from parakkt.parabolic import SolverOptions
+from parakkt.problem import eval_scalar_map
+from parakkt.soc import _smooth_random_fields
+
+from conftest import solve_builtin
+
+
+def one_trial_at_a_time(spec, point, n_trials, radius=1e-2, seed=0):
+    """The growth probe as it was before batching: each trial drawn, restored
+    and recorded alone.  Returns (rows, kappa_hat, n_feasible)."""
+    grid, timegrid = point.state.grid, point.state.timegrid
+    rng = np.random.default_rng(seed)
+    qw = quadrature_weights(grid, timegrid).values
+    rows, kappa, n_feasible = [], np.inf, 0
+    for trial in range(n_trials):
+        delta = radius * _smooth_random_fields(grid, timegrid, rng)[0]
+        delta[0] = 0.0
+        u_try = point.control.values + delta
+        control, state, objective = _restored_trial(spec, grid, timegrid, u_try[None],
+                                                    SolverOptions())[0]
+        du = control.values - point.control.values
+        norm_du = float(np.sqrt(np.sum(qw * du**2)))
+        g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
+                            state.values, control.values)
+        feasible = bool(np.max(g) <= 1e-8) and norm_du >= 1e-8
+        ratio = (objective - point.objective) / norm_du**2 if norm_du >= 1e-8 else 0.0
+        if feasible:
+            n_feasible += 1
+            kappa = min(kappa, ratio)
+        rows.append((trial, ratio, norm_du, feasible))
+    return rows, float(kappa) if np.isfinite(kappa) else 0.0, n_feasible
 
 
 class TestCriticalDirection:
@@ -114,3 +147,52 @@ class TestGrowthProbe:
         small = quadratic_growth_probe(spec, point, n_trials=5, radius=1e-3, seed=0)
         large = quadratic_growth_probe(spec, point, n_trials=5, radius=1e-2, seed=0)
         assert max(r[2] for r in small.rows) < max(r[2] for r in large.rows)
+
+    @pytest.mark.parametrize("name, nodes, levels", [
+        ("tracking_box_1d", (33,), 65), ("example31_poly", (33,), 33),
+    ])
+    def test_batches_match_one_trial_at_a_time(self, name, nodes, levels):
+        """17 trials cross a batch boundary on both grids (8 and 16 per batch)."""
+        spec, point, _, _ = solve_builtin(name, nodes, levels, 1e-10)
+        probe = quadratic_growth_probe(spec, point, n_trials=17, seed=4)
+        rows, kappa, n_feasible = one_trial_at_a_time(spec, point, 17, seed=4)
+        assert probe.rows == rows
+        assert (probe.kappa_hat, probe.n_feasible) == (kappa, n_feasible)
+
+    def test_batches_match_one_trial_at_a_time_in_2d(self):
+        spec, point, _, _ = solve_builtin("tracking_box_2d", (9, 9), 9, 1e-10)
+        probe = quadratic_growth_probe(spec, point, n_trials=17, seed=4)
+        rows, kappa, n_feasible = one_trial_at_a_time(spec, point, 17, seed=4)
+        assert [(r[0], r[3]) for r in probe.rows] == [(r[0], r[3]) for r in rows]
+        np.testing.assert_allclose([r[1:3] for r in probe.rows], [r[1:3] for r in rows],
+                                   rtol=0, atol=1e-12)
+        assert probe.n_feasible == n_feasible
+        assert abs(probe.kappa_hat - kappa) <= 1e-12
+
+    def test_batches_hold_at_most_the_node_budget(self, tracking_bundle, monkeypatch):
+        from parakkt import soc
+
+        spec, point, _, _ = tracking_bundle
+        sizes = []
+
+        def recorded(spec, grid, timegrid, u_values, solver):
+            sizes.append(len(u_values))
+            return _restored_trial(spec, grid, timegrid, u_values, solver)
+
+        monkeypatch.setattr(soc, "_restored_trial", recorded)
+        quadratic_growth_probe(spec, point, n_trials=17)
+        assert sizes == [8, 8, 1]         # 2**14 // (65 * 31) = 8
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_trials": 0}, "at least one trial"),
+        ({"n_trials": -2}, "at least one trial"),
+        ({"radius": 0.0}, "finite and positive"),
+        ({"radius": -1e-2}, "finite and positive"),
+        ({"radius": float("inf")}, "finite and positive"),
+        ({"radius": float("nan")}, "finite and positive"),
+    ])
+    def test_bad_trial_count_or_radius_is_a_config_error(self, tracking_bundle,
+                                                         kwargs, match):
+        spec, point, _, _ = tracking_bundle
+        with pytest.raises(ConfigError, match=match):
+            quadratic_growth_probe(spec, point, **kwargs)
