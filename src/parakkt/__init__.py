@@ -18,7 +18,6 @@ from .exceptions import (
 from .expressions import parse_expression
 from .field_io import read_field, write_field
 from .grids import (
-    DiscreteOperator,
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,

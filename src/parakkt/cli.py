@@ -38,8 +38,9 @@ from .optimizer import OptimizerOptions, discrete_objective, solve_ocp
 from .oracle import compare_multipliers, discretize_to_nlp, solve_nlp_active_set
 from .parabolic import SolverOptions, solve_state
 from .problem import validate_hypotheses
-from .regularity import multiplier_continuity_report
+from .regularity import _check_pairs, multiplier_continuity_report
 from .soc import (
+    _check_probe_arguments,
     legendre_min,
     quadratic_form,
     quadratic_growth_probe,
@@ -206,6 +207,7 @@ def _cmd_check_kkt(args) -> int:
 def _cmd_soc(args) -> int:
     spec = _load_spec(args)
     grid, timegrid = _grids(spec, args)
+    _check_probe_arguments(args.trials, args.radius)
     out = _ensure_out(args)
     point, trace, report = _solve_to_dir(spec, grid, timegrid,
                                          _optimizer_options(args), out)
@@ -237,6 +239,7 @@ def _cmd_soc(args) -> int:
 def _cmd_holder(args) -> int:
     spec = _load_spec(args)
     grid, timegrid = _grids(spec, args)
+    _check_pairs(args.pairs)
     out = _ensure_out(args)
     point, trace, report = _solve_to_dir(spec, grid, timegrid,
                                          _optimizer_options(args), out)
@@ -309,10 +312,11 @@ def _add_common(p, grids=True):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for every randomized piece of this run")
     p.add_argument("--linear-solver", default="auto",
-                   choices=("auto", "banded", "splu", "dense"),
-                   help="step solver; auto: banded (LAPACK gtsv) at bandwidth <= 1, "
-                   "as on every 1-D grid, else splu (one SuperLU factorization per "
-                   "sweep, refined to rounding); banded needs <= 1")
+                   choices=("auto", "dense"),
+                   help="step solver; auto: the step matrix picks LAPACK gtsv when "
+                   "it is tridiagonal (every 1-D grid), else one SuperLU "
+                   "factorization per sweep, refined to rounding; dense: "
+                   "numpy.linalg.solve, an independent reference")
     if grids:
         p.add_argument("--nx", type=int, default=33,
                        help="nodes along the first axis, boundary included")

@@ -38,7 +38,6 @@ __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "SpaceTimeField",
-    "DiscreteOperator",
     "FieldNorms",
     "assemble_operator",
     "quadrature_weights",
@@ -172,19 +171,6 @@ class SpaceTimeField:
         return self.grid.matches(other.grid) and self.timegrid.matches(other.timegrid)
 
 
-@dataclass
-class DiscreteOperator:
-    """Sparse interior-to-interior elliptic operator."""
-
-    matrix: sp.csr_matrix
-    grid: SpatialGrid
-    is_adjoint: bool = False
-
-    def adjoint(self) -> "DiscreteOperator":
-        """The transpose operator; this is the discrete adjoint."""
-        return DiscreteOperator(self.matrix.T.tocsr(), self.grid, not self.is_adjoint)
-
-
 def _eval_coeff(fn, coords, dim, what):
     env = {"x1": coords[:, 0]}
     if dim == 2:
@@ -200,7 +186,7 @@ def _eval_coeff(fn, coords, dim, what):
     return vals
 
 
-def assemble_operator(spec, grid: SpatialGrid, adjoint: bool = False) -> DiscreteOperator:
+def assemble_operator(spec, grid: SpatialGrid) -> sp.csr_matrix:
     """Assemble the divergence-form diffusion operator on interior nodes.
 
     The axis-aligned terms use a conservative flux stencil with the face
@@ -209,7 +195,8 @@ def assemble_operator(spec, grid: SpatialGrid, adjoint: bool = False) -> Discret
     cross-diffusion coefficient (two dimensions) is assembled per grid cell
     from the bilinear cell-center derivatives, which keeps the matrix exactly
     symmetric for symmetric coefficient data.  Dirichlet rows and columns are
-    eliminated; boundary neighbors contribute only to the diagonal.
+    eliminated; boundary neighbors contribute only to the diagonal.  The
+    result is the CSR matrix A; its transpose is the discrete adjoint.
     """
     if spec.dim != grid.dim:
         raise ConfigError(
@@ -250,12 +237,10 @@ def assemble_operator(spec, grid: SpatialGrid, adjoint: bool = False) -> Discret
     rows.append(np.arange(n))
     cols.append(np.arange(n))
     vals.append(diag)
-    matrix = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    op = DiscreteOperator(matrix, grid, False)
-    return op.adjoint() if adjoint else op
 
 
 def _assemble_cross_term(grid, a12_fn, rows, cols, vals):

@@ -360,7 +360,7 @@ def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     stat, comp, sign, feas = _pointwise_residuals(spec, grid, timegrid, y, u,
                                                   phi, e)
 
-    A = assemble_operator(spec, grid).matrix
+    A = assemble_operator(spec, grid)
     f_y = eval_broadcast(spec.nonlinearity.f, y.shape, y=y)
     state_res = forward_residual(A, tau, y, f_y, u,
                                  sample_initial_state(spec, grid))

@@ -136,7 +136,7 @@ def discretize_to_nlp(spec: ProblemSpec, grid: SpatialGrid,
         )
     tau = timegrid.tau
     omega = tau * float(np.prod(grid.spacing))
-    A = assemble_operator(spec, grid).matrix
+    A = assemble_operator(spec, grid)
     y0 = sample_initial_state(spec, grid)
     env = _level_env(spec, grid, timegrid.times[1:])
     shape = (big_k, n)

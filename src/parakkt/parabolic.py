@@ -7,10 +7,10 @@ All three solvers march the same one-step systems
 differing only in the direction of the sweep, the operator (``A`` or its
 transpose), and where the zero-order coefficient comes from.  The adjoint
 sweep is the exact transpose of the forward linearized sweep, which is what
-makes the reduced gradient exact in the discrete duality pairing.  Each
-step system goes straight to LAPACK ``gtsv`` when the matrix is tridiagonal
-(every 1-D grid); otherwise one SuperLU factorization serves a whole sweep,
-each solve refined against it to rounding (see ``_StepSolver``).
+makes the reduced gradient exact in the discrete duality pairing.  The
+step matrix picks its backend once per sweep: LAPACK ``gtsv`` when it is
+tridiagonal (every 1-D grid), else one SuperLU factorization refined to
+rounding (see ``_StepSolver``).  ``"dense"`` is the independent reference.
 
 The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
@@ -65,7 +65,7 @@ class SolverOptions:
     linear_solver: str = "auto"
 
     def __post_init__(self):
-        if self.linear_solver not in ("auto", "banded", "splu", "dense"):
+        if self.linear_solver not in ("auto", "dense"):
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
 
 
@@ -77,47 +77,65 @@ class StateSolveReport:
 
 
 class _StepSolver:
-    """Solves (M + diag(d)) x = b repeatedly for a fixed sparse M.
+    """Solves (I/tau + A + diag(d)) x = b repeatedly for a fixed sparse A.
 
-    ``"banded"`` takes the three diagonals of M once and passes each system
-    to LAPACK ``gtsv`` (a 1x1 system is a division); it needs bandwidth at
-    most 1, and ``"auto"`` picks it then, as on every 1-D grid.  ``"splu"``
-    holds one SuperLU factorization (``spla.splu``) of M + diag(d0), d0 being
-    the first solve's d.  At d = d0 a solve is the LU solve; at any other d
-    it is refined with the residual r of M + diag(d) to a componentwise
-    backward error max |r| / (|M||x| + |d x| + |b|) (LAPACK ``xGERFS``) of at
-    most 2 eps, and M + diag(d) is factored and held instead once a
-    correction fails to halve that error or it is not finite.  ``"dense"``
-    (``np.linalg.solve``) stays as an independent backend for cross-checks.
+    The step matrix M = I/tau + A picks the backend (``mode``) from its
+    bandwidth, once.  At bandwidth at most 1 (every 1-D grid) each system
+    goes to LAPACK ``gtsv`` on the three diagonals of M, taken once (a 1x1
+    system is a division).  Otherwise one SuperLU factorization
+    (``spla.splu``) of M + diag(d0) is held, d0 being the first solve's d.
+    At d = d0 a solve is the LU solve; at any other d it is refined with the
+    residual r of M + diag(d) to a componentwise backward error
+    max |r| / (|M||x| + |d x| + |b|) (LAPACK ``xGERFS``) of at most 2 eps,
+    and M + diag(d) is factored and held instead once a correction fails to
+    halve that error or it is not finite.  ``linear_solver="dense"``
+    (``np.linalg.solve``) is the independent backend for cross-checks.
 
     A solver made for ``rows`` > 1 also solves a stack of up to that many
     systems, given as flat vectors d and b of k * n entries (k <= rows; d
-    may also be a scalar).  In
-    ``"banded"`` mode the stack is one ``gtsv`` call on the block-diagonal
-    matrix, its diagonals tiled with zero joins, which eliminates each block
-    exactly as a call of its own would.  The other modes solve the rows one
-    by one, in order, on the one solver.
+    may also be a scalar).  With ``gtsv`` the stack is one call on the
+    block-diagonal matrix, its diagonals tiled with zero joins, which
+    eliminates each block exactly as a call of its own would.  The other
+    backends solve the rows one by one, in order, on the one solver.
+    ``product`` gives A y on every block of such a stack; a tridiagonal A
+    multiplies through its tiled diagonals, adding each row's terms in the
+    order ``csr_matvec`` does, so every block gets the sums ``A @ y`` gives
+    it alone.
     """
 
-    def __init__(self, matrix: sp.spmatrix, mode: str, rows: int = 1):
-        bw = _bandwidth(matrix)
-        self.n = matrix.shape[0]
-        self.mode = mode if mode != "auto" else ("banded" if bw <= 1 else "splu")
-        if self.mode == "banded":
-            if bw > 1:
-                raise ConfigError(f"linear solver 'banded' needs a tridiagonal "
-                                  f"step matrix; this one has bandwidth {bw}")
+    def __init__(self, operator: sp.csr_matrix, tau: float,
+                 linear_solver: str = "auto", rows: int = 1):
+        self.operator = operator
+        self.n = operator.shape[0]
+        matrix = (sp.identity(self.n, format="csr") / tau + operator).tocsr()
+        tridiagonal = _bandwidth(matrix) <= 1
+        self.a_diagonals = _tiled_diagonals(operator, rows) if tridiagonal else None
+        if linear_solver == "dense":
+            self.mode = "dense"
+            self.base = matrix.toarray()
+        elif tridiagonal:
+            self.mode = "banded"
             self.dl, self.d, self.du = _tiled_diagonals(matrix, rows)
             self.gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self.d,))
-        elif self.mode == "splu":
+        else:
+            self.mode = "splu"
             self.base = matrix.tocsc()
             self.base.sort_indices()
             cols = np.repeat(np.arange(self.base.shape[1]), np.diff(self.base.indptr))
             self.diag_pos = np.flatnonzero(self.base.indices == cols)
             self.abs_base = abs(self.base)
             self.lu = self.lu_diag = None
-        else:
-            self.base = matrix.toarray()
+
+    def product(self, y: np.ndarray) -> np.ndarray:
+        if self.a_diagonals is None:
+            return (self.operator @ y if y.size == self.n else np.concatenate(
+                [self.operator @ b for b in y.reshape(-1, self.n)]))
+        lower, diag, upper = self.a_diagonals
+        m = y.size
+        out = diag[:m] * y
+        out[1:] += lower[:m - 1] * y[:-1]
+        out[:-1] += upper[:m - 1] * y[1:]
+        return out
 
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
         info = 0
@@ -188,38 +206,6 @@ def _bandwidth(matrix: sp.spmatrix) -> int:
     return int(np.abs(coo.row - coo.col).max())
 
 
-def _stacked_product(matrix: sp.csr_matrix, rows: int):
-    """y -> A y on every n-block of a flat stack of at most ``rows`` blocks.
-
-    A tridiagonal A multiplies through its tiled diagonals, adding
-    A[i, i-1] y[i-1] and A[i, i] y[i] first and A[i, i+1] y[i+1] last: the
-    order in which ``csr_matvec`` sums a sorted row, so every block gets the
-    sums ``A @ y`` gives it alone.  Any other A multiplies block by block.
-    """
-    n = matrix.shape[0]
-    if _bandwidth(matrix) > 1:
-        return lambda y: (matrix @ y if y.size == n else
-                          np.concatenate([matrix @ b for b in y.reshape(-1, n)]))
-    lower, diag, upper = _tiled_diagonals(matrix, rows)
-
-    def product(y):
-        m = y.size
-        out = diag[:m] * y
-        out[1:] += lower[:m - 1] * y[:-1]
-        out[:-1] += upper[:m - 1] * y[1:]
-        return out
-
-    return product
-
-
-def _step_machinery(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
-                    options: SolverOptions, adjoint: bool, rows: int = 1):
-    op = assemble_operator(spec, grid, adjoint=adjoint)
-    base = (sp.identity(grid.n_interior, format="csr") / timegrid.tau
-            + op.matrix).tocsr()
-    return op, _StepSolver(base, options.linear_solver, rows)
-
-
 def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
     vals = eval_broadcast(spec.initial_state, (grid.n_interior,),
                           **grid.spatial_env())
@@ -276,7 +262,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     ``u`` has shape (n_levels, B, n_interior).  Every Newton iteration of a
     level evaluates one residual over the flat stack of its rows (A y from
-    ``_stacked_product``), makes one stacked step solve and one f'
+    ``_StepSolver.product``), makes one stacked step solve and one f'
     evaluation.  Tolerance, stall count and iteration cap are kept per row
     in Python floats.  A row is frozen the moment it converges: its
     right-hand side is zeroed, so its step is zero and it keeps the iterate
@@ -292,9 +278,8 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     n_levels, n_rows, n = u.shape
     tau = timegrid.tau
     f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    op, stepper = _step_machinery(spec, grid, timegrid, options, adjoint=False,
-                                  rows=n_rows)
-    product = _stacked_product(op.matrix, n_rows)
+    stepper = _StepSolver(assemble_operator(spec, grid), tau, options.linear_solver,
+                          n_rows)
     starts = np.arange(0, n_rows * n, n)
 
     def row_max(v):
@@ -321,7 +306,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         n_solves = 0
         while True:
             if fy is None:
-                fy, ay = np.asarray(f(y=y), dtype=float), product(y)
+                fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
             res = (y - y_prev) / tau + ay + fy - u_lvl
             rnorms = row_max(res)
             still = []
@@ -388,8 +373,9 @@ def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
     initial_values = np.broadcast_to(
         np.asarray(initial_values, dtype=float), (grid.n_interior,)
     )
-    _, stepper = _step_machinery(spec, grid, timegrid, options,
-                                 adjoint=use_adjoint_operator)
+    A = assemble_operator(spec, grid)
+    stepper = _StepSolver(A.T.tocsr() if use_adjoint_operator else A, tau,
+                          options.linear_solver)
     values = np.empty((timegrid.n_levels, grid.n_interior))
     values[0] = initial_values
     for j in range(timegrid.n_levels - 1):
@@ -416,7 +402,8 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
         raise ConfigError("state, control, and multiplier layouts differ")
     grid, timegrid = state.grid, state.timegrid
     tau = timegrid.tau
-    _, stepper = _step_machinery(spec, grid, timegrid, options, adjoint=True)
+    stepper = _StepSolver(assemble_operator(spec, grid).T.tocsr(), tau,
+                          options.linear_solver)
 
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, state.values,
                           control.values)

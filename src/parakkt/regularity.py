@@ -60,6 +60,11 @@ def _point_cloud(field: SpaceTimeField):
     return coords, field.values.ravel()
 
 
+def _check_pairs(n_pairs: int) -> None:
+    if n_pairs < MIN_PAIRS:
+        raise ConfigError(f"need at least {MIN_PAIRS} pairs, got {n_pairs}")
+
+
 def estimate_holder(field: SpaceTimeField, n_pairs: int = 4096,
                     seed: int = 0) -> HolderFit:
     """Fit |v(p) - v(q)| <= H d(p, q)^alpha on sampled grid-point pairs.
@@ -69,8 +74,7 @@ def estimate_holder(field: SpaceTimeField, n_pairs: int = 4096,
     every distance decade gets comparable coverage and the small-distance
     bins are not starved.
     """
-    if n_pairs < MIN_PAIRS:
-        raise ConfigError(f"need at least {MIN_PAIRS} pairs, got {n_pairs}")
+    _check_pairs(n_pairs)
     grid, tg = field.grid, field.timegrid
     rng = np.random.default_rng(seed)
     coords, values = _point_cloud(field)

@@ -293,25 +293,25 @@ def test_c9_holder_diagnostics(acceptance_log):
 def test_c10_certificate_recomputation(acceptance_log, tracking_bundle):
     spec, point, _, _ = tracking_bundle
     runs = {}
-    for ls in ("banded", "dense"):
+    for ls in ("auto", "dense"):
         runs[ls] = recompute_certificate(
             spec, point.state, point.control, SolverOptions(linear_solver=ls)
         )
     gap_phi = float(
-        np.max(np.abs(runs["banded"][0].values - runs["dense"][0].values))
+        np.max(np.abs(runs["auto"][0].values - runs["dense"][0].values))
     )
     gap_e = float(
-        np.max(np.abs(runs["banded"][1].values - runs["dense"][1].values))
+        np.max(np.abs(runs["auto"][1].values - runs["dense"][1].values))
     )
     gap_point = max(
-        float(np.max(np.abs(runs["banded"][0].values - point.adjoint.values))),
-        float(np.max(np.abs(runs["banded"][1].values - point.multiplier.values))),
+        float(np.max(np.abs(runs["auto"][0].values - point.adjoint.values))),
+        float(np.max(np.abs(runs["auto"][1].values - point.multiplier.values))),
     )
     ok = gap_phi <= 1e-10 and gap_e <= 1e-10 and gap_point <= 1e-10
     record(
         acceptance_log,
         "C10 certificate pair is reproducible from the primal pair",
         ok,
-        f"banded vs dense: adjoint {gap_phi:.2e}, multiplier {gap_e:.2e}; "
+        f"auto vs dense: adjoint {gap_phi:.2e}, multiplier {gap_e:.2e}; "
         f"vs solver point {gap_point:.2e}; all <= 1e-10",
     )

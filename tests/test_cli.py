@@ -66,6 +66,30 @@ class TestSolve:
         )
         assert rc == 0
 
+    def test_dense_linear_solver_reproduces_the_objective(self, tmp_path):
+        objectives = []
+        for ls in ("auto", "dense"):
+            out = tmp_path / ls
+            rc = run(
+                "solve", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+                "--linear-solver", ls, "--out", out,
+            )
+            assert rc == 0
+            lines = (out / "report.txt").read_text().splitlines()
+            objectives.append(float(lines[lines.index("== SECTION OBJECTIVE ==") + 1]))
+        assert objectives[1] == pytest.approx(objectives[0], rel=1e-12)
+
+    @pytest.mark.parametrize("removed", ["banded", "splu"])
+    def test_removed_linear_solvers_are_usage_errors(self, tmp_path, capsys, removed):
+        out = tmp_path / "out"
+        rc = run(
+            "solve", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+            "--linear-solver", removed, "--out", out,
+        )
+        assert rc == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         rc = run(
             "solve", "--problem", "tracking_box_1d",
@@ -144,17 +168,31 @@ class TestDiagnostics:
         assert len(lines) == 6
 
     @pytest.mark.parametrize("option, value", [
-        ("--trials", 0), ("--trials", -2), ("--radius", 0),
+        ("--trials", 0), ("--trials", -2), ("--radius", 0), ("--radius", "nan"),
     ])
     def test_soc_refuses_a_bad_trial_count_or_radius(self, tmp_path, capsys,
                                                      option, value):
+        """Refused before the solve: no output directory, no field file."""
+        out = tmp_path / "out"
         rc = run(
             "soc", "--problem", "tracking_box_1d",
-            "--nx", 9, "--nt", 9, "--tol", "1e-9", option, value, "--out", tmp_path,
+            "--nx", 9, "--nt", 9, "--tol", "1e-9", option, value, "--out", out,
         )
         assert rc == 2
-        assert "error kind=config exit=2" in capsys.readouterr().err
-        assert not (tmp_path / "growth.csv").exists()
+        assert capsys.readouterr().err.startswith("error kind=config exit=2")
+        assert not out.exists()
+
+    def test_holder_refuses_too_few_pairs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(
+            "holder", "--problem", "tracking_box_1d",
+            "--nx", 9, "--nt", 9, "--pairs", 10, "--out", out,
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error kind=config exit=2")
+        assert "need at least 1000 pairs" in err
+        assert not out.exists()
 
     def test_holder_writes_bin_tables(self, tmp_path):
         rc = run(

@@ -142,9 +142,9 @@ class TestTwoDimensions:
         assert trace.converged
         runs = [recompute_certificate(spec, point.state, point.control,
                                       SolverOptions(linear_solver=ls))
-                for ls in ("splu", "dense")]
-        for splu_field, dense_field in zip(*runs):
-            assert float(np.max(np.abs(splu_field.values - dense_field.values))) <= 1e-10
+                for ls in ("auto", "dense")]
+        for auto_field, dense_field in zip(*runs):
+            assert float(np.max(np.abs(auto_field.values - dense_field.values))) <= 1e-10
 
 
 class TestCertificateRecomputation:

@@ -134,7 +134,7 @@ def _reference_instance(spec, grid, timegrid):
     big_k = timegrid.n_levels - 1
     tau = timegrid.tau
     omega = new.meta["omega"]
-    A = assemble_operator(spec, grid).matrix
+    A = assemble_operator(spec, grid)
     y0 = sample_initial_state(spec, grid)
     env = oracle._level_env(spec, grid, timegrid.times[1:])
     shape = (big_k, n)

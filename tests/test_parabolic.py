@@ -45,11 +45,20 @@ def manufactured_forcing(grid, timegrid):
     return SpaceTimeField.from_function(grid, timegrid, fn)
 
 
-def step_matrix(spec, nodes, tau):
-    """I/tau + A on the interior nodes, built as the step solvers build it."""
-    grid = SpatialGrid(extents=spec.extents, nodes=nodes)
-    return (sp.identity(grid.n_interior, format="csr") / tau
-            + assemble_operator(spec, grid).matrix).tocsr()
+def operator(spec, nodes):
+    return assemble_operator(spec, SpatialGrid(extents=spec.extents, nodes=nodes))
+
+
+def step_matrix(A, tau):
+    """I/tau + A, built as the step solver builds it."""
+    return (sp.identity(A.shape[0], format="csr") / tau + A).tocsr()
+
+
+def unit_step_solver(matrix, linear_solver="auto", rows=1):
+    """The step solver whose step matrix I/tau + A is the given small-integer
+    matrix, at tau = 1."""
+    a = np.asarray(matrix, dtype=float)
+    return _StepSolver(sp.csr_matrix(a - np.eye(len(a))), 1.0, linear_solver, rows)
 
 
 CROSS_DIFFUSION = "\n[a]\na11 = 1 + 0.5*x1\na12 = 0.3*x1*x2\na22 = 1 + x2^2\n"
@@ -92,12 +101,9 @@ class TestStateSolve:
         g = SpatialGrid(extents=(1.0,), nodes=(17,))
         tg = TimeGrid(17, 1.0)
         u = manufactured_forcing(g, tg)
-        results = {}
-        for ls in ("banded", "splu", "dense"):
-            y, _ = solve_state(mms_spec, u, SolverOptions(linear_solver=ls))
-            results[ls] = y.values
-        for ls in ("splu", "dense"):
-            np.testing.assert_allclose(results[ls], results["banded"], atol=1e-12)
+        auto, dense = (solve_state(mms_spec, u, SolverOptions(linear_solver=ls))[0].values
+                       for ls in ("auto", "dense"))
+        np.testing.assert_allclose(dense, auto, atol=1e-12)
 
     def test_two_dimensional_solve(self):
         spec = parakkt.builtin_problem("tracking_box_2d")
@@ -222,19 +228,23 @@ class TestLinearizedSolve:
 
 
 class TestStepSolver:
-    """Each mode returns what the library call it replaces returns: bit for bit,
-    and a refined ``splu`` solve to the accuracy of a fresh factorization."""
+    """The step matrix picks the backend, and each backend returns what the
+    library call it replaces returns: bit for bit, and a refined ``splu`` solve
+    to the accuracy of a fresh factorization."""
 
     @given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
     def test_banded_matches_solve_banded(self, n, seed):
         rng = np.random.default_rng(seed)
         lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
-        diag = rng.uniform(2.5, 4.0, n)
-        matrix = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
+        diag = rng.uniform(1.5, 3.0, n)
+        tau = rng.uniform(0.25, 1.0)
+        A = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
         d, b = rng.uniform(0.0, 3.0, n), rng.normal(size=n)
         ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + d, lower
-        x = _StepSolver(matrix, "banded").solve(d, b, 1)
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag + 1 / tau + d, lower
+        stepper = _StepSolver(A, tau)
+        assert stepper.mode == "banded"
+        x = stepper.solve(d, b, 1)
         assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
 
     @given(rows=st.integers(1, 9), spare=st.integers(0, 3), n=st.integers(1, 130),
@@ -244,20 +254,28 @@ class TestStepSolver:
         up to ``rows + spare``, returns each row's own solve bit for bit."""
         rng = np.random.default_rng(seed)
         lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
-        diag = rng.uniform(2.5, 4.0, n)
-        matrix = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
+        diag = rng.uniform(0.5, 2.0, n)
+        A = sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
         d, b = rng.uniform(0.0, 3.0, rows * n), rng.normal(size=rows * n)
-        stacked = _StepSolver(matrix, "banded", rows + spare).solve(d, b, 1)
-        alone = _StepSolver(matrix, "banded")
+        stacked = _StepSolver(A, 0.5, rows=rows + spare).solve(d, b, 1)
+        alone = _StepSolver(A, 0.5)
         expected = np.concatenate([alone.solve(d[i:i + n], b[i:i + n], 1)
                                    for i in range(0, rows * n, n)])
         assert stacked.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("mode", ["banded", "splu", "dense"])
-    def test_a_singular_row_of_a_stack_raises(self, mode):
-        stepper = _StepSolver(sp.csr_matrix([[1.0, 1.0], [1.0, 1.0]]), mode, 3)
-        d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-        b = np.array([1.0, 2.0, 1.0, 0.0, 1.0, 2.0])    # the middle row has no solution
+    @pytest.mark.parametrize("n, linear_solver, mode", [
+        pytest.param(2, "auto", "banded", id="banded"),
+        pytest.param(3, "auto", "splu", id="splu"),
+        pytest.param(2, "dense", "dense", id="dense"),
+        pytest.param(3, "dense", "dense", id="dense-wide"),
+    ])
+    def test_a_singular_row_of_a_stack_raises(self, n, linear_solver, mode):
+        """The step matrix is all ones: tridiagonal at n = 2, bandwidth 2 at n = 3."""
+        stepper = unit_step_solver(np.ones((n, n)), linear_solver, 3)
+        assert stepper.mode == mode
+        first = np.arange(1.0, n + 1)
+        d = np.concatenate([np.ones(n), np.zeros(n), np.ones(n)])
+        b = np.concatenate([first, np.eye(n)[0], first])    # the middle row has no solution
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="singular step matrix at step 6"):
@@ -266,11 +284,12 @@ class TestStepSolver:
     @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
     def test_splu_matches_a_fresh_factorization(self, a_section):
         text = parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section
-        matrix = step_matrix(loads(text), (9, 9), 1.0 / 16)
+        A = operator(loads(text), (9, 9))
+        matrix = step_matrix(A, 1.0 / 16)
         rng = np.random.default_rng(3)
         d, b = rng.uniform(0.0, 3.0, matrix.shape[0]), rng.normal(size=matrix.shape[0])
         d[::4] = 0.0
-        stepper = _StepSolver(matrix, "auto")
+        stepper = _StepSolver(A, 1.0 / 16)
         assert stepper.mode == "splu"
         base = matrix.tocsc()
         expected = spla.splu((base + sp.diags(d).tocsc()).tocsc()).solve(b)
@@ -288,8 +307,9 @@ class TestStepSolver:
     def test_splu_refines_to_a_fresh_factorization(self, a_section, steps):
         """Every solve of a diagonal sequence is as accurate as a fresh LU."""
         text = parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section
-        matrix = step_matrix(loads(text), (9, 9), 1.0 / 16)
-        stepper = _StepSolver(matrix, "splu")
+        A = operator(loads(text), (9, 9))
+        matrix = step_matrix(A, 1.0 / 16)
+        stepper = _StepSolver(A, 1.0 / 16)
         eps = np.finfo(float).eps
         for size, seed in steps:
             rng = np.random.default_rng(seed)
@@ -313,11 +333,12 @@ class TestStepSolver:
         return original, calls
 
     def test_a_diagonal_jump_refactors_once(self, monkeypatch):
-        matrix = step_matrix(parakkt.builtin_problem("tracking_box_2d"), (9, 9), 1.0 / 16)
+        A = operator(parakkt.builtin_problem("tracking_box_2d"), (9, 9))
+        matrix = step_matrix(A, 1.0 / 16)
         original, calls = self.counted_splu(monkeypatch)
         rng = np.random.default_rng(7)
         d, b = rng.uniform(0.0, 0.1, matrix.shape[0]), rng.normal(size=matrix.shape[0])
-        stepper = _StepSolver(matrix, "splu")
+        stepper = _StepSolver(A, 1.0 / 16)
         stepper.solve(d, b, 1)
         stepper.solve(d * 1.01, b, 2)
         assert len(calls) == 1
@@ -328,9 +349,10 @@ class TestStepSolver:
 
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_non_finite_right_hand_side_raises(self, shift):
-        matrix = step_matrix(parakkt.builtin_problem("tracking_box_2d"), (9, 9), 0.1)
-        d, b = np.zeros(matrix.shape[0]), np.ones(matrix.shape[0])
-        stepper = _StepSolver(matrix, "splu")
+        A = operator(parakkt.builtin_problem("tracking_box_2d"), (9, 9))
+        d, b = np.zeros(A.shape[0]), np.ones(A.shape[0])
+        stepper = _StepSolver(A, 0.1)
+        assert stepper.mode == "splu"
         stepper.solve(d, b, 1)
         b[3] = np.nan
         with warnings.catch_warnings():
@@ -352,51 +374,68 @@ class TestStepSolver:
     ])
     def test_repeated_solves_leave_the_stepper_unchanged(self, mode, nodes):
         name = "tracking_box_1d" if len(nodes) == 1 else "tracking_box_2d"
-        matrix = step_matrix(parakkt.builtin_problem(name), nodes, 0.1)
+        A = operator(parakkt.builtin_problem(name), nodes)
         rng = np.random.default_rng(5)
-        d, b = rng.uniform(0.0, 3.0, matrix.shape[0]), rng.normal(size=matrix.shape[0])
+        d, b = rng.uniform(0.0, 3.0, A.shape[0]), rng.normal(size=A.shape[0])
         d_in, b_in = d.copy(), b.copy()
-        stepper = _StepSolver(matrix, mode)
+        stepper = _StepSolver(A, 0.1, "dense" if mode == "dense" else "auto")
+        assert stepper.mode == mode
         first = stepper.solve(d, b, 1)
         assert np.array_equal(stepper.solve(d, b, 2), first)
         assert np.array_equal(d, d_in) and np.array_equal(b, b_in)
 
-    @pytest.mark.parametrize("mode", ["banded", "splu", "dense"])
-    @pytest.mark.parametrize("matrix, d", [
-        ([[1.0]], [-1.0]), ([[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0]),
+    @pytest.mark.parametrize("matrix, d, linear_solver, mode", [
+        pytest.param(matrix, d, ls, mode, id=f"matrix{i}-d{i}-{mode}")
+        for i, (matrix, d, auto_mode) in enumerate([
+            ([[1.0]], [-1.0], "banded"),
+            (np.ones((2, 2)), [0.0, 0.0], "banded"),
+            (np.ones((3, 3)), [0.0, 0.0, 0.0], "splu"),     # bandwidth 2
+        ])
+        for ls, mode in (("auto", auto_mode), ("dense", "dense"))
     ])
-    def test_singular_systems_raise(self, mode, matrix, d):
-        stepper = _StepSolver(sp.csr_matrix(matrix), mode)
+    def test_singular_systems_raise(self, matrix, d, linear_solver, mode):
+        stepper = unit_step_solver(matrix, linear_solver)
+        assert stepper.mode == mode
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="singular step matrix at step 4"):
                 stepper.solve(np.array(d), np.ones(len(d)), 4)
 
-    def test_banded_rejects_a_two_dimensional_step_matrix(self):
-        spec = parakkt.builtin_problem("tracking_box_2d")
-        with pytest.raises(ConfigError, match="bandwidth 7"):
-            _StepSolver(step_matrix(spec, (9, 9), 0.1), "banded")
-        g = SpatialGrid(extents=spec.extents, nodes=(9, 9))
-        u = SpaceTimeField.zeros(g, TimeGrid(3, spec.horizon))
-        with pytest.raises(ConfigError, match="bandwidth"):
-            solve_state(spec, u, SolverOptions(linear_solver="banded"))
+    @pytest.mark.parametrize("nodes, mode", [((17,), "banded"), ((9, 3), "banded"),
+                                             ((9, 9), "splu")])
+    def test_the_step_matrix_picks_the_backend(self, nodes, mode):
+        """Tridiagonal on every 1-D grid and on 2-D grids one interior node wide."""
+        name = "tracking_box_1d" if len(nodes) == 1 else "tracking_box_2d"
+        A = operator(parakkt.builtin_problem(name), nodes)
+        assert _StepSolver(A, 0.1).mode == mode
+        assert _StepSolver(A, 0.1, "dense").mode == "dense"
 
 
 class TestFailureModes:
-    def make_singular(self):
-        """Reaction slope -9 cancels 1/tau + A exactly on a 3-node grid."""
-        text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+    @staticmethod
+    def make_singular(dim):
+        """In 1-D, reaction slope -9 cancels 1/tau + A exactly on a 3-node grid.
+        In 2-D, on 4 x 4 nodes with h = 1/2 and tau = 1/2, slope -18 leaves
+        A - 16 I, whose rows repeat in pairs; its bandwidth is 2."""
+        name, slope, nodes = {1: ("tracking_box_1d", 9, (3,)),
+                              2: ("tracking_box_2d", 18, (4, 4))}[dim]
+        text = parakkt.catalog.builtin_problem_text(name).replace(
             "expr = y^3\ndf = 3*y^2\nddf = 6*y\nC_f = 0",
-            "expr = 0 - 9*y\ndf = -9\nddf = 0\nC_f = -9",
-        )
+            f"expr = 0 - {slope}*y\ndf = -{slope}\nddf = 0\nC_f = -{slope}",
+        ).replace("extent1 = 1\nextent2 = 1", "extent1 = 1.5\nextent2 = 1.5")
         spec = loads(text)
-        g = SpatialGrid(extents=(1.0,), nodes=(3,))
-        tg = TimeGrid(2, 1.0)
-        return spec, SpaceTimeField(np.ones((2, 1)), g, tg)
+        g = SpatialGrid(extents=spec.extents, nodes=nodes)
+        tg = TimeGrid(2, spec.horizon)
+        return spec, SpaceTimeField(np.ones((2, g.n_interior)), g, tg)
 
-    @pytest.mark.parametrize("ls", ["banded", "splu", "dense"])
-    def test_singular_step_matrix(self, ls):
-        spec, u = self.make_singular()
+    @pytest.mark.parametrize("dim, ls", [
+        pytest.param(1, "auto", id="banded"),
+        pytest.param(2, "auto", id="splu"),
+        pytest.param(1, "dense", id="dense"),
+        pytest.param(2, "dense", id="dense-2d"),
+    ])
+    def test_singular_step_matrix(self, dim, ls):
+        spec, u = self.make_singular(dim)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="singular step matrix"):
@@ -421,5 +460,6 @@ class TestFailureModes:
                 solve_state(spec, u)
 
     def test_option_validation(self):
-        with pytest.raises(ConfigError, match="unknown linear solver"):
-            SolverOptions(linear_solver="qr")
+        for removed in ("banded", "splu", "qr"):
+            with pytest.raises(ConfigError, match="unknown linear solver"):
+                SolverOptions(linear_solver=removed)
