@@ -329,8 +329,16 @@ def _add_common(p, grids=True):
         p.add_argument("--u-init", type=float, default=0.0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument with ``ConfigError``, so the refusal is reported
+    like every other failure; subparsers are made of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="parakkt",
         description="Constrained parabolic optimal control: solve and audit",
     )
@@ -379,14 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed its message; normalize the exit code.
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:
+        # Only -h gets here, after argparse printed the help.
+        return 0 if exc.code in (0, None) else 2
     except (ConfigError,) as exc:
         return _fail("config", 2, str(exc))
     except (AuditError, HypothesisViolationError, OracleError) as exc:

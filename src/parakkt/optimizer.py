@@ -131,11 +131,6 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     )
 
 
-def _project_feasible(spec, grid, timegrid, u_values, y_values):
-    boundary = constraint_boundary_field(spec, grid, timegrid, y_values)
-    return np.minimum(u_values, boundary)
-
-
 def _restored_trial(spec, grid, timegrid, u_values, solver):
     """State solves plus feasibility restoration of a stack of controls.
 
@@ -150,9 +145,10 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
     states = [state for state, _ in solve_state(spec, controls, solver)]
     rows = list(range(len(controls)))
     for _ in range(2):
-        projected = _project_feasible(spec, grid, timegrid,
-                                      np.array([controls[r].values for r in rows]),
-                                      np.array([states[r].values for r in rows]))
+        projected = np.minimum(
+            np.array([controls[r].values for r in rows]),
+            constraint_boundary_field(spec, grid, timegrid,
+                                      np.array([states[r].values for r in rows])))
         moved = [(r, u) for r, u in zip(rows, projected)
                  if not np.array_equal(u, controls[r].values)]
         if not moved:

@@ -10,7 +10,9 @@ sweep is the exact transpose of the forward linearized sweep, which is what
 makes the reduced gradient exact in the discrete duality pairing.  The
 step matrix picks its backend once per sweep: LAPACK ``gtsv`` when it is
 tridiagonal (every 1-D grid), else one SuperLU factorization refined to
-rounding (see ``_StepSolver``).  ``"dense"`` is the independent reference.
+rounding (see ``_StepSolver``), taken of the transposed step matrix under a
+minimum-degree ordering of its symmetrized pattern and solved with
+``trans="T"``.  ``"dense"`` is the independent reference.
 
 The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
@@ -91,6 +93,18 @@ class _StepSolver:
     halve that error or it is not finite.  ``linear_solver="dense"``
     (``np.linalg.solve``) is the independent backend for cross-checks.
 
+    The held factor is of the transpose: the sorted CSR arrays of
+    M + diag(d0), read as CSC without a copy, are (M + diag(d0))^T, and
+    every triangular solve is made with ``trans="T"``.  The columns are
+    ordered by minimum degree on the pattern of M^T + M
+    (``permc_spec="MMD_AT_PLUS_A"``; George and Liu, SIAM Rev. 31, 1989).
+    On the 2-D step matrices of 31^2 and 39^2 interior nodes this cuts the
+    L+U fill from 33,348 and 60,750 entries (SuperLU's default COLAMD) to
+    21,664 and 38,530, and one ``lu.solve`` from 0.08-0.11 and 0.14-0.18 ms
+    to 0.05-0.06 and 0.07-0.08 ms (scipy 1.17.1, one BLAS thread, a 2-core
+    x86-64 host).  About half of that is the ordering and half the
+    transposed solve, which is the faster one in this SuperLU build.
+
     A solver made for ``rows`` > 1 also solves a stack of up to that many
     systems, given as flat vectors d and b of k * n entries (k <= rows; d
     may also be a scalar).  With ``gtsv`` the stack is one call on the
@@ -119,10 +133,10 @@ class _StepSolver:
             self.gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self.d,))
         else:
             self.mode = "splu"
-            self.base = matrix.tocsc()
+            self.base = matrix
             self.base.sort_indices()
-            cols = np.repeat(np.arange(self.base.shape[1]), np.diff(self.base.indptr))
-            self.diag_pos = np.flatnonzero(self.base.indices == cols)
+            row_of = np.repeat(np.arange(self.n), np.diff(self.base.indptr))
+            self.diag_pos = np.flatnonzero(self.base.indices == row_of)
             self.abs_base = abs(self.base)
             self.lu = self.lu_diag = None
 
@@ -173,10 +187,12 @@ class _StepSolver:
         if self.lu is None:
             data = self.base.data.copy()
             data[self.diag_pos] += diag_add
+            # The CSR arrays of M + diag(d), read as CSC, are its transpose.
             self.lu = spla.splu(sp.csc_matrix((data, self.base.indices, self.base.indptr),
-                                              shape=self.base.shape))
+                                              shape=self.base.shape),
+                                permc_spec="MMD_AT_PLUS_A")
             self.lu_diag = diag_add.copy()
-        x = self.lu.solve(rhs)
+        x = self.lu.solve(rhs, trans="T")
         if np.array_equal(diag_add, self.lu_diag):
             return x
         last = np.inf
@@ -190,7 +206,7 @@ class _StepSolver:
                 self.lu = None
                 return self._refined_solve(diag_add, rhs)
             last = err
-            x = x + self.lu.solve(r)
+            x = x + self.lu.solve(r, trans="T")
 
 
 def _tiled_diagonals(matrix: sp.spmatrix, rows: int):

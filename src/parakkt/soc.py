@@ -29,7 +29,7 @@ from .grids import (
     objective_weights,
     quadrature_weights,
 )
-from .kkt import KKTPoint, active_threshold
+from .kkt import KKTPoint, strongly_active
 from .optimizer import _restored_trial
 from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
 from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
@@ -168,7 +168,7 @@ def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
     g = eval_scalar_map(spec.constraint.eval, grid, timegrid, y, u)
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, y, u)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, y, u)
-    strong = point.multiplier.values > active_threshold(point.multiplier)
+    strong = strongly_active(point.multiplier)
     active = g >= -1e-6 * (1.0 + np.max(np.abs(g)))
     weak = active & ~strong
 

@@ -1,6 +1,14 @@
 """Shared fixtures: solved reference points reused across the suite."""
 
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads, as the benchmark runs: the dense
+# reference backend solves systems of a few hundred unknowns, where threaded
+# LAPACK on a small shared host spends far longer handing off than computing.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 from hypothesis import settings
 
 import parakkt

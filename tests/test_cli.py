@@ -36,6 +36,23 @@ class TestUsageErrors:
         assert run("validate", "--out", tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, reason", [
+        (("--nx", 9, "--nt", 9), "the following arguments are required: --out"),
+        (("--nx", "nine", "--nt", 9, "--out"), "argument --nx: invalid int value"),
+    ])
+    def test_argparse_refusals_are_config_errors(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "out"
+        tail = (out,) if argv[-1] == "--out" else ()
+        assert run("solve", "--problem", "tracking_box_1d", *argv, *tail) == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=parakkt solve: ")
+        assert reason in first
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert run("solve", "-h") == 0
+        assert capsys.readouterr().out.startswith("usage: parakkt solve")
+
     def test_broken_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[problem]\nname = x\n")
@@ -87,7 +104,9 @@ class TestSolve:
             "--linear-solver", removed, "--out", out,
         )
         assert rc == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error kind=config exit=2 msg=")
+        assert "invalid choice" in err.splitlines()[0]
         assert not out.exists()
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):

@@ -147,6 +147,33 @@ class TestTwoDimensions:
             assert float(np.max(np.abs(auto_field.values - dense_field.values))) <= 1e-10
 
 
+    @pytest.mark.parametrize("a_section", [
+        pytest.param("", id="laplacian"),
+        pytest.param("\n[a]\na11 = 1 + 0.5*x1\na12 = 0.3*x1*x2\na22 = 1 + x2^2\n",
+                     id="cross_diffusion"),
+    ])
+    def test_fields_and_certificate_do_not_depend_on_the_linear_solver(self, a_section):
+        spec = loads(parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section)
+        grid = SpatialGrid(extents=spec.extents, nodes=(17, 17))
+        timegrid = TimeGrid(n_levels=17, horizon=spec.horizon)
+        points = {}
+        for ls in ("auto", "dense"):
+            point, trace, _ = solve_ocp(spec, grid, timegrid, OptimizerOptions(
+                solver=SolverOptions(linear_solver=ls)))
+            assert trace.converged
+            points[ls] = point
+        for name in ("state", "control", "adjoint", "multiplier"):
+            gap = np.abs(getattr(points["auto"], name).values
+                         - getattr(points["dense"], name).values)
+            assert float(np.max(gap)) <= 1e-12, name
+        point = points["auto"]
+        runs = [recompute_certificate(spec, point.state, point.control,
+                                      SolverOptions(linear_solver=ls))
+                for ls in ("auto", "dense")]
+        for auto_field, dense_field in zip(*runs):
+            assert float(np.max(np.abs(auto_field.values - dense_field.values))) <= 1e-10
+
+
 class TestCertificateRecomputation:
     @pytest.fixture(scope="class")
     def mixed_point(self):

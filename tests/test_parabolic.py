@@ -291,8 +291,8 @@ class TestStepSolver:
         d[::4] = 0.0
         stepper = _StepSolver(A, 1.0 / 16)
         assert stepper.mode == "splu"
-        base = matrix.tocsc()
-        expected = spla.splu((base + sp.diags(d).tocsc()).tocsc()).solve(b)
+        expected = spla.splu((matrix + sp.diags(d)).T.tocsc(),
+                             permc_spec="MMD_AT_PLUS_A").solve(b, trans="T")
         assert np.array_equal(stepper.solve(d, b, 1), expected)
 
     @staticmethod
@@ -344,8 +344,35 @@ class TestStepSolver:
         assert len(calls) == 1
         x = stepper.solve(d + 1e4, b, 3)
         assert len(calls) == 2
-        expected = original((matrix.tocsc() + sp.diags(d + 1e4).tocsc()).tocsc()).solve(b)
+        expected = original((matrix + sp.diags(d + 1e4)).T.tocsc(),
+                            permc_spec="MMD_AT_PLUS_A").solve(b, trans="T")
         assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["A", "A.T"])
+    def test_a_non_symmetric_operator_is_not_mistaken_for_its_transpose(
+            self, monkeypatch, transpose):
+        """The held factor is of the transposed step matrix, so a symmetric A
+        cannot tell a solve with M from one with M^T; this A is not symmetric
+        in pattern or in values, and has bandwidth > 1."""
+        A = operator(parakkt.builtin_problem("tracking_box_2d"), (9, 9))
+        rng = np.random.default_rng(13)
+        upper = sp.triu(A, k=1)
+        upper.data *= rng.uniform(0.2, 1.0, upper.nnz)
+        extra = sp.triu(sp.random(A.shape[0], A.shape[0], density=0.03, rng=rng), k=2)
+        A = (A + upper + 30.0 * extra).tocsr()
+        A = A.T.tocsr() if transpose else A
+        assert abs(A - A.T).max() > 1.0
+        _, calls = self.counted_splu(monkeypatch)
+        stepper, dense = _StepSolver(A, 1.0 / 16), _StepSolver(A, 1.0 / 16, "dense")
+        assert stepper.mode == "splu"
+        matrix = step_matrix(A, 1.0 / 16)
+        d0 = rng.uniform(0.0, 1.0, A.shape[0])
+        for step, d in enumerate([d0, d0 * 1.01, d0 + 1e4, d0 * 1.01 + 1e4], start=1):
+            b = rng.normal(size=A.shape[0])
+            x, expected = stepper.solve(d, b, step), dense.solve(d, b, step)
+            assert self.backward_error(matrix, d, x, b) <= 2 * np.finfo(float).eps
+            assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert len(calls) == 2      # d0 + 1e4 forced the one refactor
 
     @pytest.mark.parametrize("shift", [0.0, 0.5])
     def test_non_finite_right_hand_side_raises(self, shift):
