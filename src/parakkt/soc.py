@@ -6,7 +6,9 @@ and a Monte-Carlo probe of quadratic growth of the objective around the
 point.  The curvature form uses the same uniform weights as the objective,
 which makes it the exact second derivative of the reduced objective (plus
 the multiplier terms), so finite differences of the objective reproduce it
-to rounding.
+to rounding.  A critical direction takes the tangency g_y z + g_u v = 0
+into the linearized equation through the reduced potential f'(y) + g_y/g_u:
+one sweep per sign, plus one per pass that clamps weakly active nodes.
 
 The growth probe restores its trials in batches, each batch one stacked
 state sweep (``parabolic.solve_state`` given a sequence of controls), under
@@ -29,7 +31,7 @@ from .grids import (
     objective_weights,
     quadrature_weights,
 )
-from .kkt import KKTPoint, strongly_active
+from .kkt import KKTPoint, h_potential_audit, strongly_active
 from .optimizer import _restored_trial
 from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
 from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 _BATCH_NODES = 2**14    # space-time nodes per growth-probe batch; see the probe
+_CONE_SWEEPS = 8        # sweeps per sign of a critical direction, weak-node passes included
 
 
 @dataclass
@@ -151,17 +154,18 @@ def _smooth_random_fields(grid, timegrid, rng, count: int = 1) -> np.ndarray:
 def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
                               seed: int = 0,
                               options: SolverOptions | None = None) -> CriticalDirection:
-    """Draw a smooth direction and project it into the critical cone.
+    """Draw a smooth direction and sweep it into the critical cone.
 
-    On nodes where the multiplier certifies the constraint the direction is
-    forced tangent (g_y z + g_u v = 0); on active nodes without a certifying
-    multiplier the tangency is enforced one-sidedly.  The linearized state is
-    recomputed after each pass.  If the descent test fails the sign is
-    flipped and the projection redone.
+    On clamped nodes v = -g_y z / g_u is substituted into the linearized
+    equation (potential f'(y) + g_y/g_u from ``kkt.h_potential_audit``,
+    source 0), so one sweep makes g_y z + g_u v = 0 there.  The strongly
+    active nodes start clamped; weakly active nodes with g_y z + g_u v > 0
+    join them and the sweep is redone, at most ``_CONE_SWEEPS`` sweeps in
+    all.  If the descent test fails the sign is flipped and the direction
+    rebuilt.
     """
     grid, timegrid = point.state.grid, point.state.timegrid
-    rng = np.random.default_rng(seed)
-    raw = _smooth_random_fields(grid, timegrid, rng)[0]
+    raw = _smooth_random_fields(grid, timegrid, np.random.default_rng(seed))[0]
     raw[0] = 0.0
 
     y, u = point.state.values, point.control.values
@@ -169,33 +173,30 @@ def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, y, u)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, y, u)
     strong = strongly_active(point.multiplier)
-    active = g >= -1e-6 * (1.0 + np.max(np.abs(g)))
-    weak = active & ~strong
+    weak = (g >= -1e-6 * (1.0 + np.max(np.abs(g)))) & ~strong
 
     w = objective_weights(grid, timegrid).values
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, y, u)
     l_u = eval_scalar_map(spec.cost.du, grid, timegrid, y, u)
+    fp = _df_field(spec, point.state).values
+    reduced = h_potential_audit(spec, point.state, point.control).field.values
 
     def build(sign):
-        v = sign * raw.copy()
-        z = None
-        for _ in range(2):
-            zf = linearized_state(
-                spec, point, SpaceTimeField(v, grid, timegrid), options
-            )
+        clamped = strong.copy()
+        for _ in range(_CONE_SWEEPS):
+            zf = solve_linear_parabolic(
+                spec, SpaceTimeField(np.where(clamped, reduced, fp), grid, timegrid),
+                SpaceTimeField(np.where(clamped, 0.0, sign * raw), grid, timegrid),
+                0.0, options=options)
             z = zf.values
-            tangent = -g_y * z / g_u
-            v = np.where(strong, tangent, v)
-            v = np.where(weak, np.minimum(v, tangent), v)
-        zf = linearized_state(spec, point, SpaceTimeField(v, grid, timegrid),
-                              options)
-        z = zf.values
-        lin = g_y * z + g_u * v
-        c3 = 0.0
-        if strong.any():
-            c3 = max(c3, float(np.max(np.abs(lin[strong]))))
-        if weak.any():
-            c3 = max(c3, max(0.0, float(np.max(lin[weak]))))
+            v = np.where(clamped, -g_y * z / g_u, sign * raw)
+            lin = g_y * z + g_u * v
+            push = weak & ~clamped & (lin > 0)
+            if not push.any():
+                break
+            clamped |= push
+        c3 = max(float(np.max(np.abs(lin), where=strong, initial=0.0)),
+                 float(np.max(lin, where=weak, initial=0.0)))
         c1 = float(np.sum(w * (l_y * z + l_u * v)))
         return v, zf, c1, c3
 
@@ -204,10 +205,8 @@ def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
     if c1 > c1_tol:
         v, zf, c1, c3 = build(-1.0)
     if c3 > 1e-6:
-        raise AuditError(
-            f"cone projection left a tangency violation of {c3:.3e}; the "
-            "active-set geometry at this point resists the two-pass projection"
-        )
+        raise AuditError("critical direction left a tangency violation of "
+                         f"{c3:.3e} after {_CONE_SWEEPS} weak-node sweeps")
     vfield = SpaceTimeField(v, grid, timegrid)
     c2 = _c2_residual(spec, point, vfield, zf)
     return CriticalDirection(vfield, zf, c1, c1 <= c1_tol, c2, c3)

@@ -12,6 +12,7 @@ import pytest  # noqa: E402
 from hypothesis import settings
 
 import parakkt
+from parakkt.catalog import builtin_problem_text
 
 settings.register_profile("suite", deadline=None, max_examples=50, derandomize=True)
 settings.load_profile("suite")
@@ -19,8 +20,25 @@ settings.load_profile("suite")
 ACCEPTANCE_LINES = []
 
 
+def tracking_with_constraint(expr, dy, dyy="0"):
+    """tracking_box_1d with the constraint g = ``expr`` (g_u = 1, g_yu = g_uu
+    = 0) in place of u - 0.4."""
+    box = "expr = u - 0.4\ndy = 0\ndu = 1\ndyy = 0\n"
+    text = builtin_problem_text("tracking_box_1d")
+    assert box in text
+    return text.replace(box, f"expr = {expr}\ndy = {dy}\ndu = 1\ndyy = {dyy}\n")
+
+
+# g_y = 0.5: the mixed constraint whose critical directions need the reduced
+# potential f'(y) + g_y/g_u to be exactly tangent.
+SLOPED_TEXT = tracking_with_constraint("u + 0.5*y - 0.4", "0.5")
+
+
 def solve_builtin(name, nodes, n_levels, tol):
-    spec = parakkt.builtin_problem(name)
+    return solve_spec(parakkt.builtin_problem(name), nodes, n_levels, tol)
+
+
+def solve_spec(spec, nodes, n_levels, tol):
     grid = parakkt.SpatialGrid(extents=spec.extents, nodes=nodes)
     timegrid = parakkt.TimeGrid(n_levels=n_levels, horizon=spec.horizon)
     options = parakkt.OptimizerOptions(tol_kkt=tol)
@@ -32,6 +50,12 @@ def solve_builtin(name, nodes, n_levels, tol):
 def tracking_bundle():
     """Box-constrained tracking problem solved tightly on a 33x65 grid."""
     return solve_builtin("tracking_box_1d", (33,), 65, 1e-10)
+
+
+@pytest.fixture(scope="session")
+def sloped_bundle():
+    """The g = u + 0.5 y - 0.4 problem solved tightly on a 33x65 grid."""
+    return solve_spec(parakkt.loads(SLOPED_TEXT), (33,), 65, 1e-10)
 
 
 @pytest.fixture(scope="session")

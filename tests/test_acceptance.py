@@ -36,6 +36,8 @@ from parakkt import (
 )
 from parakkt.grids import objective_weights
 
+from conftest import tracking_with_constraint
+
 
 def record(log, cid, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} {cid}: {detail}"
@@ -169,6 +171,26 @@ def test_c4_oracle_multiplier_equivalence(acceptance_log):
         f"{cmp.multiplier_inf:.2e}, both <= 1e-6 after cell-volume scaling, "
         f"{elapsed:.1f}s < 20s",
     )
+
+
+def test_oracle_on_the_mixed_constraint():
+    """C4's cross-check on g = u + 0.25 y^3 - 0.4 (g_y != 0).
+
+    The 5x5 solve takes about 95 outer iterations (some 2 s) because the
+    line search stalls on mixed constraints at tol 1e-12; the gaps measure
+    about 3.6e-15.
+    """
+    spec = parakkt.loads(tracking_with_constraint("u + 0.25*y^3 - 0.4",
+                                                  "0.75*y^2", "1.5*y"))
+    g = SpatialGrid(extents=spec.extents, nodes=(5,))
+    tg = TimeGrid(n_levels=5, horizon=spec.horizon)
+    point, trace, _ = solve_ocp(spec, g, tg, OptimizerOptions(tol_kkt=1e-12))
+    instance = discretize_to_nlp(spec, g, tg)
+    sol = solve_nlp_active_set(instance)
+    cmp = compare_multipliers(instance, sol, point)
+    assert trace.converged and sol.converged
+    assert cmp.adjoint_inf <= 1e-10
+    assert cmp.multiplier_inf <= 1e-10
 
 
 def test_c5_multiplier_formula_equivalence(acceptance_log, tracking_bundle,

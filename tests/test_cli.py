@@ -7,6 +7,8 @@ import parakkt
 from parakkt import cli, read_field, write_field
 from parakkt.optimizer import TRACE_HEADER
 
+from conftest import SLOPED_TEXT
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -185,6 +187,18 @@ class TestDiagnostics:
         lines = (tmp_path / "growth.csv").read_text().strip().splitlines()
         assert lines[0] == "trial,ratio,norm_du,feasible"
         assert len(lines) == 6
+
+    def test_soc_certifies_a_sloped_constraint(self, tmp_path):
+        """g = u + 0.5 y - 0.4: the critical direction is exactly tangent."""
+        problem = tmp_path / "sloped.ini"
+        problem.write_text(SLOPED_TEXT)
+        out = tmp_path / "out"
+        rc = run(
+            "soc", "--problem-file", problem,
+            "--nx", 33, "--nt", 65, "--tol", "1e-10", "--out", out,
+        )
+        assert rc == 0
+        assert "\nc3_violation 0\n" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("option, value", [
         ("--trials", 0), ("--trials", -2), ("--radius", 0), ("--radius", "nan"),

@@ -1,5 +1,7 @@
 """Second-order diagnostics: critical directions, curvature, growth."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from parakkt import (
     sample_critical_direction,
     strongly_active,
 )
-from parakkt.exceptions import ConfigError
+from parakkt import soc
+from parakkt.exceptions import ConfigError, HypothesisViolationError
 from parakkt.grids import objective_weights, quadrature_weights
 from parakkt.optimizer import _restored_trial
 from parakkt.parabolic import SolverOptions
@@ -82,6 +85,84 @@ class TestCriticalDirection:
         assert not np.array_equal(
             a.control_direction.values, c.control_direction.values
         )
+
+
+def tangency(spec, point, d):
+    """g_y z + g_u v along the direction, at the point."""
+    grid, timegrid = point.state.grid, point.state.timegrid
+    y, u = point.state.values, point.control.values
+    g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, y, u)
+    g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, y, u)
+    return g_y * d.state_direction.values + g_u * d.control_direction.values
+
+
+def with_weak_nodes(point):
+    """The point with its multiplier zeroed on every other strongly active
+    node, which leaves those nodes active but only weakly."""
+    strong = strongly_active(point.multiplier)
+    e = point.multiplier.copy()
+    e.values.ravel()[np.flatnonzero(strong)[::2]] = 0.0
+    return dataclasses.replace(point, multiplier=e), strong & ~strongly_active(e)
+
+
+def counting_sweeps(monkeypatch):
+    """Record each linearized sweep the direction sampler makes."""
+    calls, sweep = [], soc.solve_linear_parabolic
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(soc, "solve_linear_parabolic", counted)
+    return calls
+
+
+class TestSlopedConstraint:
+    """g = u + 0.5 y - 0.4: the tangency couples v to the state direction."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_direction_is_exactly_tangent(self, sloped_bundle, seed):
+        spec, point, trace, _ = sloped_bundle
+        assert trace.converged
+        d = sample_critical_direction(spec, point, seed=seed)
+        assert d.c3_violation <= 1e-12
+        assert d.c2_residual <= 1e-11
+        assert d.c1_satisfied
+        strong = strongly_active(point.multiplier)
+        assert strong.any()
+        assert float(np.max(np.abs(tangency(spec, point, d)[strong]))) <= 1e-12
+
+
+class TestWeakNodes:
+    @pytest.mark.parametrize("bundle", ["tracking_bundle", "sloped_bundle"])
+    def test_weak_nodes_are_clamped_one_sidedly(self, bundle, request,
+                                                monkeypatch):
+        spec, point, _, _ = request.getfixturevalue(bundle)
+        forced, weak = with_weak_nodes(point)
+        strong = strongly_active(forced.multiplier)
+        assert weak.any() and strong.any()
+        sweeps = counting_sweeps(monkeypatch)
+        d = sample_critical_direction(spec, forced, seed=0)
+        lin = tangency(spec, forced, d)
+        assert float(np.max(lin[weak])) <= 1e-12
+        assert float(np.max(np.abs(lin[strong]))) <= 1e-12
+        # The descent test fails on both signs here, so the sign flip ran:
+        # two sweeps per sign, the second clamping the weak nodes.
+        assert not d.c1_satisfied
+        assert len(sweeps) == 4
+
+    def test_box_direction_costs_one_sweep(self, tracking_bundle, monkeypatch):
+        spec, point, _, _ = tracking_bundle
+        sweeps = counting_sweeps(monkeypatch)
+        assert sample_critical_direction(spec, point, seed=0).c1_satisfied
+        assert len(sweeps) == 1
+
+
+def test_constraint_slope_below_the_bound_is_refused(tracking_bundle):
+    """g_u = 1 < gamma2 / 2: the reduced potential is not trustworthy."""
+    spec, point, _, _ = tracking_bundle
+    with pytest.raises(HypothesisViolationError):
+        sample_critical_direction(dataclasses.replace(spec, gamma2=3.0), point)
 
 
 class TestQuadraticForm:
