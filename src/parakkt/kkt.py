@@ -66,8 +66,12 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     done once its residual is exactly zero, its bracket is at most
     4 eps (1 + |u|) wide, or its Newton step is finite, inside the bracket
     and at most that long, in which case it takes that last step.  Done
-    nodes keep their value while the others go on.  ``fn`` and ``dfn``
-    return arrays of the shape of ``u0``.
+    nodes keep their value while the others go on.  A Newton step that
+    rounds onto a bracket end says the root lies within an ulp of it, so a
+    node still going on tries the next float inside (``np.nextafter``)
+    instead of bisecting toward it; only those nodes pay for the call, and
+    only bisecting nodes for a midpoint.  ``fn`` and ``dfn`` return arrays
+    of the shape of ``u0``.
     """
     shape = u0.shape
     u = np.array(u0, dtype=float)
@@ -78,7 +82,7 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     hi = u.copy()
     vlo = v.copy()
     vhi = v.copy()
-    step = np.ones(shape)
+    step = 1.0          # every node doubles in lockstep
     need_lo = vlo > 0
     need_hi = vhi < 0
     for _ in range(_MAX_BRACKET_DOUBLINGS):
@@ -109,17 +113,22 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
         lo = np.where(v <= 0, u, lo)
         hi = np.where(v > 0, u, hi)
         tol = 4.0 * eps * (1.0 + np.abs(u))
+        landed = done | (v == 0) | ((hi - lo) <= tol)
+        if landed.all():
+            break
+        live = ~landed
         d = dfn(u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             trial = u - v / d
-        # A step rounded onto a bracket end says the root lies within an ulp
-        # of it: try the next float inside rather than bisect toward it.
-        trial = np.where(trial == lo, np.nextafter(lo, hi),
-                         np.where(trial == hi, np.nextafter(hi, lo), trial))
+        at_lo = live & (trial == lo)
+        at_hi = live & (trial == hi)
+        trial[at_lo] = np.nextafter(lo[at_lo], hi[at_lo])
+        trial[at_hi] = np.nextafter(hi[at_hi], lo[at_hi])
         ok = np.isfinite(d) & np.isfinite(trial) & (trial > lo) & (trial < hi)
-        landed = done | (v == 0) | ((hi - lo) <= tol)
         small_step = ok & (np.abs(trial - u) <= tol)
-        u = np.where(landed, u, np.where(ok, trial, 0.5 * (lo + hi)))
+        np.copyto(u, trial, where=live & ok)
+        bisect = live & ~ok
+        u[bisect] = 0.5 * (lo[bisect] + hi[bisect])
         done = landed | small_step
         if done.all():
             break
@@ -138,13 +147,14 @@ def _boundary(spec: ProblemSpec, env: dict, y: np.ndarray) -> np.ndarray:
 
 
 def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
-                    phi: np.ndarray):
+                    phi: np.ndarray, boundary: np.ndarray | None = None):
     cost, g = spec.cost, spec.constraint
 
     def at(fn, u):
         return eval_broadcast(fn, y.shape, y=y, u=u, **env)
 
-    boundary = _boundary(spec, env, y)
+    if boundary is None:
+        boundary = _boundary(spec, env, y)
     u_free = _monotone_root(lambda u: at(cost.du, u) - phi,
                             lambda u: at(cost.duu, u),
                             boundary.copy(), "control stationarity")
@@ -175,15 +185,18 @@ def constraint_boundary(spec: ProblemSpec, x, t: float, y: float) -> float:
 
 
 def control_update_field(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
-                         y_values: np.ndarray, phi_values: np.ndarray):
+                         y_values: np.ndarray, phi_values: np.ndarray, *,
+                         boundary: np.ndarray | None = None):
     """Pointwise minimizer of the constrained control problem at every node.
 
     Returns ``(u, e, boundary, constrained)``: the new control, the matching
     multiplier (zero off the active set), the constraint boundary in u, and
-    the mask of nodes where the constraint decided the value.
+    the mask of nodes where the constraint decided the value.  ``boundary``,
+    if given, must be ``constraint_boundary_field`` of ``y_values``; the
+    update then uses it instead of solving for it again.
     """
     return _control_update(spec, cylinder_env(grid, timegrid), y_values,
-                           phi_values)
+                           phi_values, boundary)
 
 
 def pointwise_control_update(spec: ProblemSpec, x, t: float, y: float,

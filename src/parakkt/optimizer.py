@@ -138,19 +138,26 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
     solved in one stacked state sweep and projected onto the constraint;
     the rows the projection moved are solved again in one sweep, at most
     twice, and a row moved by both passes must end feasible.  Returns one
-    (control, state, objective) per row, each what restoring that row alone
-    gives.  A failure raises ``SolveError``.
+    (control, state, objective, boundary) per row, each what restoring that
+    row alone gives.  ``boundary`` is the constraint boundary of the
+    returned state, the one its last projection used, or ``None`` for a row
+    that last projection moved and solved again.  A failure raises
+    ``SolveError``.
     """
     controls = [SpaceTimeField(u, grid, timegrid) for u in u_values]
     states = [state for state, _ in solve_state(spec, controls, solver)]
+    boundaries = [None] * len(controls)
     rows = list(range(len(controls)))
     for _ in range(2):
-        projected = np.minimum(
-            np.array([controls[r].values for r in rows]),
-            constraint_boundary_field(spec, grid, timegrid,
-                                      np.array([states[r].values for r in rows])))
-        moved = [(r, u) for r, u in zip(rows, projected)
-                 if not np.array_equal(u, controls[r].values)]
+        bounds = constraint_boundary_field(spec, grid, timegrid,
+                                           np.array([states[r].values for r in rows]))
+        moved = []
+        for r, b in zip(rows, bounds):
+            u = np.minimum(controls[r].values, b)
+            if np.array_equal(u, controls[r].values):
+                boundaries[r] = b
+            else:
+                moved.append((r, u))
         if not moved:
             break
         rows = [r for r, _ in moved]
@@ -165,7 +172,8 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
             if worst > FEASIBILITY_SLACK:
                 raise SolveError(f"feasibility restoration left the constraint "
                                  f"violated by {worst:.3e} after 2 projections")
-    return [(c, y, discrete_objective(spec, y, c)) for c, y in zip(controls, states)]
+    return [(c, y, discrete_objective(spec, y, c), b)
+            for c, y, b in zip(controls, states, boundaries)]
 
 
 def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
@@ -184,8 +192,8 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     u_values = np.full((timegrid.n_levels, grid.n_interior),
                        float(options.u_init))
-    control, state, objective = _restored_trial(spec, grid, timegrid,
-                                                u_values[None], solver)[0]
+    control, state, objective, boundary = _restored_trial(
+        spec, grid, timegrid, u_values[None], solver)[0]
     e_values = np.zeros_like(control.values)
 
     adjoint = None
@@ -194,8 +202,9 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         adjoint = solve_adjoint(spec, state, control,
                                 SpaceTimeField(e_values, grid, timegrid),
                                 solver)
-        u_new, e_new, _, constrained = control_update_field(
-            spec, grid, timegrid, state.values, adjoint.values
+        u_new, e_new, boundary, constrained = control_update_field(
+            spec, grid, timegrid, state.values, adjoint.values,
+            boundary=boundary,
         )
         active = int(np.count_nonzero(constrained))
 
@@ -212,7 +221,8 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                                     SpaceTimeField(e_new, grid, timegrid),
                                     solver)
             _, e_cert, _, _ = control_update_field(
-                spec, grid, timegrid, state.values, adjoint.values
+                spec, grid, timegrid, state.values, adjoint.values,
+                boundary=boundary,
             )
             point = KKTPoint(state, control, adjoint,
                              SpaceTimeField(e_cert, grid, timegrid), objective)
@@ -254,7 +264,7 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 "objective"
             )
             break
-        step, (control, state, objective) = accepted
+        step, (control, state, objective, boundary) = accepted
         e_values = e_new
         trace.append(it, objective, step, stat, comp, feas, active)
     else:

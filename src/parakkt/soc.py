@@ -288,7 +288,7 @@ def quadratic_growth_probe(spec: ProblemSpec, point: KKTPoint,
         deltas[:, 0] = 0.0
         trials = _restored_trial(spec, grid, timegrid,
                                  point.control.values + deltas, solver)
-        for trial, (control, state, objective) in enumerate(trials, first):
+        for trial, (control, state, objective, _) in enumerate(trials, first):
             du = control.values - point.control.values
             norm_du = float(np.sqrt(np.sum(qw * du**2)))
             g = eval_scalar_map(spec.constraint.eval, grid, timegrid,

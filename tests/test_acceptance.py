@@ -337,3 +337,19 @@ def test_c10_certificate_recomputation(acceptance_log, tracking_bundle):
         f"auto vs dense: adjoint {gap_phi:.2e}, multiplier {gap_e:.2e}; "
         f"vs solver point {gap_point:.2e}; all <= 1e-10",
     )
+
+
+def test_certificate_on_a_sloped_constraint(sloped_bundle):
+    """C10's reproduction on g = u + 0.5 y - 0.4 (g_y != 0), with its gates."""
+    spec, point, trace, _ = sloped_bundle
+    assert trace.converged
+    (phi_a, e_a), (phi_d, e_d) = (
+        recompute_certificate(spec, point.state, point.control,
+                              SolverOptions(linear_solver=ls))
+        for ls in ("auto", "dense")
+    )
+    assert float(np.max(np.abs(phi_a.values - phi_d.values))) <= 1e-10
+    assert float(np.max(np.abs(e_a.values - e_d.values))) <= 1e-10
+    assert float(np.max(np.abs(phi_a.values - point.adjoint.values))) <= 1e-10
+    assert float(np.max(np.abs(e_a.values - point.multiplier.values))) <= 1e-10
+    assert float(np.max(point.multiplier.values)) > 0.0

@@ -25,7 +25,13 @@ from parakkt import (
     strongly_active,
 )
 from parakkt.exceptions import ConfigError, HypothesisViolationError
-from parakkt.kkt import FEASIBILITY_SLACK, _monotone_root, active_threshold
+from parakkt.kkt import (
+    _MAX_BRACKET_DOUBLINGS,
+    _MAX_ROOT_ITER,
+    FEASIBILITY_SLACK,
+    _monotone_root,
+    active_threshold,
+)
 
 EPS = np.finfo(float).eps
 
@@ -300,6 +306,49 @@ def bracket_width_root(fn, dfn, u0):
         u = np.where(ok, trial, 0.5 * (lo + hi))
 
 
+def every_node_root(fn, dfn, u0):
+    """Reference: the iteration of ``_monotone_root`` with every step computed
+    on every node, landed or not, and an array-valued bracket step.  The
+    solver must agree with it bit for bit."""
+    shape = u0.shape
+    u = np.array(u0, dtype=float)
+    v = fn(u)
+    lo, hi, vlo, vhi = u.copy(), u.copy(), v.copy(), v.copy()
+    step = np.ones(shape)
+    need_lo, need_hi = vlo > 0, vhi < 0
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        if not (need_lo.any() or need_hi.any()):
+            break
+        if need_lo.any():
+            lo = np.where(need_lo, lo - step, lo)
+            vlo = np.where(need_lo, fn(lo), vlo)
+        if need_hi.any():
+            hi = np.where(need_hi, hi + step, hi)
+            vhi = np.where(need_hi, fn(hi), vhi)
+        need_lo, need_hi = vlo > 0, vhi < 0
+        step *= 2.0
+    u = np.where(vlo == 0, lo, np.where(vhi == 0, hi, 0.5 * (lo + hi)))
+    done = np.zeros(shape, dtype=bool)
+    for _ in range(_MAX_ROOT_ITER):
+        v = fn(u)
+        lo = np.where(v <= 0, u, lo)
+        hi = np.where(v > 0, u, hi)
+        tol = 4.0 * EPS * (1.0 + np.abs(u))
+        d = dfn(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trial = u - v / d
+        trial = np.where(trial == lo, np.nextafter(lo, hi),
+                         np.where(trial == hi, np.nextafter(hi, lo), trial))
+        ok = np.isfinite(d) & np.isfinite(trial) & (trial > lo) & (trial < hi)
+        landed = done | (v == 0) | ((hi - lo) <= tol)
+        small_step = ok & (np.abs(trial - u) <= tol)
+        u = np.where(landed, u, np.where(ok, trial, 0.5 * (lo + hi)))
+        done = landed | small_step
+        if done.all():
+            return u
+    raise AssertionError("reference refinement did not converge")
+
+
 def counted(fn):
     """``fn`` with a call counter, the way a tracer counts root evaluations."""
     def wrapped(u):
@@ -323,11 +372,9 @@ def poly_map(a, b, c, y):
             lambda u: 3.0 * y**4 * u**2 + y**2 + 1.0)
 
 
-node_params = st.lists(
-    st.tuples(st.floats(0.1, 10.0), st.floats(-10.0, 10.0),
-              st.floats(0.0, 5.0), st.floats(-2.0, 2.0)),
-    min_size=1, max_size=6,
-)
+node_param = st.tuples(st.floats(0.1, 10.0), st.floats(-10.0, 10.0),
+                       st.floats(0.0, 5.0), st.floats(-2.0, 2.0))
+node_params = st.lists(node_param, min_size=1, max_size=6)
 
 
 class TestMonotoneRoot:
@@ -344,6 +391,79 @@ class TestMonotoneRoot:
         # Each rule stops about 4 eps (1 + |u|) from the root at most, the
         # reference by bracket width and this one by Newton step length.
         assert np.all(np.abs(u - ref) <= 8.0 * EPS * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("family", [linear_map, cubic_map, poly_map],
+                             ids=["linear", "cubic", "example31_poly"])
+    @given(params=st.lists(node_param, min_size=1, max_size=12),
+           start=st.floats(-3.0, 3.0, allow_nan=False),
+           shape=st.sampled_from([None, (2, 3, 4), (3, 1, 5)]))
+    def test_matches_every_node_reference_bitwise(self, family, params, start,
+                                                  shape):
+        # A shape stacks the nodes, cycled to fill it, as (B, L, n).
+        a, b, c, y = (np.array(col) if shape is None else np.resize(col, shape)
+                      for col in zip(*params))
+        fn, dfn = family(a, b, c, y)
+        u0 = np.full(a.shape, start)
+        u = _monotone_root(fn, dfn, u0, "test")
+        assert u.shape == u0.shape
+        assert np.array_equal(u, every_node_root(fn, dfn, u0))
+
+    @staticmethod
+    def nextafter_calls(monkeypatch):
+        """Records (x, toward) of every non-empty ``np.nextafter`` call."""
+        calls = []
+        original = np.nextafter
+
+        def recorded(x, toward):
+            if np.size(x):
+                calls.append((np.copy(x), np.copy(toward)))
+            return original(x, toward)
+
+        monkeypatch.setattr(np, "nextafter", recorded)
+        return calls
+
+    # From u0 = 0 the bracket is [0, 1] and the first iterate 0.5; a slope of
+    # 0.5 there (the true slope 1 elsewhere) puts the first Newton step
+    # exactly on a bracket end.  The third node starts on its root, so it has
+    # landed and is left out.
+    @pytest.mark.parametrize("root, end", [(0.25, 0.0), (0.75, 1.0)],
+                             ids=["lo", "hi"])
+    def test_a_step_onto_a_bracket_end_moves_one_float_inside(self, monkeypatch,
+                                                              root, end):
+        def fn(u):
+            return u - root
+
+        def dfn(u):
+            return np.where(u == 0.5, 0.5, 1.0)
+
+        u0 = np.array([0.0, 0.0, root])
+        calls = self.nextafter_calls(monkeypatch)
+        u = _monotone_root(fn, dfn, u0, "test")
+        monkeypatch.undo()
+        x, toward = calls[0]
+        assert np.array_equal(x, [end, end]) and np.array_equal(toward, [0.5, 0.5])
+        assert np.array_equal(u, every_node_root(fn, dfn, u0))
+        np.testing.assert_allclose(u, root, rtol=0, atol=8.0 * EPS)
+
+    def test_a_step_out_of_the_bracket_bisects(self):
+        # The slope 0.01 throws each Newton step far out of the bracket.  From
+        # u0 = 0 the first step goes from 0.5 to -19.5, so the next iterate
+        # of that node is the midpoint 0.25 of the bracket [0, 0.5]; the
+        # other starts give bracket ends that are not dyadic.
+        seen = []
+
+        def fn(u):
+            seen.append(u.copy())
+            return u - 0.2
+
+        def dfn(u):
+            return np.full(u.shape, 0.01)
+
+        u0 = np.array([0.0, 0.1, -0.3, 1.7]).reshape(2, 1, 2)
+        u = _monotone_root(fn, dfn, u0, "test")
+        assert any(s.flat[0] == 0.25 for s in seen)
+        assert np.array_equal(u, every_node_root(fn, dfn, u0))
+        np.testing.assert_allclose(u, 0.2, rtol=0, atol=8.0 * EPS)
 
     @given(a=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=6),
            b=st.floats(-1.0, 1.0))

@@ -15,8 +15,10 @@ from parakkt import (
     strongly_active,
 )
 from parakkt.exceptions import SolveError
-from parakkt.kkt import FEASIBILITY_SLACK
-from parakkt.optimizer import TRACE_HEADER
+from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field
+from parakkt.optimizer import TRACE_HEADER, _restored_trial
+
+from conftest import tracking_with_constraint
 
 
 def solve(name, nodes, n_levels, **kw):
@@ -270,11 +272,71 @@ class TestRestorationCheck:
             solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9, u_init=1.0)
 
     def test_infeasible_trial_is_a_rejected_step(self, monkeypatch):
-        # Calls: initial restore, first control update, first trial's two
-        # passes.  The update's candidate then lies above the boundary, and
-        # the trial's two passes both move it and leave it infeasible.
-        calls = self.shifted_boundary(monkeypatch, [0.0, 3e-6, 2e-6, 1e-6])
+        # Calls: initial restore, whose boundary the first control update
+        # reuses, then the first trial's two passes.  The update's candidate
+        # then lies above the boundary, and the trial's two passes both move
+        # it and leave it infeasible.
+        calls = self.shifted_boundary(monkeypatch, [3e-6, 2e-6, 1e-6])
         _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
-        assert len(calls) > 4
+        assert len(calls) > 3
         assert trace.converged and report.kkt_error <= 1e-9
         assert trace.rows[0][2] == 0.5
+
+    def test_a_row_the_last_pass_moved_returns_no_boundary(self, monkeypatch):
+        # u = 1 is projected onto 0.4 + 1e-9, then onto 0.4 and solved again.
+        spec = parakkt.builtin_problem("tracking_box_1d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(17,))
+        timegrid = TimeGrid(n_levels=33, horizon=spec.horizon)
+        calls = self.shifted_boundary(monkeypatch, [1e-9])
+        [(control, _, _, boundary)] = _restored_trial(
+            spec, grid, timegrid, np.ones((1, 33, 15)), SolverOptions())
+        assert len(calls) == 2
+        assert boundary is None
+        assert float(np.max(control.values)) == 0.4
+
+
+class TestBoundaryReuse:
+    """Each state's constraint boundary is solved for once, in its projection."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch, module, name):
+        """Patches ``module.name`` to record the positional arguments of each call."""
+        original = getattr(module, name)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    def test_control_updates_solve_no_boundary(self, monkeypatch):
+        from parakkt import kkt, optimizer
+
+        roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
+        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
+        updates = self.recorded_calls(monkeypatch, optimizer, "control_update_field")
+        _, (_, trace, _) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        assert trace.converged
+        assert len(updates) > len(trace.rows) > 1
+        assert len(roots) == len(passes) > 0
+
+    def test_restored_rows_carry_the_boundary_of_their_state(self, monkeypatch):
+        from parakkt import optimizer
+
+        spec = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4",
+                                              "0.75*y^2", "1.5*y"))
+        grid = SpatialGrid(extents=spec.extents, nodes=(17,))
+        timegrid = TimeGrid(n_levels=33, horizon=spec.horizon)
+        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
+        u_values = np.stack([np.zeros((33, 15)), np.ones((33, 15))])
+        rows = _restored_trial(spec, grid, timegrid, u_values, SolverOptions())
+        # The first pass leaves u = 0 and moves u = 1; the second leaves it.
+        assert [len(y_values) for *_, y_values in passes] == [2, 1]
+        assert np.array_equal(rows[0][0].values, u_values[0])
+        assert not np.array_equal(rows[1][0].values, u_values[1])
+        for _, state, _, boundary in rows:
+            assert np.array_equal(
+                boundary, constraint_boundary_field(spec, grid, timegrid,
+                                                    state.values))

@@ -35,8 +35,8 @@ def one_trial_at_a_time(spec, point, n_trials, radius=1e-2, seed=0):
         delta = radius * _smooth_random_fields(grid, timegrid, rng)[0]
         delta[0] = 0.0
         u_try = point.control.values + delta
-        control, state, objective = _restored_trial(spec, grid, timegrid, u_try[None],
-                                                    SolverOptions())[0]
+        control, state, objective, _ = _restored_trial(spec, grid, timegrid, u_try[None],
+                                                       SolverOptions())[0]
         du = control.values - point.control.values
         norm_du = float(np.sqrt(np.sum(qw * du**2)))
         g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
