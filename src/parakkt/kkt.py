@@ -238,6 +238,15 @@ def recover_multiplier_max(spec: ProblemSpec, state: SpaceTimeField,
     multiplier is max{0, phi - L_u(x, t, y, b)} / g_u(x, t, y, b).  This is
     the formula that certifies the sign condition by construction.
     """
+    return _multiplier_max(spec, state)(adjoint)
+
+
+def _multiplier_max(spec: ProblemSpec, state: SpaceTimeField):
+    """``recover_multiplier_max`` with the state frozen: adjoint -> multiplier.
+
+    The constraint boundary and L_u, g_u on it depend on the state alone, so
+    they are solved and checked once, however many adjoints follow.
+    """
     grid, timegrid = state.grid, state.timegrid
     y = state.values
     boundary = constraint_boundary_field(spec, grid, timegrid, y)
@@ -247,8 +256,8 @@ def recover_multiplier_max(spec: ProblemSpec, state: SpaceTimeField,
         raise HypothesisViolationError(
             "g_u on the constraint boundary is below half the declared bound"
         )
-    e = np.maximum(0.0, adjoint.values - lu_b) / gu_b
-    return SpaceTimeField(e, grid, timegrid)
+    return lambda adjoint: SpaceTimeField(
+        np.maximum(0.0, adjoint.values - lu_b) / gu_b, grid, timegrid)
 
 
 @dataclass(frozen=True)

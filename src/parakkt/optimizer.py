@@ -26,11 +26,11 @@ from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     FEASIBILITY_SLACK,
     KKTPoint,
+    _multiplier_max,
     _pointwise_residuals,
     constraint_boundary_field,
     control_update_field,
     kkt_residuals,
-    recover_multiplier_max,
 )
 from .parabolic import SolverOptions, solve_adjoint, solve_state
 from .problem import ProblemSpec, eval_scalar_map
@@ -117,10 +117,11 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
     e = SpaceTimeField.zeros(grid, timegrid)
+    multiplier_of = _multiplier_max(spec, state)
     gap = np.inf
     for _ in range(max_sweeps):
         adjoint = solve_adjoint(spec, state, control, e, solver)
-        e_next = recover_multiplier_max(spec, state, adjoint)
+        e_next = multiplier_of(adjoint)
         gap = float(np.max(np.abs(e_next.values - e.values)))
         e = e_next
         if gap <= 1e-14 * (1.0 + float(np.max(np.abs(e.values)))):

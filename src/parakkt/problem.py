@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .exceptions import AuditError, ConfigError
 
@@ -155,11 +154,22 @@ def _fmt_point(pt):
 
 def _sample_box(dim, extents, horizon, y_range, u_range, n_samples):
     # Deterministic low-discrepancy samples plus every corner of the box.
-    lows = [0.0] * dim + [0.0, y_range[0], u_range[0]]
-    highs = list(extents) + [horizon, y_range[1], u_range[1]]
+    lows = np.array([0.0] * dim + [0.0, y_range[0], u_range[0]])
+    highs = np.array(list(extents) + [horizon, y_range[1], u_range[1]])
     d = len(lows)
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = qmc.scale(sampler.random(n_samples), lows, highs)
+    # The first n points of the unscrambled Halton sequence (Halton, Numer.
+    # Math. 2, 1960): the radical inverse of 0, 1, ..., n - 1 in the k-th
+    # prime base.  Digits are added in scipy.stats.qmc's order, so the points
+    # equal scipy's bit for bit (adding 0.0 leaves a finished point as is).
+    unit = np.zeros((n_samples, d))
+    for k, base in enumerate((2, 3, 5, 7, 11)[:d]):
+        q = np.arange(n_samples)
+        b2r = 1.0 / base
+        while q.any():
+            q, r = np.divmod(q, base)
+            unit[:, k] += r * b2r
+            b2r /= base
+    pts = unit * (highs - lows) + lows
     corners = np.array(
         [[lo if (m >> k) & 1 == 0 else hi for k, (lo, hi) in enumerate(zip(lows, highs))]
          for m in range(2**d)]

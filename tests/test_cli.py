@@ -1,5 +1,9 @@
 """Command-line entry points, exercised in process."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -174,6 +178,24 @@ class TestValidate:
         assert rc == 3
         assert "FAIL" in (tmp_path / "report.txt").read_text()
         capsys.readouterr()
+
+    def test_loads_no_scipy_subpackage_beyond_linalg_and_sparse(self, tmp_path):
+        # A fresh interpreter: this one has loaded scipy.stats for the tests.
+        code = (
+            "import sys\n"
+            "import parakkt, parakkt.cli\n"
+            "rc = parakkt.cli.main(['validate', '--problem', 'tracking_box_1d',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "print(rc, *sorted({m.split('.')[1] for m in sys.modules"
+            " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(parakkt.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                              capture_output=True, timeout=120, check=True)
+        rc, *loaded = done.stdout.split()
+        assert rc == "0"
+        assert set(loaded) <= {"linalg", "sparse", "version"}
 
 
 class TestDiagnostics:

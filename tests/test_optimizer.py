@@ -340,3 +340,14 @@ class TestBoundaryReuse:
             assert np.array_equal(
                 boundary, constraint_boundary_field(spec, grid, timegrid,
                                                     state.values))
+
+    def test_certificate_solves_one_boundary_for_all_its_sweeps(self, monkeypatch):
+        from parakkt import kkt, optimizer
+
+        spec, (point, trace, _) = solve("tracking_box_1d", (33,), 65)
+        assert trace.converged
+        roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
+        sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
+        recompute_certificate(spec, point.state, point.control)
+        assert len(sweeps) > 1
+        assert len(roots) == 1

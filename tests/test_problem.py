@@ -20,7 +20,7 @@ from parakkt import (
 )
 from parakkt.exceptions import GrammarError, ProblemIOError
 from parakkt.expressions import SPACE_TIME_VARS, parse_expression
-from parakkt.problem import eval_broadcast, eval_scalar_map
+from parakkt.problem import _sample_box, eval_broadcast, eval_scalar_map
 
 CATALOG = (
     "example31_poly",
@@ -170,6 +170,21 @@ class TestHypothesisValidation:
         assert rep.min_gu > 0.0
         assert rep.min_luu == pytest.approx(0.1, rel=1e-12)
         assert len(rep.argmin_luu) == 4
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 2048])
+    @pytest.mark.parametrize("dim, extents", [(1, (1.5,)), (2, (1.0, 2.5))])
+    def test_sample_is_scipys_unscrambled_halton(self, dim, extents, n):
+        from scipy.stats import qmc
+
+        y_range, u_range = (-0.75, 2.0), (-3.0, 0.5)
+        lows = [0.0] * dim + [0.0, y_range[0], u_range[0]]
+        highs = list(extents) + [0.8, y_range[1], u_range[1]]
+        d = dim + 3
+        halton = qmc.scale(qmc.Halton(d=d, scramble=False).random(n), lows, highs)
+        corners = [[highs[k] if (m >> k) & 1 else lows[k] for k in range(d)]
+                   for m in range(2**d)]
+        got = _sample_box(dim, extents, 0.8, y_range, u_range, n)
+        assert np.array_equal(got, np.vstack([halton, corners]))
 
 
 def level_loop(fn, grid, timegrid, y, u):
