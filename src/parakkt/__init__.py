@@ -22,8 +22,6 @@ from .grids import (
     SpatialGrid,
     TimeGrid,
     assemble_operator,
-    field_norms,
-    integrate,
     objective_weights,
     quadrature_weights,
 )
@@ -73,7 +71,7 @@ from .problem import (
     ScalarMap2,
     validate_hypotheses,
 )
-from .problem_io import dumps, load_problem, loads, save_problem
+from .problem_io import dumps, load_problem, loads
 from .regularity import (
     ContinuityReport,
     HolderFit,

@@ -62,11 +62,9 @@ def _section(out, name: str, body: str) -> None:
 
 
 def _load_spec(args):
-    if args.problem_file:
-        return problem_io.load_problem(args.problem_file)
-    if args.problem:
+    if args.problem is not None:
         return builtin_problem(args.problem)
-    raise ConfigError("pass --problem <name> or --problem-file <path>")
+    return problem_io.load_problem(args.problem_file)
 
 
 def _grids(spec, args):
@@ -83,9 +81,8 @@ def _grids(spec, args):
 
 
 def _ensure_out(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 def _write_report(out_dir: str, sections) -> None:
@@ -106,30 +103,15 @@ def _problem_summary(spec, grid=None, timegrid=None) -> str:
     return "\n".join(lines)
 
 
-def _optimizer_options(args) -> OptimizerOptions:
-    return OptimizerOptions(
-        max_outer=args.max_outer,
-        tol_kkt=args.tol,
-        u_init=args.u_init,
-        solver=SolverOptions(linear_solver=args.linear_solver),
-    )
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(linear_solver=args.linear_solver)
 
 
 def _cmd_validate(args) -> int:
     spec = _load_spec(args)
-    if args.y_range is not None:
-        y_range = tuple(args.y_range)
-    elif args.problem:
-        y_range = builtin_audit_box(args.problem)[0]
-    else:
-        y_range = (-5.0, 5.0)
-    if args.u_range is not None:
-        u_range = tuple(args.u_range)
-    elif args.problem:
-        u_range = builtin_audit_box(args.problem)[1]
-    else:
-        u_range = (-5.0, 5.0)
-    report = validate_hypotheses(spec, y_range, u_range)
+    y_box, u_box = (builtin_audit_box(args.problem) if args.problem is not None
+                    else ((-5.0, 5.0), (-5.0, 5.0)))
+    report = validate_hypotheses(spec, args.y_range or y_box, args.u_range or u_box)
     out = _ensure_out(args)
     _write_report(out, [
         ("PROBLEM", _problem_summary(spec)),
@@ -143,46 +125,51 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _solve_to_dir(spec, grid, timegrid, options, out):
+def _solve_run(args, precheck=None):
+    """Load, run ``precheck(spec, grid, timegrid)`` before ``--out`` exists,
+    solve, and write ``trace.csv`` and the four field files.  Returns
+    ``(spec, out, head, point, trace, report, checked)``, ``head`` being the
+    PROBLEM section and ``checked`` what the pre-check returned."""
+    spec = _load_spec(args)
+    grid, timegrid = _grids(spec, args)
+    checked = precheck(spec, grid, timegrid) if precheck else None
+    out = _ensure_out(args)
+    options = OptimizerOptions(max_outer=args.max_outer, tol_kkt=args.tol,
+                               u_init=args.u_init, solver=_solver_options(args))
     point, trace, report = solve_ocp(spec, grid, timegrid, options)
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         fh.write(trace.to_csv())
     for name, fld in (("y", point.state), ("u", point.control),
                       ("phi", point.adjoint), ("e", point.multiplier)):
         field_io.write_field(os.path.join(out, f"{name}.field"), fld)
-    return point, trace, report
+    head = _problem_summary(spec, grid, timegrid)
+    return spec, out, head, point, trace, report, checked
+
+
+def _require_converged(trace) -> None:
+    if not trace.converged:
+        raise SolveError(trace.message or "outer iteration did not converge")
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_spec(args)
-    grid, timegrid = _grids(spec, args)
-    out = _ensure_out(args)
-    point, trace, report = _solve_to_dir(spec, grid, timegrid,
-                                         _optimizer_options(args), out)
+    _, out, head, point, trace, report, _ = _solve_run(args)
     _write_report(out, [
-        ("PROBLEM", _problem_summary(spec, grid, timegrid)),
+        ("PROBLEM", head),
         ("OBJECTIVE", "%.17g" % point.objective),
         ("RESIDUALS", report.to_text()),
         ("STATUS", trace.message or "done"),
     ])
-    if not trace.converged:
-        raise SolveError(trace.message or "outer iteration did not converge")
+    _require_converged(trace)
     return 0
 
 
 def _read_point(spec, point_dir):
-    fields = {}
-    for name in ("y", "u", "phi", "e"):
-        fields[name] = field_io.read_field(os.path.join(point_dir,
-                                                        f"{name}.field"))
-    grid = fields["y"].grid
-    timegrid = fields["y"].timegrid
-    for name in ("u", "phi", "e"):
-        if not fields["y"].same_layout(fields[name]):
+    y, u, phi, e = (field_io.read_field(os.path.join(point_dir, f"{name}.field"))
+                    for name in ("y", "u", "phi", "e"))
+    for name, fld in (("u", u), ("phi", phi), ("e", e)):
+        if not y.same_layout(fld):
             raise FieldIOError(f"{name}.field layout differs from y.field")
-    objective = discrete_objective(spec, fields["y"], fields["u"])
-    return KKTPoint(fields["y"], fields["u"], fields["phi"], fields["e"],
-                    objective), grid, timegrid
+    return KKTPoint(y, u, phi, e, discrete_objective(spec, y, u)), y.grid, y.timegrid
 
 
 def _cmd_check_kkt(args) -> int:
@@ -205,23 +192,21 @@ def _cmd_check_kkt(args) -> int:
 
 
 def _cmd_soc(args) -> int:
-    spec = _load_spec(args)
-    grid, timegrid = _grids(spec, args)
-    _check_probe_arguments(args.trials, args.radius)
-    out = _ensure_out(args)
-    point, trace, report = _solve_to_dir(spec, grid, timegrid,
-                                         _optimizer_options(args), out)
-    if not trace.converged:
-        raise SolveError(trace.message or "outer iteration did not converge")
+    spec, out, head, point, trace, report, _ = _solve_run(
+        args, lambda *_: _check_probe_arguments(args.trials, args.radius))
+    _require_converged(trace)
+    solver = _solver_options(args)
     value, where = legendre_min(spec, point)
-    direction = sample_critical_direction(spec, point, seed=args.seed)
+    direction = sample_critical_direction(spec, point, seed=args.seed,
+                                          options=solver)
     q = quadratic_form(spec, point, direction)
     probe = quadratic_growth_probe(spec, point, n_trials=args.trials,
-                                   radius=args.radius, seed=args.seed)
+                                   radius=args.radius, seed=args.seed,
+                                   options=solver)
     with open(os.path.join(out, "growth.csv"), "w") as fh:
         fh.write(probe.to_csv())
     _write_report(out, [
-        ("PROBLEM", _problem_summary(spec, grid, timegrid)),
+        ("PROBLEM", head),
         ("RESIDUALS", report.to_text()),
         ("LEGENDRE", "legendre_min %.17g\nlevel %d\nnode %d"
          % (value, where[0], where[1])),
@@ -237,14 +222,9 @@ def _cmd_soc(args) -> int:
 
 
 def _cmd_holder(args) -> int:
-    spec = _load_spec(args)
-    grid, timegrid = _grids(spec, args)
-    _check_pairs(args.pairs)
-    out = _ensure_out(args)
-    point, trace, report = _solve_to_dir(spec, grid, timegrid,
-                                         _optimizer_options(args), out)
-    if not trace.converged:
-        raise SolveError(trace.message or "outer iteration did not converge")
+    spec, out, head, point, trace, report, _ = _solve_run(
+        args, lambda *_: _check_pairs(args.pairs))
+    _require_converged(trace)
     cont = multiplier_continuity_report(spec, point, n_pairs=args.pairs,
                                         seed=args.seed)
     for name, fit in cont.fits.items():
@@ -252,7 +232,7 @@ def _cmd_holder(args) -> int:
             with open(os.path.join(out, f"holder_{name}.csv"), "w") as fh:
                 fh.write(fit.to_csv())
     _write_report(out, [
-        ("PROBLEM", _problem_summary(spec, grid, timegrid)),
+        ("PROBLEM", head),
         ("RESIDUALS", report.to_text()),
         ("HOLDER", cont.to_text()),
     ])
@@ -260,18 +240,12 @@ def _cmd_holder(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    spec = _load_spec(args)
-    grid, timegrid = _grids(spec, args)
-    out = _ensure_out(args)
-    instance = discretize_to_nlp(spec, grid, timegrid)
-    options = _optimizer_options(args)
-    point, trace, report = _solve_to_dir(spec, grid, timegrid, options, out)
-    if not trace.converged:
-        raise SolveError(trace.message or "outer iteration did not converge")
+    _, out, head, point, trace, report, instance = _solve_run(args, discretize_to_nlp)
+    _require_converged(trace)
     sol = solve_nlp_active_set(instance)
     comparison = compare_multipliers(instance, sol, point)
     _write_report(out, [
-        ("PROBLEM", _problem_summary(spec, grid, timegrid)),
+        ("PROBLEM", head),
         ("RESIDUALS", report.to_text()),
         ("ORACLE",
          comparison.to_text()
@@ -290,8 +264,7 @@ def _cmd_export_fields(args) -> int:
         control = field_io.read_field(args.control, grid, timegrid)
     else:
         control = SpaceTimeField.zeros(grid, timegrid)
-    state, rep = solve_state(spec, control, SolverOptions(
-        linear_solver=args.linear_solver))
+    state, rep = solve_state(spec, control, _solver_options(args))
     field_io.write_field(os.path.join(out, "y.field"), state)
     field_io.write_field(os.path.join(out, "weights.field"),
                          quadrature_weights(grid, timegrid))
@@ -304,29 +277,39 @@ def _cmd_export_fields(args) -> int:
     return 0
 
 
-def _add_common(p, grids=True):
-    p.add_argument("--problem", choices=catalog_names(),
-                   help="built-in problem name")
-    p.add_argument("--problem-file", help="problem file path")
+def _add_problem(p):
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--problem", choices=catalog_names(),
+                       help="built-in problem name")
+    which.add_argument("--problem-file", help="problem file path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for every randomized piece of this run")
+
+
+def _add_grid(p):
+    p.add_argument("--nx", type=int, default=33,
+                   help="nodes along the first axis, boundary included")
+    p.add_argument("--ny", type=int, default=None,
+                   help="nodes along the second axis (two dimensions)")
+    p.add_argument("--nt", type=int, default=65, help="time levels")
     p.add_argument("--linear-solver", default="auto",
                    choices=("auto", "dense"),
                    help="step solver; auto: the step matrix picks LAPACK gtsv when "
                    "it is tridiagonal (every 1-D grid), else one SuperLU "
                    "factorization per sweep, refined to rounding; dense: "
                    "numpy.linalg.solve, an independent reference")
-    if grids:
-        p.add_argument("--nx", type=int, default=33,
-                       help="nodes along the first axis, boundary included")
-        p.add_argument("--ny", type=int, default=None,
-                       help="nodes along the second axis (two dimensions)")
-        p.add_argument("--nt", type=int, default=65, help="time levels")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="outer KKT tolerance")
-        p.add_argument("--max-outer", type=int, default=200)
-        p.add_argument("--u-init", type=float, default=0.0)
+
+
+def _add_solve(p):
+    _add_grid(p)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="outer KKT tolerance")
+    p.add_argument("--max-outer", type=int, default=200)
+    p.add_argument("--u-init", type=float, default=0.0)
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for every randomized piece of this run")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,41 +328,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("validate", help="audit the structural hypotheses")
-    _add_common(p, grids=False)
+    _add_problem(p)
     p.add_argument("--y-range", type=float, nargs=2, default=None)
     p.add_argument("--u-range", type=float, nargs=2, default=None)
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("solve", help="solve the control problem")
-    _add_common(p)
+    _add_problem(p)
+    _add_solve(p)
     p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("check-kkt", help="recompute residuals of saved fields")
-    _add_common(p, grids=False)
+    _add_problem(p)
     p.add_argument("--point", required=True,
                    help="directory holding y/u/phi/e field files")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(run=_cmd_check_kkt)
 
     p = sub.add_parser("soc", help="second-order diagnostics at the solution")
-    _add_common(p)
+    _add_problem(p)
+    _add_solve(p)
+    _add_seed(p)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--radius", type=float, default=1e-2)
     p.set_defaults(run=_cmd_soc)
 
     p = sub.add_parser("holder", help="smoothness diagnostics at the solution")
-    _add_common(p)
+    _add_problem(p)
+    _add_solve(p)
+    _add_seed(p)
     p.add_argument("--pairs", type=int, default=4096)
     p.set_defaults(run=_cmd_holder)
 
     p = sub.add_parser("oracle-compare",
                        help="cross-check multipliers against a stacked NLP")
-    _add_common(p)
+    _add_problem(p)
+    _add_solve(p)
     p.set_defaults(run=_cmd_oracle_compare)
 
     p = sub.add_parser("export-fields",
                        help="solve the state equation and export the fields")
-    _add_common(p)
+    _add_problem(p)
+    _add_grid(p)
     p.add_argument("--control", default=None,
                    help="control field file (defaults to zero control)")
     p.set_defaults(run=_cmd_export_fields)

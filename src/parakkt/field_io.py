@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .exceptions import FieldIOError
+from .exceptions import ConfigError, FieldIOError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 
 __all__ = ["write_field", "read_field", "MAGIC"]
@@ -71,8 +71,11 @@ def read_field(path, grid: SpatialGrid | None = None,
     if len(geom) != dim + 1:
         raise FieldIOError(f"{path}: malformed geometry line {lines[2]!r}")
     *extents, horizon = geom
-    file_grid = SpatialGrid(extents, shape)
-    file_tg = TimeGrid(nt, horizon)
+    try:
+        file_grid = SpatialGrid(extents, shape)
+        file_tg = TimeGrid(nt, horizon)
+    except ConfigError as exc:
+        raise FieldIOError(f"{path}: invalid header: {exc}") from None
     if grid is not None and not grid.matches(file_grid):
         raise FieldIOError(
             f"{path}: grid in file ({file_grid!r}) does not match expected ({grid!r})"

@@ -38,12 +38,9 @@ __all__ = [
     "SpatialGrid",
     "TimeGrid",
     "SpaceTimeField",
-    "FieldNorms",
     "assemble_operator",
     "quadrature_weights",
     "objective_weights",
-    "integrate",
-    "field_norms",
 ]
 
 
@@ -314,24 +311,3 @@ def objective_weights(grid: SpatialGrid, timegrid: TimeGrid) -> SpaceTimeField:
     return SpaceTimeField(
         np.outer(wt, np.full(grid.n_interior, cell)), grid, timegrid
     )
-
-
-def integrate(field: SpaceTimeField, weights: SpaceTimeField) -> float:
-    if not field.same_layout(weights):
-        raise ConfigError("field and weights live on different grids")
-    return float(np.sum(field.values * weights.values))
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    l2: float
-    linf: float
-
-
-def field_norms(field: SpaceTimeField, weights: SpaceTimeField) -> FieldNorms:
-    """L2 norm over the cylinder under the given weights, and the sup norm."""
-    if not field.same_layout(weights):
-        raise ConfigError("field and weights live on different grids")
-    l2 = float(np.sqrt(np.sum(weights.values * field.values**2)))
-    linf = float(np.max(np.abs(field.values))) if field.values.size else 0.0
-    return FieldNorms(l2, linf)

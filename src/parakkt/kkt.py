@@ -137,6 +137,17 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     return u
 
 
+def _check_gu(spec: ProblemSpec, g_u: np.ndarray, where: str) -> None:
+    """Refuse a (level, node) field of g_u that drops below gamma2 / 2
+    anywhere; the floor is signed, so a negative g_u is refused too."""
+    if np.any(g_u < 0.5 * spec.gamma2):
+        k = np.unravel_index(int(np.argmin(g_u)), g_u.shape)
+        raise HypothesisViolationError(
+            f"g_u = {g_u[k]:.3e} {where} at level {k[0]}, node {k[1]} is below "
+            f"half the declared bound gamma2 = {spec.gamma2:g}"
+        )
+
+
 def _boundary(spec: ProblemSpec, env: dict, y: np.ndarray) -> np.ndarray:
     g = spec.constraint
     return _monotone_root(
@@ -162,11 +173,7 @@ def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
     u = np.where(constrained, boundary, u_free)
     lu_b = at(cost.du, boundary)
     gu_b = at(g.du, boundary)
-    if np.any(gu_b < 0.5 * spec.gamma2):
-        raise HypothesisViolationError(
-            "g_u dropped below half its declared lower bound on the constraint "
-            "boundary"
-        )
+    _check_gu(spec, gu_b, "on the constraint boundary")
     e = np.where(constrained, (phi - lu_b) / gu_b, 0.0)
     return u, e, boundary, constrained
 
@@ -221,12 +228,7 @@ def recover_multiplier_division(spec: ProblemSpec, state: SpaceTimeField,
                           control.values)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, state.values,
                           control.values)
-    if np.any(np.abs(g_u) < 0.5 * spec.gamma2):
-        k = np.unravel_index(int(np.argmin(np.abs(g_u))), g_u.shape)
-        raise HypothesisViolationError(
-            f"g_u = {g_u[k]:.3e} at level {k[0]}, node {k[1]} is below half the "
-            f"declared bound gamma2 = {spec.gamma2}; division recovery refused"
-        )
+    _check_gu(spec, g_u, "at the control")
     return SpaceTimeField((adjoint.values - l_u) / g_u, grid, timegrid)
 
 
@@ -252,10 +254,7 @@ def _multiplier_max(spec: ProblemSpec, state: SpaceTimeField):
     boundary = constraint_boundary_field(spec, grid, timegrid, y)
     lu_b = eval_scalar_map(spec.cost.du, grid, timegrid, y, boundary)
     gu_b = eval_scalar_map(spec.constraint.du, grid, timegrid, y, boundary)
-    if np.any(np.abs(gu_b) < 0.5 * spec.gamma2):
-        raise HypothesisViolationError(
-            "g_u on the constraint boundary is below half the declared bound"
-        )
+    _check_gu(spec, gu_b, "on the constraint boundary")
     return lambda adjoint: SpaceTimeField(
         np.maximum(0.0, adjoint.values - lu_b) / gu_b, grid, timegrid)
 
@@ -280,11 +279,7 @@ def h_potential_audit(spec: ProblemSpec, state: SpaceTimeField,
                           control.values)
     g_u = eval_scalar_map(spec.constraint.du, grid, timegrid, state.values,
                           control.values)
-    if np.any(np.abs(g_u) < 0.5 * spec.gamma2):
-        raise HypothesisViolationError(
-            "g_u is below half the declared bound; the reduced potential is "
-            "not trustworthy"
-        )
+    _check_gu(spec, g_u, "at the control")
     vals = fp + g_y / g_u
     field = SpaceTimeField(vals, grid, timegrid)
     return HPotentialAudit(field, float(np.min(vals)), float(np.max(vals)))

@@ -46,14 +46,15 @@ __all__ = [
 
 TRACE_HEADER = "iter,J,step,stat_res,comp_res,feas_viol,active_count"
 
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 30
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_outer: int = 200
     tol_kkt: float = 1e-8
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
     u_init: float = 0.0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -241,21 +242,21 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         step = 1.0
         accepted = None
         fallback = None
-        for _ in range(options.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             trial_u = control.values + step * direction
             try:
                 trial = _restored_trial(spec, grid, timegrid, trial_u[None],
                                         solver)[0]
             except SolveError:
                 # A trial whose state solve fails is a rejected step.
-                step *= options.backtrack_factor
+                step *= _BACKTRACK_FACTOR
                 continue
-            if slope < 0 and trial[2] <= objective + options.armijo_c1 * step * slope:
+            if slope < 0 and trial[2] <= objective + _ARMIJO_C1 * step * slope:
                 accepted = (step, trial)
                 break
             if fallback is None and trial[2] <= objective + 1e-14 * (1 + abs(objective)):
                 fallback = (step, trial)
-            step *= options.backtrack_factor
+            step *= _BACKTRACK_FACTOR
         if accepted is None:
             accepted = fallback
         if accepted is None:

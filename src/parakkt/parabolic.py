@@ -373,13 +373,11 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
                            rhs: SpaceTimeField, initial_values: np.ndarray,
-                           use_adjoint_operator: bool = False,
                            options: SolverOptions | None = None) -> SpaceTimeField:
     """March the linearized equation z' + A z + c z = r forward in time.
 
     The zero-order coefficient ``c`` and the source ``r`` are read at the
-    target level of each step.  With ``use_adjoint_operator`` the transpose
-    operator is used in place of ``A``.
+    target level of each step.
     """
     options = options or SolverOptions()
     if not potential.same_layout(rhs):
@@ -389,9 +387,7 @@ def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
     initial_values = np.broadcast_to(
         np.asarray(initial_values, dtype=float), (grid.n_interior,)
     )
-    A = assemble_operator(spec, grid)
-    stepper = _StepSolver(A.T.tocsr() if use_adjoint_operator else A, tau,
-                          options.linear_solver)
+    stepper = _StepSolver(assemble_operator(spec, grid), tau, options.linear_solver)
     values = np.empty((timegrid.n_levels, grid.n_interior))
     values[0] = initial_values
     for j in range(timegrid.n_levels - 1):

@@ -12,7 +12,7 @@ loudly when the data does not deliver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class ProblemSpec:
     gamma1: float
     gamma2: float
     diffusion: tuple | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -115,7 +114,6 @@ def eval_scalar_map(fn, grid, timegrid, y, u):
 @dataclass(frozen=True)
 class HypothesisReport:
     ellipticity_min: float
-    symmetry_ok: bool
     slope_min: float
     f_zero_ok: bool
     min_gu: float
@@ -135,8 +133,7 @@ class HypothesisReport:
         lines = [
             f"samples {self.sample_count}",
             f"ellipticity_min {self.ellipticity_min:.6g} "
-            f"{'PASS' if self.pass_ellipticity else 'FAIL'}"
-            + ("" if self.symmetry_ok else " (asymmetric)"),
+            f"{'PASS' if self.pass_ellipticity else 'FAIL'}",
             f"reaction slope_min {self.slope_min:.6g} f(0)="
             f"{'0' if self.f_zero_ok else 'NONZERO'} "
             f"{'PASS' if self.pass_reaction else 'FAIL'}",
@@ -218,12 +215,12 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
     x_env = {k: env[k] for k in env if k.startswith("x")}
 
     if spec.diffusion is None:
-        ell_min, symmetry_ok = 1.0, True
+        ell_min = 1.0
     else:
         a11 = eval_broadcast(spec.diffusion[0][0], (len(pts),), **x_env)
         _finite_or_raise(a11, "a11", pts, spec.dim)
         if spec.dim == 1:
-            ell_min, symmetry_ok = float(np.min(a11)), True
+            ell_min = float(np.min(a11))
         else:
             a22 = eval_broadcast(spec.diffusion[1][1], (len(pts),), **x_env)
             _finite_or_raise(a22, "a22", pts, spec.dim)
@@ -236,8 +233,7 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
             half_tr = 0.5 * (a11 + a22)
             disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
             ell_min = float(np.min(half_tr - disc))
-            symmetry_ok = True
-    pass_ellipticity = bool(ell_min > 0.0) and symmetry_ok
+    pass_ellipticity = bool(ell_min > 0.0)
 
     y_only = env["y"]
     f0 = float(np.asarray(spec.nonlinearity.f(y=np.zeros(1)), dtype=float).ravel()[0])
@@ -264,7 +260,6 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
 
     return HypothesisReport(
         ellipticity_min=ell_min,
-        symmetry_ok=symmetry_ok,
         slope_min=slope_min,
         f_zero_ok=f_zero_ok,
         min_gu=min_gu,

@@ -18,7 +18,7 @@ from .exceptions import ProblemIOError
 from .expressions import SPACE_TIME_VARS, parse_expression
 from .problem import Nonlinearity, ProblemSpec, ScalarMap2
 
-__all__ = ["load_problem", "loads", "save_problem", "dumps"]
+__all__ = ["load_problem", "loads", "dumps"]
 
 _MAP_KEYS = ("expr", "dy", "du", "dyy", "dyu", "duu")
 
@@ -187,11 +187,3 @@ def dumps(spec: ProblemSpec) -> str:
         ("gamma2", "%.17g" % spec.gamma2),
     ])
     return out.getvalue().rstrip("\n") + "\n"
-
-
-def save_problem(path, spec: ProblemSpec) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(dumps(spec))
-    except OSError as exc:
-        raise ProblemIOError(f"cannot write problem file {path}: {exc}") from exc

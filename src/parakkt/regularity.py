@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .grids import SpaceTimeField
-from .kkt import KKTPoint, active_threshold
+from .kkt import KKTPoint, strongly_active
 from .problem import ProblemSpec, eval_scalar_map
 
 __all__ = [
@@ -161,7 +161,7 @@ def active_boundary_jump(spec: ProblemSpec, point: KKTPoint) -> float:
     """
     grid, tg = point.state.grid, point.state.timegrid
     e = point.multiplier.values
-    strong = e > active_threshold(point.multiplier)
+    strong = strongly_active(point.multiplier)
     jump = 0.0
     id_grid = grid.interior_id_grid
     # Spatial neighbors, per axis.

@@ -31,7 +31,7 @@ from .grids import (
     objective_weights,
     quadrature_weights,
 )
-from .kkt import KKTPoint, h_potential_audit, strongly_active
+from .kkt import FEASIBILITY_SLACK, KKTPoint, h_potential_audit, strongly_active
 from .optimizer import _restored_trial
 from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
 from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
@@ -74,8 +74,7 @@ def linearized_state(spec: ProblemSpec, point: KKTPoint,
     """Solve the state equation linearized at the point, driven by ``v``."""
     potential = _df_field(spec, point.state)
     zero_init = np.zeros(point.state.grid.n_interior)
-    return solve_linear_parabolic(spec, potential, v, zero_init,
-                                  use_adjoint_operator=False, options=options)
+    return solve_linear_parabolic(spec, potential, v, zero_init, options=options)
 
 
 def _c2_residual(spec, point, v, z):
@@ -293,7 +292,7 @@ def quadratic_growth_probe(spec: ProblemSpec, point: KKTPoint,
             norm_du = float(np.sqrt(np.sum(qw * du**2)))
             g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
                                 state.values, control.values)
-            feasible = bool(np.max(g) <= 1e-8) and norm_du >= 1e-8
+            feasible = bool(np.max(g) <= FEASIBILITY_SLACK) and norm_du >= 1e-8
             ratio = 0.0
             if norm_du >= 1e-8:
                 ratio = (objective - point.objective) / norm_du**2

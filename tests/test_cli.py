@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in process."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import parakkt
 from parakkt import cli, read_field, write_field
 from parakkt.optimizer import TRACE_HEADER
+from parakkt.parabolic import _StepSolver
 
 from conftest import SLOPED_TEXT
 
@@ -58,6 +60,36 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run("solve", "-h") == 0
         assert capsys.readouterr().out.startswith("usage: parakkt solve")
+
+    @pytest.mark.parametrize("verb, flag, value", [
+        ("validate", "--seed", 0), ("validate", "--linear-solver", "auto"),
+        ("check-kkt", "--seed", 0), ("check-kkt", "--linear-solver", "auto"),
+        ("solve", "--seed", 0), ("oracle-compare", "--seed", 0),
+        ("export-fields", "--seed", 0), ("export-fields", "--tol", "1e-3"),
+        ("export-fields", "--max-outer", 5), ("export-fields", "--u-init", 7),
+    ])
+    def test_a_verb_refuses_a_flag_it_does_not_read(self, tmp_path, capsys,
+                                                    verb, flag, value):
+        out = tmp_path / "out"
+        point = ("--point", tmp_path) if verb == "check-kkt" else ()
+        rc = run(verb, "--problem", "tracking_box_1d", *point, flag, value, "--out", out)
+        assert rc == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=")
+        assert f"unrecognized arguments: {flag}" in first
+        assert not out.exists()
+
+    def test_a_problem_is_named_one_way(self, tmp_path, capsys):
+        problem = tmp_path / "tracking.ini"
+        problem.write_text(parakkt.catalog.builtin_problem_text("tracking_box_1d"))
+        out = tmp_path / "out"
+        rc = run("validate", "--problem", "example31_poly", "--problem-file", problem,
+                 "--out", out)
+        assert rc == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=")
+        assert "not allowed with argument --problem" in first
+        assert not out.exists()
 
     def test_broken_problem_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -158,6 +190,28 @@ class TestCheckKKT:
         assert rc == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("line, text", [(1, "1 2 2"), (2, "-1 1")],
+                             ids=["two-nodes", "negative-extent"])
+    def test_a_broken_field_header_is_a_file_error(self, solved_dir, tmp_path, capsys,
+                                                   line, text):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("y", "u", "phi", "e"):
+            lines = (solved_dir / f"{name}.field").read_text().splitlines()
+            if name == "y":
+                lines[line] = text
+            (broken / f"{name}.field").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = run(
+            "check-kkt", "--problem", "tracking_box_1d",
+            "--point", broken, "--out", out,
+        )
+        assert rc == 5
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=io exit=5 msg=")
+        assert str(broken / "y.field") in first
+        assert not out.exists()
+
 
 class TestValidate:
     def test_catalog_problem_passes(self, tmp_path):
@@ -209,6 +263,25 @@ class TestDiagnostics:
         lines = (tmp_path / "growth.csv").read_text().strip().splitlines()
         assert lines[0] == "trial,ratio,norm_du,feasible"
         assert len(lines) == 6
+
+    def test_soc_runs_every_sweep_on_the_chosen_linear_solver(self, tmp_path,
+                                                               monkeypatch):
+        """The solve, the critical direction and the growth probe all step
+        with ``--linear-solver``."""
+        seen = collections.Counter()
+        init = _StepSolver.__init__
+
+        def spy(self, operator, tau, linear_solver="auto", rows=1):
+            seen[linear_solver] += 1
+            init(self, operator, tau, linear_solver, rows)
+
+        monkeypatch.setattr(_StepSolver, "__init__", spy)
+        rc = run(
+            "soc", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+            "--trials", 2, "--linear-solver", "dense", "--out", tmp_path,
+        )
+        assert rc == 0
+        assert set(seen) == {"dense"}
 
     def test_soc_certifies_a_sloped_constraint(self, tmp_path):
         """g = u + 0.5 y - 0.4: the critical direction is exactly tangent."""
@@ -269,12 +342,14 @@ class TestDiagnostics:
         assert "adjoint" in (tmp_path / "report.txt").read_text()
 
     def test_oracle_compare_guards_large_grids(self, tmp_path, capsys):
+        out = tmp_path / "out"
         rc = run(
             "oracle-compare", "--problem", "tracking_box_1d",
-            "--nx", 33, "--nt", 65, "--out", tmp_path,
+            "--nx", 33, "--nt", 65, "--out", out,
         )
         assert rc == 3
         capsys.readouterr()
+        assert not out.exists()
 
 
 class TestExportFields:

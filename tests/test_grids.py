@@ -9,8 +9,6 @@ from parakkt import (
     SpatialGrid,
     TimeGrid,
     assemble_operator,
-    field_norms,
-    integrate,
     objective_weights,
     quadrature_weights,
 )
@@ -129,28 +127,6 @@ class TestWeights:
         assert np.all(w.values[0] == 0.0)
         cell = tg.tau * grid1d.spacing[0]
         np.testing.assert_allclose(w.values[1:], cell, rtol=0, atol=0)
-
-    def test_integrate_is_weighted_sum(self, grid1d, tg):
-        rng = np.random.default_rng(3)
-        v = SpaceTimeField(rng.normal(size=(3, 3)), grid1d, tg)
-        w = quadrature_weights(grid1d, tg)
-        assert integrate(v, w) == float(np.sum(v.values * w.values))
-
-    def test_field_norms_constant(self, grid1d, tg):
-        c = SpaceTimeField(np.full((3, 3), 2.0), grid1d, tg)
-        w = quadrature_weights(grid1d, tg)
-        n = field_norms(c, w)
-        assert n.linf == 2.0
-        assert n.l2 == pytest.approx(2.0, rel=1e-14)
-
-    def test_norms_scale_linearly(self, grid1d, tg):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=(3, 3))
-        w = quadrature_weights(grid1d, tg)
-        n1 = field_norms(SpaceTimeField(vals, grid1d, tg), w)
-        n3 = field_norms(SpaceTimeField(3.0 * vals, grid1d, tg), w)
-        assert n3.linf == pytest.approx(3.0 * n1.linf, rel=1e-14)
-        assert n3.l2 == pytest.approx(3.0 * n1.l2, rel=1e-14)
 
 
 class TestOperator:

@@ -278,6 +278,22 @@ class TestPotentialAudit:
         assert audit.lower == float(np.min(audit.field.values))
         assert audit.upper == float(np.max(audit.field.values))
 
+    def test_a_negative_g_u_is_refused(self):
+        """g = u - 0.5 u^2 - 0.4 at u = 3: g_u = -2 is below gamma2 / 2, however
+        large its size, so both audits that divide by g_u refuse it."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+            "expr = u - 0.4\ndy = 0\ndu = 1\ndyy = 0\ndyu = 0\nduu = 0",
+            "expr = u - 0.5*u^2 - 0.4\ndy = 0\ndu = 1 - u\ndyy = 0\ndyu = 0\nduu = -1")
+        spec = loads(text)
+        g = SpatialGrid(extents=(1.0,), nodes=(9,))
+        tg = TimeGrid(n_levels=5, horizon=1.0)
+        zero = SpaceTimeField.zeros(g, tg)
+        control = SpaceTimeField(np.full((5, 7), 3.0), g, tg)
+        with pytest.raises(HypothesisViolationError, match="g_u = -2.000e"):
+            recover_multiplier_division(spec, zero, control, zero)
+        with pytest.raises(HypothesisViolationError, match="g_u = -2.000e"):
+            h_potential_audit(spec, zero, control)
+
 
 def bracket_width_root(fn, dfn, u0):
     """Reference: the bracket-width-only loop, stopping at 4 eps (1 + |u|)."""

@@ -64,6 +64,21 @@ def unit_step_solver(matrix, linear_solver="auto", rows=1):
 CROSS_DIFFUSION = "\n[a]\na11 = 1 + 0.5*x1\na12 = 0.3*x1*x2\na22 = 1 + x2^2\n"
 
 
+def duality_spec(name, a_section=""):
+    """The built-in ``name`` with f = y^3/3, L = u^2/2 and g = u + y - 0.4.
+
+    Then f'(y) = y^2 and the adjoint source -(L_y + e g_y) is -e, so
+    ``solve_adjoint`` at state y and multiplier -s sweeps the source s under
+    the potential y^2.
+    """
+    maps = ("[f]\nexpr = y^3/3\ndf = y^2\nddf = 2*y\nC_f = 0\n\n"
+            "[L]\nexpr = 0.5*u^2\ndy = 0\ndu = u\ndyy = 0\ndyu = 0\nduu = 1\n\n"
+            "[g]\nexpr = u + y - 0.4\ndy = 1\ndu = 1\ndyy = 0\ndyu = 0\nduu = 0\n\n")
+    text = parakkt.catalog.builtin_problem_text(name)
+    start, end = text.index("[f]"), text.index("[constants]")
+    return loads(text[:start] + maps + text[end:] + a_section)
+
+
 @pytest.fixture(scope="module")
 def mms_spec():
     return parakkt.builtin_problem("mms_cubic_1d")
@@ -182,47 +197,45 @@ class TestLinearizedSolve:
         y, _ = solve_state(linear_spec, rhs)
         np.testing.assert_allclose(lin.values, y.values, atol=1e-12)
 
-    def test_adjoint_operator_transposes_propagation(self, mms_spec):
-        """Forward and adjoint one-step maps are transposes of each other."""
+    def test_adjoint_operator_transposes_propagation(self):
+        """The one-step maps of the forward sweep and of ``solve_adjoint``
+        are transposes of each other."""
+        spec = duality_spec("mms_cubic_1d")
         g = SpatialGrid(extents=(1.0,), nodes=(9,))
         tg = TimeGrid(2, 0.1)
         n = g.n_interior
-        pot = SpaceTimeField.zeros(g, tg)
+        zero = SpaceTimeField.zeros(g, tg)
         fwd = np.empty((n, n))
         adj = np.empty((n, n))
         for j in range(n):
             e = np.zeros((2, n))
             e[1, j] = 1.0
-            rhs = SpaceTimeField(e.copy(), g, tg)
             fwd[:, j] = solve_linear_parabolic(
-                mms_spec, pot, rhs, np.zeros(n)
+                spec, zero, SpaceTimeField(e, g, tg), np.zeros(n)
             ).values[1]
-            adj[:, j] = solve_linear_parabolic(
-                mms_spec, pot, rhs, np.zeros(n), use_adjoint_operator=True
+            adj[:, j] = solve_adjoint(
+                spec, zero, zero, SpaceTimeField(-e, g, tg)
             ).values[1]
         np.testing.assert_allclose(adj, fwd.T, atol=1e-13)
 
 
     @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION])
     def test_adjoint_sweep_transposes_the_forward_sweep_in_2d(self, a_section):
-        """<S r, s> = <r, S* s> for the forward sweep S and the reversed adjoint
-        sweep S*, with a potential that differs on every level."""
-        spec = loads(parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section)
+        """<S r, s> = <r, S* s> for the forward sweep S and the adjoint sweep
+        S* of ``solve_adjoint``, with a potential that differs on every level."""
+        spec = duality_spec("tracking_box_2d", a_section)
         g = SpatialGrid(extents=spec.extents, nodes=(9, 9))
         tg = TimeGrid(9, spec.horizon)
         rng = np.random.default_rng(11)
-        pot = rng.uniform(0.0, 3.0, (tg.n_levels, g.n_interior))
+        y = np.sqrt(rng.uniform(0.0, 3.0, (tg.n_levels, g.n_interior)))
+        pot = spec.nonlinearity.df(y=y)
         r, s = rng.normal(size=(2, tg.n_levels, g.n_interior))
 
         def field(values):
             return SpaceTimeField(values, g, tg)
 
-        def reverse(values):
-            return np.vstack([values[:1], values[:0:-1]])
-
         z = solve_linear_parabolic(spec, field(pot), field(r), 0.0).values
-        p = reverse(solve_linear_parabolic(spec, field(reverse(pot)), field(reverse(s)),
-                                           0.0, use_adjoint_operator=True).values)
+        p = solve_adjoint(spec, field(y), SpaceTimeField.zeros(g, tg), field(-s)).values
         lhs, rhs = np.sum(z[1:] * s[1:]), np.sum(r[1:] * p[1:])
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(z[1:] * s[1:]))
 

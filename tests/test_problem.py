@@ -15,7 +15,6 @@ from parakkt import (
     dumps,
     load_problem,
     loads,
-    save_problem,
     validate_hypotheses,
 )
 from parakkt.exceptions import GrammarError, ProblemIOError
@@ -73,7 +72,7 @@ class TestRoundTrip:
     def test_save_load_file(self, tmp_path):
         spec = builtin_problem("tracking_box_1d")
         path = tmp_path / "prob.ini"
-        save_problem(path, spec)
+        path.write_text(dumps(spec))
         back = load_problem(path)
         assert back.name == spec.name
         assert back.extents == spec.extents
