@@ -30,25 +30,13 @@ expr = 0
 
 [f]
 expr = y^3
-df = 3*y^2
-ddf = 6*y
 C_f = 0
 
 [L]
 expr = 0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2
-dy = y - 0.8*sin(pi*x1)
-du = 0.1*u
-dyy = 1
-dyu = 0
-duu = 0.1
 
 [g]
 expr = u - 0.4
-dy = 0
-du = 1
-dyy = 0
-dyu = 0
-duu = 0
 
 [constants]
 gamma1 = 0.1
@@ -70,25 +58,13 @@ expr = 0
 
 [f]
 expr = y^3
-df = 3*y^2
-ddf = 6*y
 C_f = 0
 
 [L]
 expr = 0.5*(y - 3*sin(pi*x1)*sin(pi*x2))^2 + 0.05*u^2
-dy = y - 3*sin(pi*x1)*sin(pi*x2)
-du = 0.1*u
-dyy = 1
-dyu = 0
-duu = 0.1
 
 [g]
 expr = u - 0.5
-dy = 0
-du = 1
-dyy = 0
-dyu = 0
-duu = 0
 
 [constants]
 gamma1 = 0.1
@@ -109,25 +85,13 @@ expr = 0
 
 [f]
 expr = y^3
-df = 3*y^2
-ddf = 6*y
 C_f = 0
 
 [L]
 expr = 0.5*(y - sin(pi*x1)*(1 + t))^2 + 0.05*u^2
-dy = y - sin(pi*x1)*(1 + t)
-du = 0.1*u
-dyy = 1
-dyu = 0
-duu = 0.1
 
 [g]
 expr = y^4*u^3 + (y^2 + 1)*u
-dy = 4*y^3*u^3 + 2*y*u
-du = 3*y^4*u^2 + y^2 + 1
-dyy = 12*y^2*u^3 + 2*u
-dyu = 12*y^3*u^2 + 2*y
-duu = 6*y^4*u
 
 [constants]
 gamma1 = 0.1
@@ -148,25 +112,13 @@ expr = sin(pi*x1)
 
 [f]
 expr = y^3
-df = 3*y^2
-ddf = 6*y
 C_f = 0
 
 [L]
 expr = 0.5*y^2 + 0.05*u^2
-dy = y
-du = 0.1*u
-dyy = 1
-dyu = 0
-duu = 0.1
 
 [g]
 expr = u - 100
-dy = 0
-du = 1
-dyy = 0
-dyu = 0
-duu = 0
 
 [constants]
 gamma1 = 0.1
@@ -187,25 +139,13 @@ expr = 0
 
 [f]
 expr = y
-df = 1
-ddf = 0
 C_f = 1
 
 [L]
 expr = 0.5*(y - 0.5*sin(pi*x1))^2 + 0.05*u^2
-dy = y - 0.5*sin(pi*x1)
-du = 0.1*u
-dyy = 1
-dyu = 0
-duu = 0.1
 
 [g]
 expr = u - 10
-dy = 0
-du = 1
-dyy = 0
-dyu = 0
-duu = 0
 
 [constants]
 gamma1 = 0.1

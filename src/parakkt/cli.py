@@ -296,7 +296,8 @@ def _add_grid(p):
                    help="step solver; auto: the step matrix picks LAPACK gtsv when "
                    "it is tridiagonal (every 1-D grid), else one SuperLU "
                    "factorization per sweep, refined to rounding; dense: "
-                   "numpy.linalg.solve, an independent reference")
+                   "numpy.linalg.solve, an independent reference for cross-checks, "
+                   "slow unless OPENBLAS_NUM_THREADS=1")
 
 
 def _add_solve(p):

@@ -23,17 +23,24 @@ Compiled expressions evaluate with numpy semantics, so any argument may be a
 scalar or an array and broadcasting applies.  The original source text is
 kept on the compiled object; serializing a compiled expression reproduces
 that text verbatim, which is what makes problem files round-trip exactly.
+
+:func:`derivative` differentiates the parse tree.  It folds constant operands
+and drops the identities 0 and 1 as it builds, so d(u - 0.4)/dy is the literal
+0 and d(0.05*u^2)/du is 0.1*u.  Its trees may hold three nodes the grammar
+does not accept: ``sign`` and ``log`` calls and a selector ("le", a, b, x, z),
+which is x where a <= b and z elsewhere.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
 
 from .exceptions import GrammarError
 
-__all__ = ["ExprFunc", "parse_expression", "SPACE_TIME_VARS"]
+__all__ = ["ExprFunc", "derivative", "parse_expression", "SPACE_TIME_VARS"]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -45,6 +52,9 @@ _TOKEN_RE = re.compile(
 
 _UNARY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+_EVAL1 = {**_UNARY_FUNCS, "sign": np.sign, "log": np.log}
+_EVAL2 = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv, "^": operator.pow, **_BINARY_FUNCS}
 _CONSTANTS = {"pi": np.pi}
 
 
@@ -175,19 +185,12 @@ class _Parser:
 
 
 def _free_vars(node, out):
-    tag = node[0]
-    if tag == "var":
+    if node[0] == "var":
         out.add(node[1])
-    elif tag == "neg":
-        _free_vars(node[1], out)
-    elif tag == "bin":
-        _free_vars(node[2], out)
-        _free_vars(node[3], out)
-    elif tag == "call1":
-        _free_vars(node[2], out)
-    elif tag == "call2":
-        _free_vars(node[2], out)
-        _free_vars(node[3], out)
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            _free_vars(child, out)
+    return out
 
 
 def _compile(node):
@@ -198,52 +201,112 @@ def _compile(node):
     if tag == "var":
         n = node[1]
         return lambda env: env[n]
+    args = [_compile(arg) for arg in node[1:] if isinstance(arg, tuple)]
     if tag == "neg":
-        a = _compile(node[1])
+        a, = args
         return lambda env: -a(env)
-    if tag == "bin":
-        op = node[1]
-        a = _compile(node[2])
-        b = _compile(node[3])
-        if op == "+":
-            return lambda env: a(env) + b(env)
-        if op == "-":
-            return lambda env: a(env) - b(env)
-        if op == "*":
-            return lambda env: a(env) * b(env)
-        if op == "/":
-            return lambda env: a(env) / b(env)
-        return lambda env: a(env) ** b(env)
+    if tag == "le":
+        a, b, x, z = args
+        return lambda env: np.where(a(env) <= b(env), x(env), z(env))
     if tag == "call1":
-        fn = _UNARY_FUNCS[node[1]]
-        a = _compile(node[2])
+        fn, (a,) = _EVAL1[node[1]], args
         return lambda env: fn(a(env))
-    fn = _BINARY_FUNCS[node[1]]
-    a = _compile(node[2])
-    b = _compile(node[3])
+    fn, (a, b) = _EVAL2[node[1]], args
     return lambda env: fn(a(env), b(env))
 
 
 class ExprFunc:
-    """A compiled expression.
+    """A compiled expression and its parse tree.
 
     Call with keyword arguments naming the variables, e.g.
     ``f(x1=xs, t=0.5, y=ys, u=us)``.  Extra keywords are ignored, missing
     ones raise ``KeyError`` only if the expression actually references them.
     """
 
-    __slots__ = ("source", "variables", "_fn")
+    __slots__ = ("source", "tree", "variables", "_fn")
 
-    def __init__(self, source: str, variables: frozenset, fn):
+    def __init__(self, source: str, tree: tuple):
         self.source = source
-        self.variables = variables
-        self._fn = fn
+        self.tree = tree
+        self.variables = frozenset(_free_vars(tree, set()))
+        self._fn = _compile(tree)
 
     def __call__(self, **env):
         return self._fn(env)
 
     def __repr__(self):
         return f"ExprFunc({self.source!r})"
+
+
+ZERO, ONE = ("num", 0.0), ("num", 1.0)
+
+
+def _fold(fn, *values):
+    # numpy scalars give inf or nan where floats raise; + 0.0 turns -0.0 to 0.0.
+    with np.errstate(all="ignore"):
+        return ("num", float(fn(*map(np.float64, values))) + 0.0)
+
+
+def _bin(op, a, b):
+    if a[0] == "num" and b[0] == "num":
+        return _fold(_EVAL2[op], a[1], b[1])
+    if op == "*" and b[0] == "num":
+        a, b = b, a  # IEEE products commute; keep the constant on the left
+    if (op == "+" and a == ZERO) or (op == "*" and a == ONE):
+        return b
+    if (op in "+-" and b == ZERO) or (op in "/^" and b == ONE):
+        return a
+    if op == "-" and a == ZERO:
+        return _bin("*", ("num", -1.0), b)
+    if op in "*/" and a == ZERO:
+        return ZERO
+    if op == "^" and b == ZERO:
+        return ONE
+    if op == "*" and a[0] == "num" and b[:2] == ("bin", "*") and b[2][0] == "num":
+        return _bin("*", _bin("*", a, b[2]), b[3])
+    return ("bin", op, a, b)
+
+
+def _d(node, var):
+    if var not in _free_vars(node, set()):
+        return ZERO
+    tag = node[0]
+    if tag == "var":
+        return ONE
+    if tag == "neg":
+        return _bin("-", ZERO, _d(node[1], var))
+    if tag == "call2":  # min(a, b) selects a where a <= b, max where b <= a
+        _, name, a, b = node
+        node = ("le", a, b, a, b) if name == "min" else ("le", b, a, a, b)
+    if node[0] == "le":
+        x, z = _d(node[3], var), _d(node[4], var)
+        return x if x == z else ("le", node[1], node[2], x, z)
+    if tag == "call1":
+        _, name, a = node
+        outer = {"sin": ("call1", "cos", a), "cos": ("neg", ("call1", "sin", a)),
+                 "exp": node, "abs": ("call1", "sign", a),
+                 "log": ("bin", "/", ONE, a), "sign": ZERO}[name]
+        return _bin("*", outer, _d(a, var))
+    _, op, a, b = node
+    da, db = _d(a, var), _d(b, var)
+    if op in "+-":
+        return _bin(op, da, db)
+    if op == "*":
+        return _bin("+", _bin("*", da, b), _bin("*", a, db))
+    if op == "/":
+        return _bin("-", _bin("/", da, b), _bin("/", _bin("*", a, db), _bin("*", b, b)))
+    # d(a^b) = b a^(b-1) da + a^b log(a) db; a constant b drops the log term.
+    return _bin("+", _bin("*", _bin("*", b, _bin("^", a, _bin("-", b, ONE))), da),
+                _bin("*", _bin("*", node, ("call1", "log", a)), db))
+
+
+def derivative(fn: ExprFunc, var: str) -> ExprFunc:
+    """The partial derivative d fn / d ``var``, differentiated on the tree.
+
+    At a kink ``abs`` takes the derivative 0, and ``min`` and ``max`` take
+    the derivative of their first argument.
+    """
+    return ExprFunc(f"d({fn.source})/d{var}", _d(fn.tree, var))
 
 
 def parse_expression(source: str, allowed, name: str = "expression") -> ExprFunc:
@@ -259,6 +322,4 @@ def parse_expression(source: str, allowed, name: str = "expression") -> ExprFunc
         node = _Parser(tokens, allowed, source).parse()
     except GrammarError as err:
         raise GrammarError(f"{name}: {err}") from None
-    used = set()
-    _free_vars(node, used)
-    return ExprFunc(source.strip(), frozenset(used), _compile(node))
+    return ExprFunc(source.strip(), node)

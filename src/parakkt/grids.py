@@ -60,8 +60,8 @@ class SpatialGrid:
         nodes = tuple(int(n) for n in nodes)
         if len(extents) not in (1, 2) or len(extents) != len(nodes):
             raise ConfigError("grid dimension must be 1 or 2 with matching extents")
-        if any(e <= 0 for e in extents):
-            raise ConfigError("grid extents must be positive")
+        if not all(0 < e < np.inf for e in extents):
+            raise ConfigError("grid extents must be positive and finite")
         if any(n < 3 for n in nodes):
             raise ConfigError("need at least 3 nodes per axis (one interior node)")
         self.dim = len(extents)
@@ -112,8 +112,8 @@ class TimeGrid:
         horizon = float(horizon)
         if n_levels < 2:
             raise ConfigError("need at least 2 time levels")
-        if horizon <= 0:
-            raise ConfigError("time horizon must be positive")
+        if not 0 < horizon < np.inf:
+            raise ConfigError("time horizon must be positive and finite")
         self.n_levels = n_levels
         self.horizon = horizon
         self.tau = horizon / (n_levels - 1)

@@ -2,11 +2,15 @@
 
 Each sweep solves the state forward, the adjoint backward, and then the
 pointwise constrained minimization at every node, which yields both a
-candidate control and a candidate multiplier.  The move toward the candidate
-is a strict descent direction for the reduced objective (strong convexity in
-u guarantees it), so an Armijo backtracking step keeps the sweep globally
-convergent; near the solution the full step is accepted and the iteration
-inherits the contraction of the fixed point.
+candidate control and a candidate multiplier.  The line search descends the
+merit M(u) = J(u) + sum w e g(y(u), u), the pointwise Lagrangian with the
+multiplier e of the sweep frozen: the sweep's adjoint carries e g_y, so its
+gradient L_u - phi + e g_u is the derivative of M, not of J alone, whenever
+g depends on y.  The move toward the candidate is a strict descent direction
+for M (strong convexity in u guarantees it), so an Armijo backtracking step
+keeps the sweep globally convergent; near the solution the full step is
+accepted and the iteration inherits the contraction of the fixed point.  The
+trace reports J.
 
 The objective, the duality pairing, and the directional derivative all use
 the uniform objective weights, under which the backward sweep is the exact
@@ -101,6 +105,20 @@ def reduced_gradient(spec: ProblemSpec, state: SpaceTimeField,
     l_u = eval_scalar_map(spec.cost.du, state.grid, state.timegrid,
                           state.values, control.values)
     return SpaceTimeField(l_u - adjoint.values, state.grid, state.timegrid)
+
+
+def _merit(spec, weights, state, control, objective, multiplier):
+    """J + sum w e g(y, u) at a point whose objective J is known."""
+    g = eval_scalar_map(spec.constraint.eval, state.grid, state.timegrid,
+                        state.values, control.values)
+    return objective + float(np.sum(weights.values * multiplier * g))
+
+
+def _merit_gradient(spec, state, control, adjoint, multiplier):
+    """L_u - phi + e g_u, the derivative of the merit for an adjoint solved with e."""
+    g_u = eval_scalar_map(spec.constraint.du, state.grid, state.timegrid,
+                          state.values, control.values)
+    return reduced_gradient(spec, state, control, adjoint).values + multiplier * g_u
 
 
 def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
@@ -237,8 +255,9 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             continue
 
         direction = u_new - control.values
-        gradient = reduced_gradient(spec, state, control, adjoint).values
+        gradient = _merit_gradient(spec, state, control, adjoint, e_values)
         slope = float(np.sum(w.values * gradient * direction))
+        merit = _merit(spec, w, state, control, objective, e_values)
         step = 1.0
         accepted = None
         fallback = None
@@ -251,10 +270,11 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 # A trial whose state solve fails is a rejected step.
                 step *= _BACKTRACK_FACTOR
                 continue
-            if slope < 0 and trial[2] <= objective + _ARMIJO_C1 * step * slope:
+            trial_merit = _merit(spec, w, trial[1], trial[0], trial[2], e_values)
+            if slope < 0 and trial_merit <= merit + _ARMIJO_C1 * step * slope:
                 accepted = (step, trial)
                 break
-            if fallback is None and trial[2] <= objective + 1e-14 * (1 + abs(objective)):
+            if fallback is None and trial_merit <= merit + 1e-14 * (1 + abs(merit)):
                 fallback = (step, trial)
             step *= _BACKTRACK_FACTOR
         if accepted is None:
@@ -263,7 +283,7 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             trace.append(it, objective, 0.0, stat, comp, feas, active)
             trace.message = (
                 f"line search failed at iteration {it}; no step reduced the "
-                "objective"
+                "merit"
             )
             break
         step, (control, state, objective, boundary) = accepted

@@ -73,8 +73,10 @@ class ProblemSpec:
             raise ConfigError("problem dimension must be 1 or 2")
         if len(self.extents) != self.dim:
             raise ConfigError("extents do not match the problem dimension")
-        if self.horizon <= 0:
-            raise ConfigError("time horizon must be positive")
+        if not all(0 < e < np.inf for e in self.extents):
+            raise ConfigError("extents must be positive and finite")
+        if not 0 < self.horizon < np.inf:
+            raise ConfigError("time horizon must be positive and finite")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ConfigError("gamma1 and gamma2 must be positive")
 

@@ -1,12 +1,14 @@
 """Problem files: an INI dialect read with configparser.
 
 Sections: ``[problem]`` (name), ``[domain]`` (dim, extent1[, extent2], T),
-``[y0]`` (expr), ``[f]`` (expr, df, ddf, C_f), ``[L]`` and ``[g]`` (expr,
-dy, du, dyy, dyu, duu), optional ``[a]`` (a11[, a12, a22]), and
-``[constants]`` (gamma1, gamma2).  All scalar maps are expressions in the
-mini-language of :mod:`parakkt.expressions`; saving a loaded problem emits
-the expression sources verbatim, so files survive a round trip unchanged
-once they are in canonical section order.
+``[y0]`` (expr), ``[f]`` (expr, C_f), ``[L]`` and ``[g]`` (expr), optional
+``[a]`` (a11[, a12, a22]), and ``[constants]`` (gamma1, gamma2).  All scalar
+maps are expressions in the mini-language of :mod:`parakkt.expressions`.
+The derivatives f', f'' and the first and second derivatives of L and g in
+(y, u) are derived from ``expr``; a key that still states one (``[f] df``,
+``[L] dyu``, ...) must match it on a fixed Halton sample of the cylinder.
+Saving a loaded problem emits one ``expr`` per map, verbatim, so files
+survive a round trip unchanged once they are in canonical form.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import configparser
 import io
 
+import numpy as np
+
 from .exceptions import ProblemIOError
-from .expressions import SPACE_TIME_VARS, parse_expression
-from .problem import Nonlinearity, ProblemSpec, ScalarMap2
+from .expressions import SPACE_TIME_VARS, derivative, parse_expression
+from .problem import (Nonlinearity, ProblemSpec, ScalarMap2, _fmt_point,
+                      _map_env, _sample_box, eval_broadcast)
 
 __all__ = ["load_problem", "loads", "dumps"]
-
-_MAP_KEYS = ("expr", "dy", "du", "dyy", "dyu", "duu")
 
 
 def _parser():
@@ -77,18 +80,16 @@ def loads(text: str, source: str = "<string>") -> ProblemSpec:
         )
 
     initial_state = expr("y0", "expr", x_vars)
-    nonlin = Nonlinearity(
-        f=expr("f", "expr", ("y",)),
-        df=expr("f", "df", ("y",)),
-        ddf=expr("f", "ddf", ("y",)),
-        lower_slope=_float(cp, "f", "C_f", source),
-    )
+    f = expr("f", "expr", ("y",))
+    df = derivative(f, "y")
+    nonlin = Nonlinearity(f=f, df=df, ddf=derivative(df, "y"),
+                          lower_slope=_float(cp, "f", "C_f", source))
 
     def scalar_map(section):
-        keys = dict(zip(_MAP_KEYS, ("eval", "dy", "du", "dyy", "dyu", "duu")))
-        return ScalarMap2(**{
-            slot: expr(section, key, full_vars) for key, slot in keys.items()
-        })
+        val = expr(section, "expr", full_vars)
+        dy, du = derivative(val, "y"), derivative(val, "u")
+        return ScalarMap2(eval=val, dy=dy, du=du, dyy=derivative(dy, "y"),
+                          dyu=derivative(dy, "u"), duu=derivative(du, "u"))
 
     cost = scalar_map("L")
     constraint = scalar_map("g")
@@ -113,7 +114,7 @@ def loads(text: str, source: str = "<string>") -> ProblemSpec:
     if gamma1 <= 0 or gamma2 <= 0:
         raise ProblemIOError(f"{source}: gamma1 and gamma2 must be positive")
 
-    return ProblemSpec(
+    spec = ProblemSpec(
         name=name,
         dim=dim,
         extents=tuple(extents),
@@ -126,6 +127,24 @@ def loads(text: str, source: str = "<string>") -> ProblemSpec:
         gamma2=gamma2,
         diffusion=diffusion,
     )
+    # A stated derivative key is outside input: it must equal the derived map
+    # on a fixed sample, up to the rounding of an equal but reordered formula.
+    pts = _sample_box(dim, spec.extents, spec.horizon, (-2.0, 2.0), (-2.0, 2.0), 64)
+    env = _map_env(dim, pts)
+    for section, key, derived in [("f", "df", df), ("f", "ddf", nonlin.ddf)] + [
+            (section, key, getattr(m, key)) for section, m in (("L", cost), ("g", constraint))
+            for key in ("dy", "du", "dyy", "dyu", "duu")]:
+        if cp.has_option(section, key):
+            with np.errstate(all="ignore"):
+                a, b = (eval_broadcast(fn, (len(pts),), **env)
+                        for fn in (expr(section, key, full_vars), derived))
+            off = ~np.isclose(a, b, rtol=1e-9, atol=1e-9, equal_nan=True)
+            if off.any():
+                i = int(np.argmax(off))
+                raise ProblemIOError(
+                    f"{source}: [{section}] {key} is not the derivative of [{section}] "
+                    f"expr: {a[i]:.6g} against {b[i]:.6g} at {_fmt_point(pts[i])}")
+    return spec
 
 
 def load_problem(path) -> ProblemSpec:
@@ -146,6 +165,11 @@ def _source_of(fn, what):
     return src
 
 
+def _num(value):
+    # The shortest text that reads back as the same float: 0.1, not 0.1...01.
+    return repr(float(value)).removesuffix(".0")
+
+
 def dumps(spec: ProblemSpec) -> str:
     """Canonical text form of a problem; inverse of :func:`loads`."""
     out = io.StringIO()
@@ -157,24 +181,18 @@ def dumps(spec: ProblemSpec) -> str:
         out.write("\n")
 
     section("problem", [("name", spec.name)])
-    dom = [("dim", spec.dim), ("extent1", "%.17g" % spec.extents[0])]
+    dom = [("dim", spec.dim), ("extent1", _num(spec.extents[0]))]
     if spec.dim == 2:
-        dom.append(("extent2", "%.17g" % spec.extents[1]))
-    dom.append(("T", "%.17g" % spec.horizon))
+        dom.append(("extent2", _num(spec.extents[1])))
+    dom.append(("T", _num(spec.horizon)))
     section("domain", dom)
     section("y0", [("expr", _source_of(spec.initial_state, "y0"))])
     section("f", [
         ("expr", _source_of(spec.nonlinearity.f, "f")),
-        ("df", _source_of(spec.nonlinearity.df, "f.df")),
-        ("ddf", _source_of(spec.nonlinearity.ddf, "f.ddf")),
-        ("C_f", "%.17g" % spec.nonlinearity.lower_slope),
+        ("C_f", _num(spec.nonlinearity.lower_slope)),
     ])
-    for title, m in (("L", spec.cost), ("g", spec.constraint)):
-        slots = ("eval", "dy", "du", "dyy", "dyu", "duu")
-        section(title, [
-            (key, _source_of(getattr(m, slot), f"{title}.{key}"))
-            for key, slot in zip(_MAP_KEYS, slots)
-        ])
+    section("L", [("expr", _source_of(spec.cost.eval, "L"))])
+    section("g", [("expr", _source_of(spec.constraint.eval, "g"))])
     if spec.diffusion is not None:
         pairs = [("a11", _source_of(spec.diffusion[0][0], "a11"))]
         if spec.dim == 2:
@@ -183,7 +201,7 @@ def dumps(spec: ProblemSpec) -> str:
             pairs.append(("a22", _source_of(spec.diffusion[1][1], "a22")))
         section("a", pairs)
     section("constants", [
-        ("gamma1", "%.17g" % spec.gamma1),
-        ("gamma2", "%.17g" % spec.gamma2),
+        ("gamma1", _num(spec.gamma1)),
+        ("gamma2", _num(spec.gamma2)),
     ])
     return out.getvalue().rstrip("\n") + "\n"

@@ -20,18 +20,17 @@ settings.load_profile("suite")
 ACCEPTANCE_LINES = []
 
 
-def tracking_with_constraint(expr, dy, dyy="0"):
-    """tracking_box_1d with the constraint g = ``expr`` (g_u = 1, g_yu = g_uu
-    = 0) in place of u - 0.4."""
-    box = "expr = u - 0.4\ndy = 0\ndu = 1\ndyy = 0\n"
+def tracking_with_constraint(expr):
+    """tracking_box_1d with the constraint g = ``expr`` in place of u - 0.4."""
+    box = "expr = u - 0.4\n"
     text = builtin_problem_text("tracking_box_1d")
     assert box in text
-    return text.replace(box, f"expr = {expr}\ndy = {dy}\ndu = 1\ndyy = {dyy}\n")
+    return text.replace(box, f"expr = {expr}\n")
 
 
 # g_y = 0.5: the mixed constraint whose critical directions need the reduced
 # potential f'(y) + g_y/g_u to be exactly tangent.
-SLOPED_TEXT = tracking_with_constraint("u + 0.5*y - 0.4", "0.5")
+SLOPED_TEXT = tracking_with_constraint("u + 0.5*y - 0.4")
 
 
 def solve_builtin(name, nodes, n_levels, tol):

@@ -158,6 +158,22 @@ class TestSolve:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("nx, nt", [(5, 5), (33, 65)])
+    def test_a_doubled_cost_derivative_is_refused(self, tmp_path, capsys, nx, nt):
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+            "expr = 0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2\n",
+            "expr = 0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2\ndy = 2*(y - 0.8*sin(pi*x1))\n")
+        bad = tmp_path / "doubled.ini"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        rc = run("solve", "--problem-file", bad, "--nx", nx, "--nt", nt, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error kind=config exit=2 msg=")
+        assert "[L] dy is not the derivative of [L] expr" in err[-1]
+        assert not out.exists()
+
+
 class TestCheckKKT:
     def test_roundtrip(self, solved_dir, tmp_path):
         rc = run(
@@ -213,6 +229,23 @@ class TestCheckKKT:
         assert not out.exists()
 
 
+    def test_a_nan_geometry_line_names_the_real_fault(self, solved_dir, tmp_path, capsys):
+        """All four files agree on the broken line, so no layout differs."""
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("y", "u", "phi", "e"):
+            lines = (solved_dir / f"{name}.field").read_text().splitlines()
+            lines[2] = "nan 1"
+            (broken / f"{name}.field").write_text("\n".join(lines) + "\n")
+        rc = run("check-kkt", "--problem", "tracking_box_1d",
+                 "--point", broken, "--out", tmp_path / "out")
+        assert rc == 5
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=io exit=5 msg=")
+        assert "extents must be positive and finite" in first
+        assert "layout differs" not in first
+
+
 class TestValidate:
     def test_catalog_problem_passes(self, tmp_path):
         rc = run("validate", "--problem", "tracking_box_1d", "--out", tmp_path)
@@ -221,7 +254,7 @@ class TestValidate:
 
     def test_degenerate_problem_fails(self, tmp_path, capsys):
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
-            "duu = 0.1", "duu = 0"
+            "0.05*u^2", "0*u^2"
         )
         bad = tmp_path / "flat.ini"
         bad.write_text(text)

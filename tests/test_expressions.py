@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from parakkt import parse_expression
+from parakkt.expressions import derivative
 from parakkt.exceptions import GrammarError
 
 
@@ -110,3 +111,103 @@ def test_matches_python_arithmetic(a, b):
 def test_power_matches_python(x):
     fn = parse_expression("x1^3", ("x1",))
     assert fn(x1=x) == pytest.approx(x**3, rel=1e-14)
+
+
+def tree(source, allowed=("x1", "t", "y", "u")):
+    return parse_expression(source, allowed).tree
+
+
+def d(source, var, allowed=("x1", "t", "y", "u")):
+    return derivative(parse_expression(source, allowed), var)
+
+
+def central(fn, env, var, h=1e-6):
+    up, down = dict(env), dict(env)
+    up[var] += h
+    down[var] -= h
+    return (fn(**up) - fn(**down)) / (2 * h)
+
+
+class TestDerivative:
+    def test_a_box_constraint_has_the_literal_zero_y_derivative(self):
+        dg = d("u - 0.4", "y")
+        assert dg.tree == ("num", 0.0)
+        assert math.copysign(1.0, dg.tree[1]) == 1.0
+        assert d("u - 0.4", "u").tree == ("num", 1.0)
+
+    @pytest.mark.parametrize("source, var, expected", [
+        ("y^3", "y", "3*y^2"),
+        ("0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2", "y", "y - 0.8*sin(pi*x1)"),
+        ("0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2", "u", "0.1*u"),
+        ("u + 0.25*y^3 - 0.4", "y", "0.75*y^2"),
+    ])
+    def test_folded_trees_equal_the_hand_written_ones(self, source, var, expected):
+        assert d(source, var).tree == tree(expected)
+
+    def test_negation_folds_into_the_constant_factor(self):
+        assert d("-u", "u").tree == ("num", -1.0)
+        assert d("-(y^2) + u", "y").tree == ("bin", "*", ("num", -2.0), ("var", "y"))
+
+    def test_second_derivatives_fold_to_constants(self):
+        dy = d("0.5*(y - 0.8*sin(pi*x1))^2 + 0.05*u^2", "y")
+        assert derivative(dy, "y").tree == ("num", 1.0)
+        assert derivative(dy, "u").tree == ("num", 0.0)
+        assert derivative(d("y^3", "y"), "y").tree == tree("6*y")
+
+    @pytest.mark.parametrize("source, y, u", [
+        ("abs(y)", 0.7, 0.0), ("abs(y)", -0.7, 0.0), ("abs(y*u - 1)", 0.3, 0.9),
+        ("min(y, u)", 0.3, 0.5), ("min(y, u)", 0.5, 0.3),
+        ("max(y, u^2)", 0.3, 0.9), ("max(y, u^2)", 0.9, 0.3),
+        ("y^u", 1.3, 0.7), ("2^(y*u)", 0.4, -1.1), ("(1 + y^2)^sin(u)", -0.6, 0.8),
+    ])
+    def test_kinked_and_variable_exponent_maps_away_from_kinks(self, source, y, u):
+        fn = parse_expression(source, ("y", "u"))
+        env = {"y": y, "u": u}
+        for var in ("y", "u"):
+            assert float(derivative(fn, var)(**env)) == pytest.approx(
+                central(fn, env, var), rel=1e-7, abs=1e-9)
+
+    def test_at_a_kink_the_first_argument_wins(self):
+        env = {"y": 0.5, "u": 0.5}
+        assert float(d("abs(y - u)", "y")(**env)) == 0.0
+        for name in ("min", "max"):
+            assert float(d(f"{name}(y, u)", "y")(**env)) == 1.0
+            assert float(d(f"{name}(y, u)", "u")(**env)) == 0.0
+
+    @pytest.mark.parametrize("name", ["sign", "log"])
+    def test_internal_nodes_are_not_in_the_grammar(self, name):
+        with pytest.raises(GrammarError, match=f"unknown function '{name}'"):
+            parse_expression(f"{name}(y)", ("y",))
+
+
+def _grammar():
+    leaves = st.one_of(
+        st.sampled_from(["y", "u"]),
+        st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: f"({c!r})"),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            # The denominator stays at least 1, so the quotient rule is
+            # exercised with a varying divisor but no pole.
+            st.tuples(inner, inner).map(lambda t: f"({t[0]} / (1 + ({t[1]})^2))"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@given(source=_grammar(), y=st.floats(-1.0, 1.0), u=st.floats(-1.0, 1.0))
+def test_derivatives_match_central_differences(source, y, u):
+    """First derivatives in y and u, and the mixed second derivative."""
+    fn = parse_expression(source, ("y", "u"))
+    env = {"y": y, "u": u}
+    for first in ("y", "u"):
+        dfn = derivative(fn, first)
+        for target, var in ((fn, first), (dfn, "u")):
+            assert float(derivative(target, var)(**env)) == pytest.approx(
+                central(target, env, var), rel=1e-6, abs=1e-6)

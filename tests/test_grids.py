@@ -56,6 +56,9 @@ class TestSpatialGrid:
             ((-1.0,), (5,), "extents must be positive"),
             ((1.0,), (2,), "at least 3 nodes"),
             ((1.0, 1.0), (5,), "matching extents"),
+            ((np.nan,), (5,), "extents must be positive and finite"),
+            ((np.inf,), (5,), "extents must be positive and finite"),
+            ((1.0, np.nan), (5, 5), "extents must be positive and finite"),
         ],
     )
     def test_rejects_bad_construction(self, extents, nodes, msg):
@@ -77,6 +80,9 @@ class TestTimeGrid:
             TimeGrid(n_levels=1, horizon=1.0)
         with pytest.raises(ConfigError, match="horizon must be positive"):
             TimeGrid(n_levels=5, horizon=-1.0)
+        for horizon in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+                TimeGrid(n_levels=5, horizon=horizon)
 
 
 class TestSpaceTimeField:

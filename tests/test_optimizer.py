@@ -15,8 +15,11 @@ from parakkt import (
     strongly_active,
 )
 from parakkt.exceptions import SolveError
+from parakkt.grids import SpaceTimeField, objective_weights
 from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field
-from parakkt.optimizer import TRACE_HEADER, _restored_trial
+from parakkt.optimizer import (TRACE_HEADER, _merit, _merit_gradient, _restored_trial,
+                               discrete_objective, reduced_gradient)
+from parakkt.parabolic import solve_adjoint, solve_state
 
 from conftest import tracking_with_constraint
 
@@ -181,8 +184,7 @@ class TestCertificateRecomputation:
     def mixed_point(self):
         """Tracking cost under the mixed constraint u + 0.25 y^3 - 0.4 <= 0."""
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
-            "expr = u - 0.4\ndy = 0\ndu = 1\ndyy = 0",
-            "expr = u + 0.25*y^3 - 0.4\ndy = 0.75*y^2\ndu = 1\ndyy = 1.5*y",
+            "expr = u - 0.4", "expr = u + 0.25*y^3 - 0.4"
         )
         spec = loads(text)
         grid = SpatialGrid(extents=spec.extents, nodes=(33,))
@@ -206,6 +208,54 @@ class TestCertificateRecomputation:
         with pytest.raises(SolveError, match="did not settle"):
             recompute_certificate(spec, point.state, point.control,
                                   max_sweeps=max_sweeps)
+
+
+class TestMerit:
+    """The line search descends M = J + sum w e g with the multiplier frozen."""
+
+    def test_slope_is_the_derivative_of_the_merit(self):
+        spec = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4"))
+        grid = SpatialGrid(extents=spec.extents, nodes=(9,))
+        timegrid = TimeGrid(n_levels=9, horizon=spec.horizon)
+        w = objective_weights(grid, timegrid)
+        rng = np.random.default_rng(3)
+        shape = (timegrid.n_levels, grid.n_interior)
+        u = SpaceTimeField(1.5 + rng.normal(size=shape), grid, timegrid)
+        e = rng.uniform(0.0, 0.5, size=shape)
+        direction = rng.normal(size=shape)
+
+        def merit(step):
+            v = SpaceTimeField(u.values + step * direction, grid, timegrid)
+            y = solve_state(spec, v)[0]
+            return _merit(spec, w, y, v, discrete_objective(spec, y, v), e)
+
+        y = solve_state(spec, u)[0]
+        adjoint = solve_adjoint(spec, y, u, SpaceTimeField(e, grid, timegrid))
+        gradient = _merit_gradient(spec, y, u, adjoint, e)
+        slope = float(np.sum(w.values * gradient * direction))
+        h = 1e-6
+        fd = (merit(h) - merit(-h)) / (2 * h)
+        assert slope == pytest.approx(fd, rel=1e-7)
+        # The gradient of J alone misses e g_u and is not the merit's slope.
+        j_slope = float(np.sum(w.values * reduced_gradient(spec, y, u, adjoint).values
+                               * direction))
+        assert abs(j_slope - fd) > 1e-2 * abs(fd)
+
+    @pytest.mark.parametrize("a, c, b, nodes, levels, cap", [
+        (0.81, 0.25, 0.39, 33, 65, 10),
+        (0.77, 0.36, 0.36, 33, 65, 10),
+        (0.8, 0.4, 0.4, 33, 65, 10),
+        (0.8, 0.25, 0.4, 5, 5, 15),
+    ])
+    def test_mixed_constraints_converge_without_stalling(self, a, c, b, nodes, levels, cap):
+        text = tracking_with_constraint(f"u + {c}*y^3 - {b}").replace(
+            "0.8*sin(pi*x1)", f"{a}*sin(pi*x1)")
+        spec = loads(text)
+        grid = SpatialGrid(extents=spec.extents, nodes=(nodes,))
+        timegrid = TimeGrid(n_levels=levels, horizon=spec.horizon)
+        _, trace, report = solve_ocp(spec, grid, timegrid, OptimizerOptions(tol_kkt=1e-8))
+        assert trace.converged and report.kkt_error <= 1e-8
+        assert len(trace.rows) <= cap
 
 
 class TestLineSearchFailures:
@@ -325,8 +375,7 @@ class TestBoundaryReuse:
     def test_restored_rows_carry_the_boundary_of_their_state(self, monkeypatch):
         from parakkt import optimizer
 
-        spec = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4",
-                                              "0.75*y^2", "1.5*y"))
+        spec = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4"))
         grid = SpatialGrid(extents=spec.extents, nodes=(17,))
         timegrid = TimeGrid(n_levels=33, horizon=spec.horizon)
         passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")

@@ -71,9 +71,9 @@ def duality_spec(name, a_section=""):
     ``solve_adjoint`` at state y and multiplier -s sweeps the source s under
     the potential y^2.
     """
-    maps = ("[f]\nexpr = y^3/3\ndf = y^2\nddf = 2*y\nC_f = 0\n\n"
-            "[L]\nexpr = 0.5*u^2\ndy = 0\ndu = u\ndyy = 0\ndyu = 0\nduu = 1\n\n"
-            "[g]\nexpr = u + y - 0.4\ndy = 1\ndu = 1\ndyy = 0\ndyu = 0\nduu = 0\n\n")
+    maps = ("[f]\nexpr = y^3/3\nC_f = 0\n\n"
+            "[L]\nexpr = 0.5*u^2\n\n"
+            "[g]\nexpr = u + y - 0.4\n\n")
     text = parakkt.catalog.builtin_problem_text(name)
     start, end = text.index("[f]"), text.index("[constants]")
     return loads(text[:start] + maps + text[end:] + a_section)
@@ -191,7 +191,7 @@ class TestLinearizedSolve:
             mms_spec, pot, rhs, np.zeros(g.n_interior)
         )
         text = parakkt.catalog.builtin_problem_text("mms_cubic_1d").replace(
-            "expr = y^3\ndf = 3*y^2\nddf = 6*y", "expr = 0\ndf = 0\nddf = 0"
+            "expr = y^3", "expr = 0"
         ).replace("expr = sin(pi*x1)", "expr = 0")
         linear_spec = loads(text)
         y, _ = solve_state(linear_spec, rhs)
@@ -460,8 +460,7 @@ class TestFailureModes:
         name, slope, nodes = {1: ("tracking_box_1d", 9, (3,)),
                               2: ("tracking_box_2d", 18, (4, 4))}[dim]
         text = parakkt.catalog.builtin_problem_text(name).replace(
-            "expr = y^3\ndf = 3*y^2\nddf = 6*y\nC_f = 0",
-            f"expr = 0 - {slope}*y\ndf = -{slope}\nddf = 0\nC_f = -{slope}",
+            "expr = y^3\nC_f = 0", f"expr = 0 - {slope}*y\nC_f = -{slope}",
         ).replace("extent1 = 1\nextent2 = 1", "extent1 = 1.5\nextent2 = 1.5")
         spec = loads(text)
         g = SpatialGrid(extents=spec.extents, nodes=nodes)

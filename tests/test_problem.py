@@ -1,5 +1,7 @@
 """Problem files, the built-in catalog, and hypothesis validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,8 @@ from parakkt import (
     loads,
     validate_hypotheses,
 )
-from parakkt.exceptions import GrammarError, ProblemIOError
+from parakkt.catalog import builtin_problem_text
+from parakkt.exceptions import ConfigError, GrammarError, ProblemIOError
 from parakkt.expressions import SPACE_TIME_VARS, parse_expression
 from parakkt.problem import _sample_box, eval_broadcast, eval_scalar_map
 
@@ -90,6 +93,84 @@ class TestRoundTrip:
         np.testing.assert_array_equal(a, b)
 
 
+def with_keys(name, keys):
+    """The catalog text of ``name`` with derivative keys written after the
+    ``expr`` line of each section in ``keys`` ({section: "key = ...\n..."})."""
+    text = builtin_problem_text(name)
+    for section, lines in keys.items():
+        head = text.index(f"[{section}]\n")
+        end = text.index("\n", text.index("expr = ", head)) + 1
+        text = text[:end] + lines + text[end:]
+    return text
+
+
+TRACKING_KEYS = {
+    "f": "df = 3*y^2\nddf = 6*y\n",
+    "L": "dy = y - 0.8*sin(pi*x1)\ndu = 0.1*u\ndyy = 1\ndyu = 0\nduu = 0.1\n",
+    "g": "dy = 0\ndu = 1\ndyy = 0\ndyu = 0\nduu = 0\n",
+}
+EXAMPLE31_KEYS = {
+    "g": ("dy = 4*y^3*u^3 + 2*y*u\ndu = 3*y^4*u^2 + y^2 + 1\n"
+          "dyy = 12*y^2*u^3 + 2*u\ndyu = 12*y^3*u^2 + 2*y\nduu = 6*y^4*u\n"),
+}
+SLOTS = ("eval", "dy", "du", "dyy", "dyu", "duu")
+
+
+class TestDerivedMaps:
+    """Derivatives come from ``expr``; a stated key is checked, not used."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_carries_no_derivative_key(self, name):
+        keys = {line.split(" = ")[0] for line in builtin_problem_text(name).splitlines()}
+        assert not keys & {"df", "ddf", "dy", "du", "dyy", "dyu", "duu"}
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_text_round_trips(self, name):
+        text = builtin_problem_text(name)
+        assert dumps(loads(text)) == text
+
+    @pytest.mark.parametrize("name, keys", [("tracking_box_1d", TRACKING_KEYS),
+                                            ("example31_poly", EXAMPLE31_KEYS)])
+    def test_correct_keys_load_to_the_same_problem(self, name, keys):
+        keyed, plain = loads(with_keys(name, keys)), builtin_problem(name)
+        for a, b in ((keyed.cost, plain.cost), (keyed.constraint, plain.constraint)):
+            assert [getattr(a, k).tree for k in SLOTS] == [getattr(b, k).tree for k in SLOTS]
+        assert keyed.nonlinearity.ddf.tree == plain.nonlinearity.ddf.tree
+        assert dumps(keyed) == dumps(plain)
+        grid, timegrid = SpatialGrid(keyed.extents, (9,)), TimeGrid(9, keyed.horizon)
+        fields = [parakkt.solve_ocp(spec, grid, timegrid)[0] for spec in (keyed, plain)]
+        for k in ("state", "control", "adjoint", "multiplier"):
+            np.testing.assert_array_equal(*(getattr(p, k).values for p in fields))
+
+    @pytest.mark.parametrize("section, line", [
+        ("L", "dy = 2*(y - 0.8*sin(pi*x1))"),
+        ("L", "duu = 0.2"),
+        ("f", "ddf = 6*y + 1e-6"),
+        ("g", "du = 1 + 0*u + 1e-3*y"),
+        ("g", "dyu = 1"),
+    ])
+    def test_a_wrong_key_is_refused_by_name(self, section, line):
+        key = line.split(" = ")[0]
+        text = with_keys("tracking_box_1d", {section: line + "\n"})
+        with pytest.raises(ProblemIOError, match=rf"\[{section}\] {key} is not the derivative"):
+            loads(text)
+
+    @pytest.mark.parametrize("old, new", [("extent1 = 1", "extent1 = nan"),
+                                          ("T = 1", "T = inf"), ("T = 1", "T = nan")])
+    def test_a_non_finite_domain_is_refused_before_the_key_check(self, old, new):
+        text = with_keys("tracking_box_1d", TRACKING_KEYS).replace(old, new)
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            loads(text)
+
+    @pytest.mark.parametrize("field, value", [("extents", (float("nan"),)),
+                                              ("extents", (float("inf"),)),
+                                              ("horizon", float("inf")),
+                                              ("horizon", float("nan"))])
+    def test_problem_spec_refuses_non_finite_geometry(self, field, value):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            dataclasses.replace(builtin_problem("tracking_box_1d"), **{field: value})
+
+
 class TestParsingErrors:
     def test_missing_section(self):
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d")
@@ -112,7 +193,7 @@ class TestParsingErrors:
 
 
 class TestDerivativeConsistency:
-    """The declared derivative fields must match the value expressions."""
+    """The derived derivative fields must match the value expressions."""
 
     @pytest.mark.parametrize("name", CATALOG)
     @given(
@@ -157,7 +238,7 @@ class TestHypothesisValidation:
 
     def test_flat_control_cost_fails_convexity(self):
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
-            "duu = 0.1", "duu = 0"
+            "0.05*u^2", "0*u^2"
         )
         rep = validate_hypotheses(loads(text), (-1, 1), (-1, 1), n_samples=128)
         assert not rep.pass_strong_convexity
