@@ -196,7 +196,7 @@ def _free_vars(node, out):
 def _compile(node):
     tag = node[0]
     if tag == "num":
-        v = node[1]
+        v = np.float64(node[1])   # 1/0 gives inf where a Python float raises
         return lambda env: v
     if tag == "var":
         n = node[1]

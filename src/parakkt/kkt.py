@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AuditError, ConfigError, HypothesisViolationError, SolveError
-from .grids import SpaceTimeField, SpatialGrid, TimeGrid, assemble_operator
-from .parabolic import forward_residual, sample_initial_state
+from .grids import SpaceTimeField, SpatialGrid, TimeGrid
+from .parabolic import forward_residual, sample_initial_state, step_operator, step_scope
 from .problem import ProblemSpec, cylinder_env, eval_broadcast, eval_scalar_map
 
 __all__ = [
@@ -367,6 +367,7 @@ def _pointwise_residuals(spec: ProblemSpec, grid: SpatialGrid,
     return stat, comp, sign, feas
 
 
+@step_scope()
 def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     """Recompute all first-order residuals of a quadruple from scratch."""
     state, control = point.state, point.control
@@ -377,7 +378,7 @@ def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     stat, comp, sign, feas = _pointwise_residuals(spec, grid, timegrid, y, u,
                                                   phi, e)
 
-    A = assemble_operator(spec, grid)
+    A = step_operator(spec, grid)
     f_y = eval_broadcast(spec.nonlinearity.f, y.shape, y=y)
     state_res = forward_residual(A, tau, y, f_y, u,
                                  sample_initial_state(spec, grid))
@@ -387,7 +388,7 @@ def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, y, u)
     fp = eval_broadcast(spec.nonlinearity.df, y.shape, y=y)
     ahead = np.vstack([phi[1:], np.zeros((1, grid.n_interior))])
-    r = phi / tau + (A.T.tocsr() @ phi.T).T + fp * phi - ahead / tau \
-        + (l_y + e * g_y)
+    a_t = step_operator(spec, grid, transposed=True)
+    r = phi / tau + (a_t @ phi.T).T + fp * phi - ahead / tau + (l_y + e * g_y)
     adj_res = float(np.max(np.abs(r)))
     return ResidualReport(stat, comp, sign, feas, adj_res, state_res)

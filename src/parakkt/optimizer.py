@@ -36,7 +36,7 @@ from .kkt import (
     control_update_field,
     kkt_residuals,
 )
-from .parabolic import SolverOptions, solve_adjoint, solve_state
+from .parabolic import SolverOptions, solve_adjoint, solve_state, step_scope
 from .problem import ProblemSpec, eval_scalar_map
 
 __all__ = [
@@ -121,6 +121,7 @@ def _merit_gradient(spec, state, control, adjoint, multiplier):
     return reduced_gradient(spec, state, control, adjoint).values + multiplier * g_u
 
 
+@step_scope()
 def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
                           control: SpaceTimeField,
                           solver: SolverOptions | None = None,
@@ -196,6 +197,7 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
             for c, y, b in zip(controls, states, boundaries)]
 
 
+@step_scope()
 def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
               options: OptimizerOptions | None = None):
     """Solve the control problem on the given grids.

@@ -8,7 +8,8 @@ the objective weight of a single node, must then agree with the adjoint and
 multiplier fields of the PDE-side solver; that agreement is the strongest
 correctness check the package has.  Only the spatial operator and the initial
 state are taken from the PDE side; the stepping is restated here.  Each
-instance builds its equality Jacobian once and refreshes only its values.
+instance builds its equality Jacobian once and refreshes only its values,
+and the solver does the same with the KKT matrix of each working set.
 """
 
 from __future__ import annotations
@@ -302,6 +303,34 @@ def _complementarity(mu, gin):
     return float(np.max(np.abs(mu * gin), initial=0.0))
 
 
+class _WorkingSetKKT:
+    """The KKT matrix [[H, J^T], [J, 0]] of one working set W, J = [F'; G'[W]],
+    entry for entry the CSC matrix ``sp.bmat`` builds.  Its pattern, and
+    where each entry of H, F' and G' goes in it, come from one ``sp.bmat``
+    call on the blocks numbered entry by entry; they are found again only
+    when a block's pattern changes, and every other call gathers values."""
+
+    def __init__(self, working: np.ndarray):
+        self.working, self.patterns = working, None
+
+    def __call__(self, h, jf, jg) -> sp.csc_matrix:
+        blocks = [sp.csr_matrix(b) for b in (h, jf, jg)]
+        for b in blocks:
+            b.sum_duplicates()      # one number per entry
+        patterns = [a for b in blocks for a in (b.indptr, b.indices)]
+        if self.patterns is None or not all(map(np.array_equal, patterns, self.patterns)):
+            ends = np.cumsum([b.nnz for b in blocks])
+            h, jf, jg = (sp.csr_matrix((np.arange(end - b.nnz, end) + 1.0, b.indices, b.indptr),
+                                       shape=b.shape) for b, end in zip(blocks, ends))
+            jall = sp.vstack([jf, jg[self.working]], format="csr")
+            self.patterns = patterns
+            self.numbered = sp.bmat([[h, jall.T], [jall, None]], format="csc")
+            self.take = self.numbered.data.astype(np.intp) - 1
+        values = np.concatenate([b.data for b in blocks])[self.take]
+        return sp.csc_matrix((values, self.numbered.indices, self.numbered.indptr),
+                             shape=self.numbered.shape)
+
+
 def solve_nlp_active_set(instance: NLPInstance,
                          z0: np.ndarray | None = None,
                          max_newton: int = 100) -> NLPSolution:
@@ -322,6 +351,7 @@ def solve_nlp_active_set(instance: NLPInstance,
 
     while True:
         # Newton on the working-set KKT system.
+        kkt_matrix = _WorkingSetKKT(working)
         for _ in range(max_newton):
             mu = np.zeros(n_ineq)
             mu[working] = mu_w
@@ -333,22 +363,8 @@ def solve_nlp_active_set(instance: NLPInstance,
                 raise OracleError("oracle Newton produced a non-finite residual")
             if rnorm <= NEWTON_TOL * scale:
                 break
-            h = instance.hessian(z, lam, mu)
-            con_jacs = []
-            con_rhs = []
-            if n_eq:
-                con_jacs.append(jf)
-                con_rhs.append(-feq)
-            if working.size:
-                con_jacs.append(jg[working])
-                con_rhs.append(-gin[working])
-            if con_jacs:
-                jall = sp.vstack(con_jacs, format="csr")
-                kkt = sp.bmat([[h, jall.T], [jall, None]], format="csc")
-                rhs = np.concatenate([-stat] + con_rhs)
-            else:
-                kkt = sp.csc_matrix(h)
-                rhs = -stat
+            kkt = kkt_matrix(instance.hessian(z, lam, mu), jf, jg)
+            rhs = np.concatenate([-stat, -feq, -gin[working]])
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", spla.MatrixRankWarning)

@@ -8,11 +8,21 @@ differing only in the direction of the sweep, the operator (``A`` or its
 transpose), and where the zero-order coefficient comes from.  The adjoint
 sweep is the exact transpose of the forward linearized sweep, which is what
 makes the reduced gradient exact in the discrete duality pairing.  The
-step matrix picks its backend once per sweep: LAPACK ``gtsv`` when it is
-tridiagonal (every 1-D grid), else one SuperLU factorization refined to
-rounding (see ``_StepSolver``), taken of the transposed step matrix under a
-minimum-degree ordering of its symmetrized pattern and solved with
-``trans="T"``.  ``"dense"`` is the independent reference.
+step matrix picks its backend when its ``_StepSolver`` is built: LAPACK
+``gtsv`` when it is tridiagonal (every 1-D grid), else a SuperLU
+factorization refined to rounding, taken at a sweep's first solve of the
+transposed step matrix under a minimum-degree ordering of its symmetrized
+pattern, solved with ``trans="T"`` and released at the sweep's end.
+``"dense"`` is the independent reference.
+
+The solvers and audits that make many short sweeps (``solve_ocp``,
+``recompute_certificate``, ``kkt_residuals`` and the sweeping ``soc``
+entry points) run inside a ``step_scope``: the operator A of a (spec, grid)
+is assembled once in it, and each direction (A, and A^T for the adjoint)
+gets one ``_StepSolver`` per (tau, linear solver), its tiling grown to the
+largest stack asked for.  Nested calls use the scope that is open, and it
+is released when the outermost call returns or raises.  A sweep outside
+any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
@@ -29,7 +39,9 @@ literal zero instead would break the exactness of the gradient.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -59,6 +71,8 @@ __all__ = [
 
 _STALL_LIMIT = 5
 
+_local = threading.local()     # .held: this thread's open step scope, or None
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -82,7 +96,9 @@ class _StepSolver:
     """Solves (I/tau + A + diag(d)) x = b repeatedly for a fixed sparse A.
 
     The step matrix M = I/tau + A picks the backend (``mode``) from its
-    bandwidth, once.  At bandwidth at most 1 (every 1-D grid) each system
+    bandwidth, once, when the solver is built; a scope builds one solver per
+    direction and serves every sweep of that direction with it (see
+    ``step_scope``).  At bandwidth at most 1 (every 1-D grid) each system
     goes to LAPACK ``gtsv`` on the three diagonals of M, taken once (a 1x1
     system is a division).  Otherwise one SuperLU factorization
     (``spla.splu``) of M + diag(d0) is held, d0 being the first solve's d.
@@ -90,8 +106,11 @@ class _StepSolver:
     residual r of M + diag(d) to a componentwise backward error
     max |r| / (|M||x| + |d x| + |b|) (LAPACK ``xGERFS``) of at most 2 eps,
     and M + diag(d) is factored and held instead once a correction fails to
-    halve that error or it is not finite.  ``linear_solver="dense"``
-    (``np.linalg.solve``) is the independent backend for cross-checks.
+    halve that error or it is not finite.  A sweep uses the solver as a
+    context manager, whose exit releases the factor: each sweep factors at
+    its own first solve, as a solver of its own would, and no factor
+    outlives its sweep.  ``linear_solver="dense"`` (``np.linalg.solve``) is
+    the independent backend for cross-checks.
 
     The held factor is of the transpose: the sorted CSR arrays of
     M + diag(d0), read as CSC without a copy, are (M + diag(d0))^T, and
@@ -120,7 +139,9 @@ class _StepSolver:
     def __init__(self, operator: sp.csr_matrix, tau: float,
                  linear_solver: str = "auto", rows: int = 1):
         self.operator = operator
+        self.rows = rows
         self.n = operator.shape[0]
+        self.lu = self.lu_diag = None
         matrix = (sp.identity(self.n, format="csr") / tau + operator).tocsr()
         tridiagonal = _bandwidth(matrix) <= 1
         self.a_diagonals = _tiled_diagonals(operator, rows) if tridiagonal else None
@@ -138,7 +159,12 @@ class _StepSolver:
             row_of = np.repeat(np.arange(self.n), np.diff(self.base.indptr))
             self.diag_pos = np.flatnonzero(self.base.indices == row_of)
             self.abs_base = abs(self.base)
-            self.lu = self.lu_diag = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.lu = self.lu_diag = None
 
     def product(self, y: np.ndarray) -> np.ndarray:
         if self.a_diagonals is None:
@@ -222,6 +248,54 @@ def _bandwidth(matrix: sp.spmatrix) -> int:
     return int(np.abs(coo.row - coo.col).max())
 
 
+@contextlib.contextmanager
+def step_scope():
+    """Hold the step machinery of the calls made inside, until the outermost
+    scope closes; an inner scope uses the open one.  Also a decorator."""
+    if getattr(_local, "held", None) is not None:
+        yield
+        return
+    _local.held = {}
+    try:
+        yield
+    finally:
+        _local.held = None
+
+
+def _held(key, spec, grid, make, usable=lambda value: True):
+    """``make()``, or what the open scope holds under ``key`` for (spec, grid),
+    made again when it is not ``usable``.
+
+    The entry keeps spec and grid alive, so their ids name them while it
+    lives."""
+    held = getattr(_local, "held", None)
+    if held is None:
+        return make()
+    key = (id(spec), id(grid)) + key
+    entry = held.get(key)
+    if entry is None or not usable(entry[2]):
+        entry = held[key] = (spec, grid, make())
+    return entry[2]
+
+
+def step_operator(spec: ProblemSpec, grid: SpatialGrid,
+                  transposed: bool = False) -> sp.csr_matrix:
+    """A of (spec, grid), or A^T as CSR; assembled once in a scope."""
+    if transposed:
+        return _held(("A^T",), spec, grid,
+                     lambda: step_operator(spec, grid).T.tocsr())
+    return _held(("A",), spec, grid, lambda: assemble_operator(spec, grid))
+
+
+def _step_solver(spec, grid, tau, linear_solver, rows=1, transposed=False):
+    """The ``_StepSolver`` of one direction; in a scope, the one it holds,
+    built again for ``rows`` if it was built for fewer."""
+    return _held(("step", transposed, tau, linear_solver), spec, grid,
+                 lambda: _StepSolver(step_operator(spec, grid, transposed), tau,
+                                     linear_solver, rows),
+                 lambda stepper: stepper.rows >= rows)
+
+
 def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
     vals = eval_broadcast(spec.initial_state, (grid.n_interior,),
                           **grid.spatial_env())
@@ -253,7 +327,10 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField | Sequence[SpaceTimeF
     if not all(c.same_layout(controls[0]) for c in controls):
         raise ConfigError("controls of one state solve live on different grids")
     u = np.stack([c.values for c in controls], axis=1)
-    values, max_newton, step_res = _march_states(spec, grid, timegrid, u, options)
+    with _step_solver(spec, grid, timegrid.tau, options.linear_solver,
+                      len(controls)) as stepper:
+        values, max_newton, step_res = _march_states(spec, grid, timegrid, u, options,
+                                                     stepper)
 
     qw = quadrature_weights(grid, timegrid)
     pairs = []
@@ -273,20 +350,21 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField | Sequence[SpaceTimeF
 
 
 def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
-                  u: np.ndarray, options: SolverOptions):
+                  u: np.ndarray, options: SolverOptions, stepper: _StepSolver):
     """Implicit Euler with Newton per step for a stack of B controls at once.
 
-    ``u`` has shape (n_levels, B, n_interior).  Every Newton iteration of a
-    level evaluates one residual over the flat stack of its rows (A y from
+    ``u`` has shape (n_levels, B, n_interior), and ``stepper`` was built for
+    at least B rows.  Every Newton iteration of a level evaluates one
+    residual over the flat stack of its rows (A y from
     ``_StepSolver.product``), makes one stacked step solve and one f'
     evaluation.  Tolerance, stall count and iteration cap are kept per row
-    in Python floats.  A row is frozen the moment it converges: its
-    right-hand side is zeroed, so its step is zero and it keeps the iterate
-    its own sweep stops at.  A row that fails stops, and so does every row
-    above it, whose outcome no longer matters; the rows below march on and
-    the lowest failed row's error is raised at the end.  A level starts
-    from the iterate the level before ended on, so its first residual
-    reuses the f(y) and A y computed there.
+    in Python floats.  A row is frozen the moment it converges while others
+    of its level march on: its right-hand side is zeroed, so its step is
+    zero and it keeps the iterate its own sweep stops at.  A row that fails
+    stops, and so does every row above it, whose outcome no longer matters;
+    the rows below march on and the lowest failed row's error is raised at
+    the end.  A level starts from the iterate the level before ended on, so
+    its first residual reuses the f(y) and A y computed there.
 
     Returns the (n_levels, B, n_interior) states, each row's worst Newton
     count and its (n_levels - 1) final step residuals.
@@ -294,8 +372,6 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     n_levels, n_rows, n = u.shape
     tau = timegrid.tau
     f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    stepper = _StepSolver(assemble_operator(spec, grid), tau, options.linear_solver,
-                          n_rows)
     starts = np.arange(0, n_rows * n, n)
 
     def row_max(v):
@@ -318,14 +394,14 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         best = [math.inf] * k
         stall = [0] * k
         live = list(range(k))
-        frozen = None                 # 0 on converged rows, once there are any
+        frozen = None                 # 0 on converged rows, once some share a level
         n_solves = 0
         while True:
             if fy is None:
                 fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
             res = (y - y_prev) / tau + ay + fy - u_lvl
             rnorms = row_max(res)
-            still = []
+            still, settled = [], []
             for i in live:
                 rnorm = rnorms[i]
                 if not math.isfinite(rnorm):
@@ -333,9 +409,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 elif rnorm <= tol[i]:
                     step_res[i, j] = rnorm
                     max_newton[i] = max(max_newton[i], n_solves)
-                    if frozen is None:
-                        frozen = np.ones(y.size)
-                    frozen[i * n:(i + 1) * n] = 0.0
+                    settled.append(i)
                     continue
                 elif n_solves >= options.newton_max_iter:
                     message = (f"state Newton did not converge at step {j + 1}: "
@@ -359,6 +433,10 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             if not live:
                 break
             # A converged row solves for a zero step, which leaves it as it is.
+            if settled and frozen is None:
+                frozen = np.ones(y.size)
+            for i in settled:
+                frozen[i * n:(i + 1) * n] = 0.0
             rhs = res if frozen is None else res * frozen
             y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
             fy = None
@@ -387,12 +465,12 @@ def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
     initial_values = np.broadcast_to(
         np.asarray(initial_values, dtype=float), (grid.n_interior,)
     )
-    stepper = _StepSolver(assemble_operator(spec, grid), tau, options.linear_solver)
     values = np.empty((timegrid.n_levels, grid.n_interior))
     values[0] = initial_values
-    for j in range(timegrid.n_levels - 1):
-        b = values[j] / tau + rhs.values[j + 1]
-        values[j + 1] = stepper.solve(potential.values[j + 1], b, j + 1)
+    with _step_solver(spec, grid, tau, options.linear_solver) as stepper:
+        for j in range(timegrid.n_levels - 1):
+            b = values[j] / tau + rhs.values[j + 1]
+            values[j + 1] = stepper.solve(potential.values[j + 1], b, j + 1)
     return SpaceTimeField(values, grid, timegrid)
 
 
@@ -414,9 +492,6 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
         raise ConfigError("state, control, and multiplier layouts differ")
     grid, timegrid = state.grid, state.timegrid
     tau = timegrid.tau
-    stepper = _StepSolver(assemble_operator(spec, grid).T.tocsr(), tau,
-                          options.linear_solver)
-
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, state.values,
                           control.values)
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, state.values,
@@ -427,9 +502,11 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
 
     values = np.empty((timegrid.n_levels, grid.n_interior))
     ahead = np.zeros(grid.n_interior)
-    for m in range(timegrid.n_levels - 1, -1, -1):
-        values[m] = stepper.solve(fp[m], ahead / tau + source[m], m)
-        ahead = values[m]
+    with _step_solver(spec, grid, tau, options.linear_solver,
+                      transposed=True) as stepper:
+        for m in range(timegrid.n_levels - 1, -1, -1):
+            values[m] = stepper.solve(fp[m], ahead / tau + source[m], m)
+            ahead = values[m]
     return SpaceTimeField(values, grid, timegrid)
 
 

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AuditError, ConfigError
-from .grids import (
-    SpaceTimeField,
-    assemble_operator,
-    objective_weights,
-    quadrature_weights,
-)
+from .grids import SpaceTimeField, objective_weights, quadrature_weights
 from .kkt import FEASIBILITY_SLACK, KKTPoint, h_potential_audit, strongly_active
 from .optimizer import _restored_trial
-from .parabolic import SolverOptions, forward_residual, solve_linear_parabolic
+from .parabolic import (
+    SolverOptions,
+    forward_residual,
+    solve_linear_parabolic,
+    step_operator,
+    step_scope,
+)
 from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
 
 __all__ = [
@@ -78,7 +79,7 @@ def linearized_state(spec: ProblemSpec, point: KKTPoint,
 
 
 def _c2_residual(spec, point, v, z):
-    A = assemble_operator(spec, v.grid)
+    A = step_operator(spec, v.grid)
     fp = _df_field(spec, point.state).values
     return forward_residual(A, v.timegrid.tau, z.values, fp * z.values,
                             v.values, 0.0)
@@ -150,6 +151,7 @@ def _smooth_random_fields(grid, timegrid, rng, count: int = 1) -> np.ndarray:
     return vals
 
 
+@step_scope()
 def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
                               seed: int = 0,
                               options: SolverOptions | None = None) -> CriticalDirection:
@@ -249,6 +251,7 @@ def _check_probe_arguments(n_trials: int, radius: float) -> None:
                           f"got {radius!r}")
 
 
+@step_scope()
 def quadratic_growth_probe(spec: ProblemSpec, point: KKTPoint,
                            n_trials: int = 50, radius: float = 1e-2,
                            seed: int = 0,

@@ -4,6 +4,7 @@ import collections
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from parakkt import cli, read_field, write_field
 from parakkt.optimizer import TRACE_HEADER
 from parakkt.parabolic import _StepSolver
 
-from conftest import SLOPED_TEXT
+from conftest import SLOPED_TEXT, tracking_with_constraint
 
 
 def run(*argv):
@@ -265,6 +266,19 @@ class TestValidate:
         assert rc == 3
         assert "FAIL" in (tmp_path / "report.txt").read_text()
         capsys.readouterr()
+
+    def test_a_constant_division_by_zero_is_a_typed_refusal(self, tmp_path, capsys):
+        """1/0 evaluates to inf, so g is nan everywhere and the audit refuses it
+        as non-finite, with its exit code and no traceback."""
+        bad = tmp_path / "zero.ini"
+        bad.write_text(tracking_with_constraint("u - 0.4 + 0*(1/0)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run("validate", "--problem-file", bad, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error kind=audit exit=3 msg=g evaluated non-finite")
+        assert "Traceback" not in err
 
     def test_loads_no_scipy_subpackage_beyond_linalg_and_sparse(self, tmp_path):
         # A fresh interpreter: this one has loaded scipy.stats for the tests.

@@ -49,6 +49,14 @@ class TestArithmetic:
         assert ev("max(2, 5)") == 5.0
         assert ev("min(1 + 1, 1)") == 1.0
 
+    def test_numbers_follow_numpy_semantics(self):
+        """A constant division by zero is inf and 0*inf is nan, as for arrays,
+        instead of a ``ZeroDivisionError``."""
+        with np.errstate(all="ignore"):
+            assert ev("1/0") == np.inf
+            assert np.isnan(ev("u - 0.4 + 0*(1/0)", ("u",), u=1.0))
+            assert np.isnan(ev("(-8)^(1/3)"))      # not a complex number
+
 
 class TestVariables:
     def test_scalar_env(self):

@@ -245,6 +245,29 @@ class TestBuiltOnceAssembly:
         else:
             assert gy_block.nnz == 0
 
+    @pytest.mark.parametrize("name, nodes, levels", ASSEMBLY_CASES)
+    def test_the_working_set_kkt_matrix_is_the_bmat_one(self, name, nodes, levels):
+        """Entry for entry, explicit zeros and pattern included, while the
+        blocks' patterns change under exact zeros in z and mu."""
+        new, _ = _instances(name, nodes, levels)
+        m = new.n_vars // 2
+        rng = np.random.default_rng(9)
+        for working in (np.zeros(0, dtype=int), np.array([m - 1, 0, m // 2])):
+            kkt = oracle._WorkingSetKKT(working)
+            for draw in range(12):
+                z = rng.standard_normal(new.n_vars)
+                lam, mu = rng.standard_normal(m), np.abs(rng.standard_normal(m))
+                if draw % 3 == 1:
+                    z[::3] = 0.0
+                    mu[::2] = 0.0
+                h, jf, jg = new.hessian(z, lam, mu), new.eq_jac(z), new.ineq_jac(z)
+                jall = sp.vstack([jf, jg[working]], format="csr")
+                expected = sp.bmat([[h, jall.T], [jall, None]], format="csc")
+                _assert_same_csr(kkt(h, jf, jg), expected)
+        no_rows = sp.csr_matrix((0, new.n_vars))
+        _assert_same_csr(oracle._WorkingSetKKT(np.zeros(0, dtype=int))(h, no_rows, jg),
+                         sp.csc_matrix(h))
+
     def test_eq_jac_returns_fresh_arrays(self):
         new, _ = _instances("example31_poly", (7,), 6)
         rng = np.random.default_rng(5)

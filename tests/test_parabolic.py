@@ -1,6 +1,8 @@
 """Forward state solves, linearized solves, and failure modes."""
 
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import parakkt
 from parakkt import (
+    OptimizerOptions,
     SolverOptions,
     SpaceTimeField,
     SpatialGrid,
@@ -23,7 +26,7 @@ from parakkt import (
 )
 from parakkt.exceptions import ConfigError, SolveError
 from parakkt.grids import assemble_operator
-from parakkt.parabolic import _StepSolver
+from parakkt.parabolic import _StepSolver, step_scope
 
 
 def exact_decay(grid, timegrid):
@@ -59,6 +62,17 @@ def unit_step_solver(matrix, linear_solver="auto", rows=1):
     matrix, at tau = 1."""
     a = np.asarray(matrix, dtype=float)
     return _StepSolver(sp.csr_matrix(a - np.eye(len(a))), 1.0, linear_solver, rows)
+
+
+def non_symmetric_operator(rng):
+    """The 2-D operator at 9 x 9 nodes with its upper triangle rescaled and
+    entries added above the second diagonal: not symmetric in pattern or in
+    values, and of bandwidth > 1."""
+    A = operator(parakkt.builtin_problem("tracking_box_2d"), (9, 9))
+    upper = sp.triu(A, k=1)
+    upper.data *= rng.uniform(0.2, 1.0, upper.nnz)
+    extra = sp.triu(sp.random(A.shape[0], A.shape[0], density=0.03, rng=rng), k=2)
+    return (A + upper + 30.0 * extra).tocsr()
 
 
 CROSS_DIFFUSION = "\n[a]\na11 = 1 + 0.5*x1\na12 = 0.3*x1*x2\na22 = 1 + x2^2\n"
@@ -367,12 +381,8 @@ class TestStepSolver:
         """The held factor is of the transposed step matrix, so a symmetric A
         cannot tell a solve with M from one with M^T; this A is not symmetric
         in pattern or in values, and has bandwidth > 1."""
-        A = operator(parakkt.builtin_problem("tracking_box_2d"), (9, 9))
         rng = np.random.default_rng(13)
-        upper = sp.triu(A, k=1)
-        upper.data *= rng.uniform(0.2, 1.0, upper.nnz)
-        extra = sp.triu(sp.random(A.shape[0], A.shape[0], density=0.03, rng=rng), k=2)
-        A = (A + upper + 30.0 * extra).tocsr()
+        A = non_symmetric_operator(rng)
         A = A.T.tocsr() if transpose else A
         assert abs(A - A.T).max() > 1.0
         _, calls = self.counted_splu(monkeypatch)
@@ -408,6 +418,19 @@ class TestStepSolver:
         _, calls = self.counted_splu(monkeypatch)
         solve_adjoint(spec, point.state, point.control, point.multiplier)
         assert len(calls) == 1
+
+    def test_adjoint_sweeps_in_a_scope_each_factor_once(self, monkeypatch):
+        """The scope holds the solver, not its factor: every sweep takes its
+        own at its first solve."""
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        point, trace, _ = parakkt.solve_ocp(spec, grid, TimeGrid(17, spec.horizon))
+        assert trace.converged
+        _, calls = self.counted_splu(monkeypatch)
+        with step_scope():
+            for sweeps in (1, 2, 3):
+                solve_adjoint(spec, point.state, point.control, point.multiplier)
+                assert len(calls) == sweeps
 
     @pytest.mark.parametrize("mode, nodes", [
         ("banded", (17,)), ("splu", (9, 9)), ("dense", (9, 9)),
@@ -449,6 +472,99 @@ class TestStepSolver:
         A = operator(parakkt.builtin_problem(name), nodes)
         assert _StepSolver(A, 0.1).mode == mode
         assert _StepSolver(A, 0.1, "dense").mode == "dense"
+
+
+class TestStepScope:
+    """Sweeps in a ``step_scope`` share one operator and one step solver per
+    direction, and give the fields sweeps outside any scope give, bit for
+    bit; the scope holds nothing once its outermost call has returned."""
+
+    @staticmethod
+    def held():
+        return getattr(parakkt.parabolic._local, "held", None)
+
+    @pytest.mark.parametrize("ls", ["auto", "dense"])
+    def test_a_stacked_state_sweep_in_1d(self, ls):
+        spec, controls = TestStackedStateSolve.controls(0.0, 1.0, 30.0)
+        options = SolverOptions(linear_solver=ls)
+        alone = solve_state(spec, controls, options)
+        with step_scope():
+            solve_state(spec, controls[0], options)     # held for one row, then grown
+            stacked = solve_state(spec, controls, options)
+            fewer = solve_state(spec, controls[1:], options)
+        assert self.held() is None
+        for (state, rep), (ref, rep_ref) in zip(stacked + fewer, alone + alone[1:]):
+            assert state.values.tobytes() == ref.values.tobytes()
+            assert rep.step_residuals.tobytes() == rep_ref.step_residuals.tobytes()
+
+    @pytest.mark.parametrize("ls", ["auto", "dense"])
+    def test_adjoint_and_linear_sweeps_on_a_non_symmetric_operator(self, monkeypatch, ls):
+        """A mixed-up direction would break the duality <S r, s> = <r, S* s>."""
+        A = non_symmetric_operator(np.random.default_rng(13))
+        monkeypatch.setattr(parakkt.parabolic, "assemble_operator", lambda spec, grid: A)
+        spec = duality_spec("tracking_box_2d")
+        g = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        tg = TimeGrid(9, spec.horizon)
+        rng = np.random.default_rng(11)
+        y = np.sqrt(rng.uniform(0.0, 3.0, (tg.n_levels, g.n_interior)))
+        r, s = rng.normal(size=(2, tg.n_levels, g.n_interior))
+        options = SolverOptions(linear_solver=ls)
+
+        def field(values):
+            return SpaceTimeField(values, g, tg)
+
+        def sweeps():
+            z = solve_linear_parabolic(spec, field(y**2), field(r), 0.0, options)
+            p = solve_adjoint(spec, field(y), SpaceTimeField.zeros(g, tg), field(-s),
+                              options)
+            return z.values, p.values
+
+        z, p = sweeps()
+        lhs, rhs = np.sum(z[1:] * s[1:]), np.sum(r[1:] * p[1:])
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(z[1:] * s[1:]))
+        with step_scope():
+            held = [sweeps(), sweeps()]
+        for got in held:
+            assert got[0].tobytes() == z.tobytes() and got[1].tobytes() == p.tobytes()
+
+    def test_solve_ocp_assembles_once_and_releases_on_return_and_raise(self, monkeypatch):
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        tg = TimeGrid(17, spec.horizon)
+        calls = []
+        original = parakkt.parabolic.assemble_operator
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(parakkt.parabolic, "assemble_operator", counted)
+        _, trace, _ = parakkt.solve_ocp(spec, grid, tg)
+        assert trace.converged
+        assert len(calls) == 1 and self.held() is None
+        with pytest.raises(SolveError, match="stalled at step 1"):
+            parakkt.solve_ocp(spec, grid, tg, OptimizerOptions(u_init=1e4))
+        assert len(calls) == 2 and self.held() is None
+
+    def test_each_thread_holds_its_own(self):
+        """Solves on one 2-D grid in four threads at once: a shared factor
+        would be refined against or released by another thread's sweep."""
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9, 9))
+        grids = [(grid, TimeGrid(m, spec.horizon)) for m in (9, 13, 17, 9, 13, 17)]
+
+        def solve(grids):
+            return parakkt.solve_ocp(spec, *grids)[0].adjoint.values.tobytes()
+
+        alone = [solve(g) for g in grids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(solve, grids, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == alone
 
 
 class TestFailureModes:
