@@ -204,15 +204,23 @@ def _compile(node):
     args = [_compile(arg) for arg in node[1:] if isinstance(arg, tuple)]
     if tag == "neg":
         a, = args
-        return lambda env: -a(env)
-    if tag == "le":
+        compiled = lambda env: -a(env)
+    elif tag == "le":
         a, b, x, z = args
-        return lambda env: np.where(a(env) <= b(env), x(env), z(env))
-    if tag == "call1":
+        compiled = lambda env: np.where(a(env) <= b(env), x(env), z(env))
+    elif tag == "call1":
         fn, (a,) = _EVAL1[node[1]], args
-        return lambda env: fn(a(env))
-    fn, (a, b) = _EVAL2[node[1]], args
-    return lambda env: fn(a(env), b(env))
+        compiled = lambda env: fn(a(env))
+    else:
+        fn, (a, b) = _EVAL2[node[1]], args
+        compiled = lambda env: fn(a(env), b(env))
+    if _free_vars(node, set()):
+        return compiled
+    # A subtree without variables is the same float64 operation on every
+    # call: it is taken once, here, where an inf or nan it makes warns no one.
+    with np.errstate(all="ignore"):
+        v = compiled({})
+    return lambda env: v
 
 
 class ExprFunc:

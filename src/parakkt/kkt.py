@@ -157,6 +157,17 @@ def _boundary(spec: ProblemSpec, env: dict, y: np.ndarray) -> np.ndarray:
     )
 
 
+def _boundary_reads_state(spec: ProblemSpec) -> bool:
+    """Whether the constraint boundary can depend on y.
+
+    Its root reads g and g_u and starts from zeros, so where neither reads
+    y the boundary is one field for every state.  A map that is not a
+    compiled expression (no ``variables``) counts as reading y.
+    """
+    g = spec.constraint
+    return any("y" in getattr(fn, "variables", {"y"}) for fn in (g.eval, g.du))
+
+
 def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
                     phi: np.ndarray, boundary: np.ndarray | None = None):
     cost, g = spec.cost, spec.constraint

@@ -30,6 +30,7 @@ from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     FEASIBILITY_SLACK,
     KKTPoint,
+    _boundary_reads_state,
     _multiplier_max,
     _pointwise_residuals,
     constraint_boundary_field,
@@ -121,6 +122,17 @@ def _merit_gradient(spec, state, control, adjoint, multiplier):
     return reduced_gradient(spec, state, control, adjoint).values + multiplier * g_u
 
 
+def _sweep_reads_multiplier(spec, state, control) -> bool:
+    """Whether the pair's adjoint sweep reads its multiplier e.
+
+    The sweep source is -(L_y + e g_y).  Where g_y is 0 at every node (a
+    constraint on u alone), e g_y is a signed zero for every finite e, so
+    sweeps with any two finite multipliers give the same adjoint.
+    """
+    return bool(np.any(eval_scalar_map(spec.constraint.dy, state.grid, state.timegrid,
+                                       state.values, control.values)))
+
+
 @step_scope()
 def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
                           control: SpaceTimeField,
@@ -130,21 +142,28 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
 
     Sweeps the backward solve and the boundary-based multiplier formula until
     the multiplier stops moving; ``SolveError`` reports the last change if
-    it still moves after ``max_sweeps`` sweeps.  The result depends only on
-    the inputs, so two calls on the same pair agree to rounding regardless of
-    when or where the pair was produced.
+    it still moves after ``max_sweeps`` sweeps, or if a multiplier is not
+    finite.  Where the sweep does not read the multiplier (g_y = 0 at every
+    node), the first sweep's pair is returned: a second sweep would give
+    its adjoint again, the formula its multiplier again, and the loop would
+    stop there with the same pair.  The result depends only on the inputs,
+    so two calls on the same pair agree to rounding regardless of when or
+    where the pair was produced.
     """
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
     e = SpaceTimeField.zeros(grid, timegrid)
     multiplier_of = _multiplier_max(spec, state)
     gap = np.inf
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         adjoint = solve_adjoint(spec, state, control, e, solver)
         e_next = multiplier_of(adjoint)
+        # The gap is finite exactly when both multipliers are.
         gap = float(np.max(np.abs(e_next.values - e.values)))
         e = e_next
-        if gap <= 1e-14 * (1.0 + float(np.max(np.abs(e.values)))):
+        if np.isfinite(gap) and (
+                gap <= 1e-14 * (1.0 + float(np.max(np.abs(e.values))))
+                or (sweep == 0 and not _sweep_reads_multiplier(spec, state, control))):
             return adjoint, e
     raise SolveError(
         f"certificate sweeps did not settle in {max_sweeps} sweeps: last "
@@ -152,7 +171,7 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     )
 
 
-def _restored_trial(spec, grid, timegrid, u_values, solver):
+def _restored_trial(spec, grid, timegrid, u_values, solver, held=None):
     """State solves plus feasibility restoration of a stack of controls.
 
     ``u_values`` holds B controls, shape (B, n_levels, n_interior).  All are
@@ -162,16 +181,21 @@ def _restored_trial(spec, grid, timegrid, u_values, solver):
     (control, state, objective, boundary) per row, each what restoring that
     row alone gives.  ``boundary`` is the constraint boundary of the
     returned state, the one its last projection used, or ``None`` for a row
-    that last projection moved and solved again.  A failure raises
-    ``SolveError``.
+    that last projection moved and solved again.  ``held``, if given, is
+    the boundary of every state (see ``_boundary_reads_state``); the
+    projections then use it and solve none, and every row returns it.  A
+    failure raises ``SolveError``.
     """
     controls = [SpaceTimeField(u, grid, timegrid) for u in u_values]
     states = [state for state, _ in solve_state(spec, controls, solver)]
     boundaries = [None] * len(controls)
     rows = list(range(len(controls)))
     for _ in range(2):
-        bounds = constraint_boundary_field(spec, grid, timegrid,
-                                           np.array([states[r].values for r in rows]))
+        if held is None:
+            bounds = constraint_boundary_field(
+                spec, grid, timegrid, np.array([states[r].values for r in rows]))
+        else:
+            bounds = [held] * len(rows)
         moved = []
         for r, b in zip(rows, bounds):
             u = np.minimum(controls[r].values, b)
@@ -214,8 +238,13 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     u_values = np.full((timegrid.n_levels, grid.n_interior),
                        float(options.u_init))
+    # A boundary that does not read y is one field for every state: solved
+    # once here, it serves every projection and control update.
+    held = None
+    if not _boundary_reads_state(spec):
+        held = constraint_boundary_field(spec, grid, timegrid, np.zeros_like(u_values))
     control, state, objective, boundary = _restored_trial(
-        spec, grid, timegrid, u_values[None], solver)[0]
+        spec, grid, timegrid, u_values[None], solver, held)[0]
     e_values = np.zeros_like(control.values)
 
     adjoint = None
@@ -238,14 +267,19 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             trace.append(it, objective, 0.0, stat, comp, feas, active)
             # Refresh the adjoint with the candidate multiplier before
             # certifying, so the recursion the report checks is the one that
-            # produced the returned fields.
-            adjoint = solve_adjoint(spec, state, control,
-                                    SpaceTimeField(e_new, grid, timegrid),
-                                    solver)
-            _, e_cert, _, _ = control_update_field(
-                spec, grid, timegrid, state.values, adjoint.values,
-                boundary=boundary,
-            )
+            # produced the returned fields.  A sweep that does not read the
+            # multiplier would give the adjoint in hand again, and the update
+            # of that adjoint e_new again, so both are kept (a field holds
+            # finite values only, so a non-finite e_new fails either way).
+            e_cert = e_new
+            if _sweep_reads_multiplier(spec, state, control):
+                adjoint = solve_adjoint(spec, state, control,
+                                        SpaceTimeField(e_new, grid, timegrid),
+                                        solver)
+                _, e_cert, _, _ = control_update_field(
+                    spec, grid, timegrid, state.values, adjoint.values,
+                    boundary=boundary,
+                )
             point = KKTPoint(state, control, adjoint,
                              SpaceTimeField(e_cert, grid, timegrid), objective)
             report = kkt_residuals(spec, point)
@@ -267,7 +301,7 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             trial_u = control.values + step * direction
             try:
                 trial = _restored_trial(spec, grid, timegrid, trial_u[None],
-                                        solver)[0]
+                                        solver, held)[0]
             except SolveError:
                 # A trial whose state solve fails is a rejected step.
                 step *= _BACKTRACK_FACTOR

@@ -273,12 +273,27 @@ class TestValidate:
         bad = tmp_path / "zero.ini"
         bad.write_text(tracking_with_constraint("u - 0.4 + 0*(1/0)"))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             rc = run("validate", "--problem-file", bad, "--out", tmp_path / "out")
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error kind=audit exit=3 msg=g evaluated non-finite")
         assert "Traceback" not in err
+
+    def test_the_typed_refusal_is_the_first_line_of_stderr(self, tmp_path):
+        # A fresh interpreter, so numpy warnings would reach its real stderr.
+        bad = tmp_path / "zero.ini"
+        bad.write_text(tracking_with_constraint("u - 0.4 + 0*(1/0)"))
+        code = ("import sys, parakkt.cli\n"
+                f"sys.exit(parakkt.cli.main(['validate', '--problem-file', {str(bad)!r},"
+                f" '--out', {str(tmp_path / 'out')!r}]))\n")
+        src = os.path.dirname(os.path.dirname(parakkt.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr.splitlines()[0].startswith(
+            "error kind=audit exit=3 msg=g evaluated non-finite")
 
     def test_loads_no_scipy_subpackage_beyond_linalg_and_sparse(self, tmp_path):
         # A fresh interpreter: this one has loaded scipy.stats for the tests.

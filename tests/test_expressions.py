@@ -1,6 +1,7 @@
 """Expression grammar: parsing, evaluation, and error reporting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ class TestArithmetic:
             assert ev("1/0") == np.inf
             assert np.isnan(ev("u - 0.4 + 0*(1/0)", ("u",), u=1.0))
             assert np.isnan(ev("(-8)^(1/3)"))      # not a complex number
+
+    def test_constant_subtrees_are_taken_once_at_compile_time(self):
+        """A subtree without variables is computed when the expression is
+        compiled, with the same float64 operations and without a warning;
+        an operation on a variable still warns at the call."""
+        with np.errstate(all="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn = parse_expression("u - 0.4 + 0*(1/0)", ("u",))
+            assert np.isnan(fn(u=1.0))
+            assert np.isnan(ev("(-8)^(1/3)"))
+            scaled = parse_expression("sin(0.7)*exp(1.3)/3 - max(2, -pi)^0.5*u", ("u",))
+            with pytest.raises(RuntimeWarning):
+                ev("u/0", ("u",), u=np.float64(1.0))
+        c, half, u = np.float64(0.7), np.float64(0.5), np.float64(0.3)
+        expected = (np.sin(c) * np.exp(np.float64(1.3)) / np.float64(3)
+                    - np.maximum(np.float64(2), -np.float64(np.pi)) ** half * u)
+        assert scaled(u=u).tobytes() == expected.tobytes()
 
 
 class TestVariables:

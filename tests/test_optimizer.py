@@ -16,7 +16,7 @@ from parakkt import (
 )
 from parakkt.exceptions import SolveError
 from parakkt.grids import SpaceTimeField, objective_weights
-from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field
+from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field, recover_multiplier_max
 from parakkt.optimizer import (TRACE_HEADER, _merit, _merit_gradient, _restored_trial,
                                discrete_objective, reduced_gradient)
 from parakkt.parabolic import solve_adjoint, solve_state
@@ -24,8 +24,14 @@ from parakkt.parabolic import solve_adjoint, solve_state
 from conftest import tracking_with_constraint
 
 
-def solve(name, nodes, n_levels, **kw):
-    spec = parakkt.builtin_problem(name)
+# g = u + 0.25 y^3 - 0.4 reads y: its boundary moves with the state and its
+# multiplier enters the adjoint through e g_y.
+MIXED = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4"))
+
+
+def solve(problem, nodes, n_levels, **kw):
+    """Solve a catalog problem, named, or a ``ProblemSpec``."""
+    spec = parakkt.builtin_problem(problem) if isinstance(problem, str) else problem
     grid = SpatialGrid(extents=spec.extents, nodes=nodes)
     timegrid = TimeGrid(n_levels=n_levels, horizon=spec.horizon)
     return spec, solve_ocp(spec, grid, timegrid, OptimizerOptions(**kw))
@@ -314,12 +320,13 @@ class TestRestorationCheck:
         return calls
 
     def test_infeasible_initial_restore_raises(self, monkeypatch):
-        # u_init 1 lies above the boundary 0.4; both passes move u, and the
+        # The boundary of a constraint that reads y is solved in every pass.
+        # u_init 1 lies above it (about 0.4); both passes move u, and the
         # second leaves it 1e-6 above the boundary.
         self.shifted_boundary(monkeypatch, [2e-6, 1e-6])
         with pytest.raises(SolveError, match="restoration left the constraint "
                                              "violated by 1.000e-06"):
-            solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9, u_init=1.0)
+            solve(MIXED, (17,), 33, tol_kkt=1e-9, u_init=1.0)
 
     def test_infeasible_trial_is_a_rejected_step(self, monkeypatch):
         # Calls: initial restore, whose boundary the first control update
@@ -327,7 +334,7 @@ class TestRestorationCheck:
         # then lies above the boundary, and the trial's two passes both move
         # it and leave it infeasible.
         calls = self.shifted_boundary(monkeypatch, [3e-6, 2e-6, 1e-6])
-        _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        _, (_, trace, report) = solve(MIXED, (17,), 33, tol_kkt=1e-9)
         assert len(calls) > 3
         assert trace.converged and report.kkt_error <= 1e-9
         assert trace.rows[0][2] == 0.5
@@ -367,7 +374,7 @@ class TestBoundaryReuse:
         roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
         passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
         updates = self.recorded_calls(monkeypatch, optimizer, "control_update_field")
-        _, (_, trace, _) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        _, (_, trace, _) = solve(MIXED, (17,), 33, tol_kkt=1e-9)
         assert trace.converged
         assert len(updates) > len(trace.rows) > 1
         assert len(roots) == len(passes) > 0
@@ -393,10 +400,119 @@ class TestBoundaryReuse:
     def test_certificate_solves_one_boundary_for_all_its_sweeps(self, monkeypatch):
         from parakkt import kkt, optimizer
 
-        spec, (point, trace, _) = solve("tracking_box_1d", (33,), 65)
+        spec, (point, trace, _) = solve(MIXED, (33,), 65)
         assert trace.converged
         roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
         sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
         recompute_certificate(spec, point.state, point.control)
         assert len(sweeps) > 1
         assert len(roots) == 1
+
+
+class TestConstraintOnUAlone:
+    """A constraint that reads no y: one adjoint sweep per certificate and
+    per converged solve, one boundary per solve, and the same fields."""
+
+    recorded_calls = staticmethod(TestBoundaryReuse.recorded_calls)
+
+    @pytest.fixture(scope="class")
+    def box_point(self):
+        spec, (point, trace, _) = solve("tracking_box_1d", (33,), 65)
+        assert trace.converged
+        return spec, point
+
+    def test_the_certificate_sweeps_once_and_gives_the_two_sweep_pair(self, box_point,
+                                                                       monkeypatch):
+        from parakkt import optimizer
+
+        spec, point = box_point
+        state, control = point.state, point.control
+        e = SpaceTimeField.zeros(state.grid, state.timegrid)
+        for _ in range(2):
+            adjoint = solve_adjoint(spec, state, control, e)
+            e = recover_multiplier_max(spec, state, adjoint)
+        sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
+        cert_adjoint, cert_e = recompute_certificate(spec, state, control)
+        assert len(sweeps) == 1
+        assert np.array_equal(cert_adjoint.values, adjoint.values)
+        assert np.array_equal(cert_e.values, e.values)
+
+    @pytest.mark.parametrize("problem, nodes, levels", [
+        ("tracking_box_1d", (17,), 33),
+        ("tracking_box_2d", (9, 9), 9),
+    ])
+    def test_a_solve_sweeps_once_per_iteration_and_roots_one_boundary(
+            self, monkeypatch, problem, nodes, levels):
+        from parakkt import kkt, optimizer
+
+        sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
+        roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
+        spec, (point, trace, report) = solve(problem, nodes, levels, tol_kkt=1e-9)
+        assert trace.converged and report.kkt_error <= 1e-9
+        assert len(trace.rows) > 1
+        assert len(sweeps) == len(trace.rows)
+        assert len(roots) == 1
+        monkeypatch.undo()
+        again = solve_adjoint(spec, point.state, point.control, point.multiplier)
+        assert again.values.tobytes() == point.adjoint.values.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_multiplier_is_not_a_certificate(self, box_point, monkeypatch, bad):
+        # inf g_y or nan g_y is not a signed zero: the one sweep settles nothing.
+        from parakkt import optimizer
+
+        spec, point = box_point
+
+        def non_finite(spec, state):
+            def multiplier_of(adjoint):
+                e = SpaceTimeField.zeros(state.grid, state.timegrid)
+                e.values[3, 5] = bad      # past the constructor's finiteness check
+                return e
+            return multiplier_of
+
+        monkeypatch.setattr(optimizer, "_multiplier_max", non_finite)
+        with pytest.raises(SolveError, match="did not settle in 1 sweeps"):
+            recompute_certificate(spec, point.state, point.control, max_sweeps=1)
+
+    def test_a_zero_g_y_is_read_from_the_map_values(self, monkeypatch):
+        # g = u + 0*y - 0.4 reads y, so every projection roots its boundary;
+        # its g_y evaluates to 0, so the certificate sweeps once.
+        from parakkt import kkt, optimizer
+
+        spec = loads(tracking_with_constraint("u + 0*y - 0.4"))
+        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
+        roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
+        _, (point, trace, _) = solve(spec, (17,), 33, tol_kkt=1e-9)
+        assert trace.converged
+        assert len(roots) == len(passes) > 1
+        sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
+        recompute_certificate(spec, point.state, point.control)
+        assert len(sweeps) == 1
+
+    def test_a_map_without_variables_counts_as_reading_y(self, monkeypatch):
+        from dataclasses import replace
+
+        from parakkt import kkt
+
+        box = parakkt.builtin_problem("tracking_box_1d")
+        g = box.constraint
+        spec = replace(box, constraint=replace(g, eval=lambda **env: g.eval(**env)))
+        roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
+        _, (_, trace, _) = solve(spec, (17,), 33, tol_kkt=1e-9)
+        assert trace.converged
+        assert len(roots) > 1
+
+
+class TestMixedConstraintSweeps:
+    """A constraint that reads y keeps every sweep; its certificate's two or
+    more are checked in ``TestBoundaryReuse``."""
+
+    recorded_calls = staticmethod(TestBoundaryReuse.recorded_calls)
+
+    def test_a_converged_solve_sweeps_again_with_its_multiplier(self, monkeypatch):
+        from parakkt import optimizer
+
+        sweeps = self.recorded_calls(monkeypatch, optimizer, "solve_adjoint")
+        _, (_, trace, _) = solve(MIXED, (17,), 33, tol_kkt=1e-9)
+        assert trace.converged
+        assert len(sweeps) == len(trace.rows) + 1
