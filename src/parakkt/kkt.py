@@ -39,6 +39,9 @@ __all__ = [
 
 _MAX_BRACKET_DOUBLINGS = 60
 _MAX_ROOT_ITER = 200
+# A root holds ~14 temporaries of its size: 11 MB for 50 states of 33 x 65
+# rooted at once, 0.9 MB for a chunk of 2**13 nodes (4 such states).
+_ROOT_CHUNK_NODES = 2**13       # nodes per root of a stack of states
 
 MULTIPLIER_SIGN_SLACK = 1e-10
 FEASIBILITY_SLACK = 1e-8
@@ -189,11 +192,24 @@ def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
     return u, e, boundary, constrained
 
 
+def _boundary_rows(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid, y_rows):
+    """The constraint boundary of each state of a stack or sequence, in order,
+    rooted as asked for in chunks of at most ``_ROOT_CHUNK_NODES`` nodes (one
+    state at least).  The root is per node: each is its state's root alone."""
+    env = cylinder_env(grid, timegrid)
+    rows = max(1, _ROOT_CHUNK_NODES // (timegrid.n_levels * grid.n_interior))
+    for i in range(0, len(y_rows), rows):
+        yield from _boundary(spec, env, np.asarray(y_rows[i:i + rows]))
+
+
 def constraint_boundary_field(spec: ProblemSpec, grid: SpatialGrid,
                               timegrid: TimeGrid,
                               y_values: np.ndarray) -> np.ndarray:
-    """Per-node root of u -> g(x, t, y, u); the feasible set is u <= root."""
-    return _boundary(spec, cylinder_env(grid, timegrid), y_values)
+    """Per-node root of u -> g(x, t, y, u), the feasible set being u <= root,
+    for one state or a stack of them (rooted by ``_boundary_rows``)."""
+    if y_values.ndim == 2:
+        return _boundary(spec, cylinder_env(grid, timegrid), y_values)
+    return np.array(list(_boundary_rows(spec, grid, timegrid, y_values)))
 
 
 def constraint_boundary(spec: ProblemSpec, x, t: float, y: float) -> float:

@@ -31,13 +31,14 @@ from .kkt import (
     FEASIBILITY_SLACK,
     KKTPoint,
     _boundary_reads_state,
+    _boundary_rows,
     _multiplier_max,
     _pointwise_residuals,
     constraint_boundary_field,
     control_update_field,
     kkt_residuals,
 )
-from .parabolic import SolverOptions, solve_adjoint, solve_state, step_scope
+from .parabolic import SolverOptions, _march_states, solve_adjoint, step_scope
 from .problem import ProblemSpec, eval_scalar_map
 
 __all__ = [
@@ -171,54 +172,50 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     )
 
 
-def _restored_trial(spec, grid, timegrid, u_values, solver, held=None):
+def _restored_trial(spec, grid, timegrid, u, solver, held=None):
     """State solves plus feasibility restoration of a stack of controls.
 
-    ``u_values`` holds B controls, shape (B, n_levels, n_interior).  All are
-    solved in one stacked state sweep and projected onto the constraint;
-    the rows the projection moved are solved again in one sweep, at most
-    twice, and a row moved by both passes must end feasible.  Returns one
-    (control, state, objective, boundary) per row, each what restoring that
-    row alone gives.  ``boundary`` is the constraint boundary of the
-    returned state, the one its last projection used, or ``None`` for a row
-    that last projection moved and solved again.  ``held``, if given, is
-    the boundary of every state (see ``_boundary_reads_state``); the
-    projections then use it and solve none, and every row returns it.  A
-    failure raises ``SolveError``.
+    ``u`` holds B controls level by level, (n_levels, B, n_interior), and is
+    restored in place: one stacked march (``parabolic._march_states``), a
+    projection onto the constraint, and one march of the rows it moved, at
+    most twice; a row moved by both passes must end feasible.  Returns ``(u,
+    states, objectives, boundary)``, each row what restoring it alone gives.
+    For a stack of one, ``boundary`` is the constraint boundary its last
+    projection used, or ``None`` if that projection moved it; a larger stack
+    returns ``None`` rather than hold one more field per row.  ``held``, if
+    given, is the boundary of every state (``_boundary_reads_state``); the
+    projections then use it and solve none.  A failure raises ``SolveError``.
     """
-    controls = [SpaceTimeField(u, grid, timegrid) for u in u_values]
-    states = [state for state, _ in solve_state(spec, controls, solver)]
-    boundaries = [None] * len(controls)
-    rows = list(range(len(controls)))
+    n_rows = u.shape[1]
+    states = _march_states(spec, grid, timegrid, u, solver)[0]
+    boundary = None
+    rows = slice(None)      # every row, as a view; then the rows the last pass moved
     for _ in range(2):
-        if held is None:
-            bounds = constraint_boundary_field(
-                spec, grid, timegrid, np.array([states[r].values for r in rows]))
-        else:
-            bounds = [held] * len(rows)
+        ids = np.arange(n_rows)[rows]
+        bounds = ([held] * len(ids) if held is not None else
+                  _boundary_rows(spec, grid, timegrid, [states[:, r] for r in ids]))
         moved = []
-        for r, b in zip(rows, bounds):
-            u = np.minimum(controls[r].values, b)
-            if np.array_equal(u, controls[r].values):
-                boundaries[r] = b
-            else:
-                moved.append((r, u))
+        for r, b in zip(ids, bounds):
+            if np.any(u[:, r] > b):
+                np.minimum(u[:, r], b, out=u[:, r])
+                moved.append(r)
+            elif n_rows == 1:
+                boundary = b
         if not moved:
             break
-        rows = [r for r, _ in moved]
-        for r, u in moved:
-            controls[r] = SpaceTimeField(u, grid, timegrid)
-        for r, (state, _) in zip(rows, solve_state(spec, [controls[r] for r in rows], solver)):
-            states[r] = state
+        rows = moved if len(moved) < n_rows else slice(None)
+        states[:, rows] = _march_states(spec, grid, timegrid, u[:, rows], solver)[0]
     else:
-        for r in rows:
+        for r in moved:
             worst = float(np.max(eval_scalar_map(spec.constraint.eval, grid, timegrid,
-                                                 states[r].values, controls[r].values)))
+                                                 states[:, r], u[:, r])))
             if worst > FEASIBILITY_SLACK:
                 raise SolveError(f"feasibility restoration left the constraint "
                                  f"violated by {worst:.3e} after 2 projections")
-    return [(c, y, discrete_objective(spec, y, c), b)
-            for c, y, b in zip(controls, states, boundaries)]
+    w = objective_weights(grid, timegrid).values
+    return u, states, [float(np.sum(w * eval_scalar_map(spec.cost.eval, grid, timegrid,
+                                                        states[:, r], u[:, r])))
+                       for r in range(n_rows)], boundary
 
 
 @step_scope()
@@ -243,8 +240,15 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     held = None
     if not _boundary_reads_state(spec):
         held = constraint_boundary_field(spec, grid, timegrid, np.zeros_like(u_values))
-    control, state, objective, boundary = _restored_trial(
-        spec, grid, timegrid, u_values[None], solver, held)[0]
+
+    def restored(u):
+        """(control, state, objective, boundary) of ``u`` restored, a stack of one."""
+        u, states, [objective], boundary = _restored_trial(spec, grid, timegrid, u[:, None],
+                                                           solver, held)
+        return (SpaceTimeField(u[:, 0], grid, timegrid),
+                SpaceTimeField(states[:, 0], grid, timegrid), objective, boundary)
+
+    control, state, objective, boundary = restored(u_values)
     e_values = np.zeros_like(control.values)
 
     adjoint = None
@@ -298,10 +302,8 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         accepted = None
         fallback = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            trial_u = control.values + step * direction
             try:
-                trial = _restored_trial(spec, grid, timegrid, trial_u[None],
-                                        solver, held)[0]
+                trial = restored(control.values + step * direction)
             except SolveError:
                 # A trial whose state solve fails is a rejected step.
                 step *= _BACKTRACK_FACTOR

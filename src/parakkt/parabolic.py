@@ -26,10 +26,9 @@ any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
-every row of the stack, while each row keeps its own Newton bookkeeping and
-ends bit for bit where its own sweep would (see ``_march_states``).  A
-single control is the stack of one.  The growth probe of ``soc`` restores
-its trials this way.
+every row, while each row keeps its own Newton bookkeeping and ends bit for
+bit where its own sweep would (``_march_states``).  ``solve_state`` marches
+a stack of one; the restoration of ``optimizer`` marches its trials.
 
 The adjoint field is stored on all time levels.  Its last stored level is
 the solution of the first backward step started from a virtual zero beyond
@@ -42,7 +41,6 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +104,14 @@ class _StepSolver:
     residual r of M + diag(d) to a componentwise backward error
     max |r| / (|M||x| + |d x| + |b|) (LAPACK ``xGERFS``) of at most 2 eps,
     and M + diag(d) is factored and held instead once a correction fails to
-    halve that error or it is not finite.  A sweep uses the solver as a
-    context manager, whose exit releases the factor: each sweep factors at
-    its own first solve, as a solver of its own would, and no factor
-    outlives its sweep.  ``linear_solver="dense"`` (``np.linalg.solve``) is
-    the independent backend for cross-checks.
+    halve that error or it is not finite.  So a refined solve may return a
+    solution of a singular but consistent system: its backward error is at
+    most 2 eps, so it does solve that system, where ``gtsv`` and
+    ``np.linalg.solve`` refuse the matrix.  The backends differ only there.
+    A sweep uses the solver as a context manager, whose exit releases the
+    factor: each sweep factors at its own first solve, as a solver of its
+    own would, and no factor outlives its sweep.  ``linear_solver="dense"``
+    (``np.linalg.solve``) is the independent backend for cross-checks.
 
     The held factor is of the transpose: the sorted CSR arrays of
     M + diag(d0), read as CSC without a copy, are (M + diag(d0))^T, and
@@ -195,6 +196,9 @@ class _StepSolver:
                 f"singular step matrix at step {step}; reduce the time step"
             ) from exc
         if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
+            # Only a failed solve pays for looking at its right-hand side.
+            if not np.logical_and.reduce(np.isfinite(rhs)):
+                raise SolveError(f"non-finite right-hand side at step {step}")
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             )
@@ -304,67 +308,50 @@ def sample_initial_state(spec: ProblemSpec, grid: SpatialGrid) -> np.ndarray:
     return vals
 
 
-def solve_state(spec: ProblemSpec, control: SpaceTimeField | Sequence[SpaceTimeField],
+def solve_state(spec: ProblemSpec, control: SpaceTimeField,
                 options: SolverOptions | None = None):
     """March the semilinear state equation driven by the given control.
 
     Returns the state field together with a report carrying the worst Newton
     iteration count, the final residual of every step, and the ratio of the
-    state sup norm to the natural size of the data.
-
-    ``control`` may also be a sequence of controls on the same grids.  They
-    are then marched as one stack (see ``_march_states``) and the result is
-    a list with one (state, report) pair per control, each the pair that
-    control gives alone.  A failure raises the ``SolveError`` of the first
-    control that fails, with the message that control raises alone.
+    state sup norm to the natural size of the data.  The march is that of a
+    stack of one (``_march_states``).
     """
     options = options or SolverOptions()
-    single = isinstance(control, SpaceTimeField)
-    controls = [control] if single else list(control)
-    if not controls:
-        raise ConfigError("a state solve needs at least one control")
-    grid, timegrid = controls[0].grid, controls[0].timegrid
-    if not all(c.same_layout(controls[0]) for c in controls):
-        raise ConfigError("controls of one state solve live on different grids")
-    u = np.stack([c.values for c in controls], axis=1)
-    with _step_solver(spec, grid, timegrid.tau, options.linear_solver,
-                      len(controls)) as stepper:
-        values, max_newton, step_res = _march_states(spec, grid, timegrid, u, options,
-                                                     stepper)
-
+    grid, timegrid = control.grid, control.timegrid
+    values, max_newton, step_res = _march_states(spec, grid, timegrid,
+                                                 control.values[:, None], options)
+    state = SpaceTimeField(values[:, 0], grid, timegrid)
     qw = quadrature_weights(grid, timegrid)
-    pairs = []
-    for b, c in enumerate(controls):
-        state = SpaceTimeField(values[:, b], grid, timegrid)
-        data_size = float(np.sqrt(np.sum(qw.values * c.values**2)))
-        data_size += float(np.max(np.abs(state.values[0])))
-        sup = float(np.max(np.abs(state.values)))
-        if sup == 0.0:
-            ratio = 0.0
-        elif data_size == 0.0:
-            ratio = float("inf")
-        else:
-            ratio = sup / data_size
-        pairs.append((state, StateSolveReport(max_newton[b], step_res[b], ratio)))
-    return pairs[0] if single else pairs
+    data_size = float(np.sqrt(np.sum(qw.values * control.values**2)))
+    data_size += float(np.max(np.abs(state.values[0])))
+    sup = float(np.max(np.abs(state.values)))
+    if sup == 0.0:
+        ratio = 0.0
+    elif data_size == 0.0:
+        ratio = float("inf")
+    else:
+        ratio = sup / data_size
+    return state, StateSolveReport(max_newton[0], step_res[0], ratio)
 
 
 def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
-                  u: np.ndarray, options: SolverOptions, stepper: _StepSolver):
+                  u: np.ndarray, options: SolverOptions):
     """Implicit Euler with Newton per step for a stack of B controls at once.
 
-    ``u`` has shape (n_levels, B, n_interior), and ``stepper`` was built for
-    at least B rows.  Every Newton iteration of a level evaluates one
-    residual over the flat stack of its rows (A y from
-    ``_StepSolver.product``), makes one stacked step solve and one f'
-    evaluation.  Tolerance, stall count and iteration cap are kept per row
-    in Python floats.  A row is frozen the moment it converges while others
-    of its level march on: its right-hand side is zeroed, so its step is
-    zero and it keeps the iterate its own sweep stops at.  A row that fails
-    stops, and so does every row above it, whose outcome no longer matters;
-    the rows below march on and the lowest failed row's error is raised at
-    the end.  A level starts from the iterate the level before ended on, so
-    its first residual reuses the f(y) and A y computed there.
+    ``u`` has shape (n_levels, B, n_interior); the march takes the step
+    solver of its grid for B rows (``_step_solver``).  Every Newton
+    iteration of a level evaluates one residual over the flat stack of its
+    rows (A y from ``_StepSolver.product``), makes one stacked step solve
+    and one f' evaluation.  Tolerance, stall count and iteration cap are
+    kept per row in Python floats.  A row is frozen the moment it converges
+    while others of its level march on: its right-hand side is zeroed, so
+    its step is zero and it keeps the iterate its own sweep stops at.  A row
+    that fails stops, and so does every row above it, whose outcome no
+    longer matters; the rows below march on and the lowest failed row's
+    error is raised at the end.  A level starts from the iterate the level
+    before ended on, so its first residual reuses the f(y) and A y computed
+    there.
 
     Returns the (n_levels, B, n_interior) states, each row's worst Newton
     count and its (n_levels - 1) final step residuals.
@@ -385,65 +372,66 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     step_res = np.zeros((n_rows, n_levels - 1))
     limit, failure = n_rows, None     # rows >= limit have stopped
     fy = ay = None                    # f(y) and A y at the current iterate
-    for j in range(n_levels - 1):
-        k = limit
-        y = y_prev = values[j, :k * n]
-        u_lvl = u[j + 1, :k * n]
-        tol = [options.newton_tol * (1.0 + a + b)
-               for a, b in zip(row_max(y_prev), u_max[j + 1])]
-        best = [math.inf] * k
-        stall = [0] * k
-        live = list(range(k))
-        frozen = None                 # 0 on converged rows, once some share a level
-        n_solves = 0
-        while True:
-            if fy is None:
-                fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
-            res = (y - y_prev) / tau + ay + fy - u_lvl
-            rnorms = row_max(res)
-            still, settled = [], []
-            for i in live:
-                rnorm = rnorms[i]
-                if not math.isfinite(rnorm):
-                    message = f"state Newton produced non-finite residual at step {j + 1}"
-                elif rnorm <= tol[i]:
-                    step_res[i, j] = rnorm
-                    max_newton[i] = max(max_newton[i], n_solves)
-                    settled.append(i)
-                    continue
-                elif n_solves >= options.newton_max_iter:
-                    message = (f"state Newton did not converge at step {j + 1}: "
-                               f"residual {rnorm:.3e} after {n_solves} iterations")
-                elif rnorm >= best[i] and stall[i] + 1 >= _STALL_LIMIT:
-                    message = (f"state Newton stalled at step {j + 1}: residual "
-                               f"{rnorm:.3e} after {n_solves} iterations")
-                else:
-                    stall[i] = stall[i] + 1 if rnorm >= best[i] else 0
-                    best[i] = min(best[i], rnorm)
-                    still.append(i)
-                    continue
-                limit, failure = i, message
-                break
-            live = still
-            if limit < k:
-                k = limit
-                y, y_prev, u_lvl, res = y[:k * n], y_prev[:k * n], u_lvl[:k * n], res[:k * n]
-                frozen = None if frozen is None else frozen[:k * n]
+    with _step_solver(spec, grid, tau, options.linear_solver, n_rows) as stepper:
+        for j in range(n_levels - 1):
+            k = limit
+            y = y_prev = values[j, :k * n]
+            u_lvl = u[j + 1, :k * n]
+            tol = [options.newton_tol * (1.0 + a + b)
+                   for a, b in zip(row_max(y_prev), u_max[j + 1])]
+            best = [math.inf] * k
+            stall = [0] * k
+            live = list(range(k))
+            frozen = None                 # 0 on converged rows, once some share a level
+            n_solves = 0
+            while True:
+                if fy is None:
+                    fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
+                res = (y - y_prev) / tau + ay + fy - u_lvl
+                rnorms = row_max(res)
+                still, settled = [], []
+                for i in live:
+                    rnorm = rnorms[i]
+                    if not math.isfinite(rnorm):
+                        message = f"state Newton produced non-finite residual at step {j + 1}"
+                    elif rnorm <= tol[i]:
+                        step_res[i, j] = rnorm
+                        max_newton[i] = max(max_newton[i], n_solves)
+                        settled.append(i)
+                        continue
+                    elif n_solves >= options.newton_max_iter:
+                        message = (f"state Newton did not converge at step {j + 1}: "
+                                   f"residual {rnorm:.3e} after {n_solves} iterations")
+                    elif rnorm >= best[i] and stall[i] + 1 >= _STALL_LIMIT:
+                        message = (f"state Newton stalled at step {j + 1}: residual "
+                                   f"{rnorm:.3e} after {n_solves} iterations")
+                    else:
+                        stall[i] = stall[i] + 1 if rnorm >= best[i] else 0
+                        best[i] = min(best[i], rnorm)
+                        still.append(i)
+                        continue
+                    limit, failure = i, message
+                    break
+                live = still
+                if limit < k:
+                    k = limit
+                    y, y_prev, u_lvl, res = (v[:k * n] for v in (y, y_prev, u_lvl, res))
+                    frozen = None if frozen is None else frozen[:k * n]
+                    fy = None
+                if not live:
+                    break
+                # A converged row solves for a zero step, which leaves it as it is.
+                if settled and frozen is None:
+                    frozen = np.ones(y.size)
+                for i in settled:
+                    frozen[i * n:(i + 1) * n] = 0.0
+                rhs = res if frozen is None else res * frozen
+                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
                 fy = None
-            if not live:
+                n_solves += 1
+            values[j + 1, :k * n] = y
+            if limit == 0:
                 break
-            # A converged row solves for a zero step, which leaves it as it is.
-            if settled and frozen is None:
-                frozen = np.ones(y.size)
-            for i in settled:
-                frozen[i * n:(i + 1) * n] = 0.0
-            rhs = res if frozen is None else res * frozen
-            y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
-            fy = None
-            n_solves += 1
-        values[j + 1, :k * n] = y
-        if limit == 0:
-            break
     if failure is not None:
         raise SolveError(failure)
     return values.reshape(n_levels, n_rows, n), max_newton, step_res

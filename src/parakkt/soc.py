@@ -10,10 +10,9 @@ to rounding.  A critical direction takes the tangency g_y z + g_u v = 0
 into the linearized equation through the reduced potential f'(y) + g_y/g_u:
 one sweep per sign, plus one per pass that clamps weakly active nodes.
 
-The growth probe restores its trials in batches, each batch one stacked
-state sweep (``parabolic.solve_state`` given a sequence of controls), under
-a budget of space-time nodes per batch; its rows are those of restoring the
-trials one at a time.
+The growth probe restores its trials in batches, each one level-major
+stack under a budget of space-time nodes; its rows are those of restoring
+the trials one at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
     "quadratic_growth_probe",
 ]
 
-_BATCH_NODES = 2**14    # space-time nodes per growth-probe batch; see the probe
+_BATCH_NODES = 2**17    # space-time nodes per growth-probe batch; see the probe
 _CONE_SWEEPS = 8        # sweeps per sign of a critical direction, weak-node passes included
 
 
@@ -125,7 +124,7 @@ def quadratic_form(spec: ProblemSpec, point: KKTPoint,
 
 def _smooth_random_fields(grid, timegrid, rng, count: int = 1) -> np.ndarray:
     """``count`` fields of a few low Fourier modes with random weights, each
-    sup-normalized; shape (count, n_levels, n_interior).  The weights are
+    sup-normalized; shape (n_levels, count, n_interior).  The weights are
     drawn field by field, so the fields do not depend on ``count``."""
     x = grid.interior_coords
     t = timegrid.times
@@ -141,13 +140,13 @@ def _smooth_random_fields(grid, timegrid, rng, count: int = 1) -> np.ndarray:
                     * np.sin(p * np.pi * x[:, 1] / grid.extents[1])
                 )
     weights = rng.standard_normal((count, len(space_modes), 3))
-    vals = np.zeros((count, timegrid.n_levels, grid.n_interior))
+    vals = np.zeros((timegrid.n_levels, count, grid.n_interior))
     for k, sm in enumerate(space_modes):
         for q in (0, 1, 2):
             tfun = np.cos(q * np.pi * t / timegrid.horizon)
-            vals += weights[:, k, q, None, None] * tfun[None, :, None] * sm[None, None, :]
-    sup = np.abs(vals).max(axis=(1, 2))
-    vals /= np.where(sup > 0, sup, 1.0)[:, None, None]
+            vals += weights[None, :, k, q, None] * tfun[:, None, None] * sm[None, None, :]
+    sup = np.abs(vals).max(axis=(0, 2))
+    vals /= np.where(sup > 0, sup, 1.0)[None, :, None]
     return vals
 
 
@@ -166,7 +165,7 @@ def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
     rebuilt.
     """
     grid, timegrid = point.state.grid, point.state.timegrid
-    raw = _smooth_random_fields(grid, timegrid, np.random.default_rng(seed))[0]
+    raw = _smooth_random_fields(grid, timegrid, np.random.default_rng(seed))[:, 0]
     raw[0] = 0.0
 
     y, u = point.state.values, point.control.values
@@ -264,45 +263,40 @@ def quadratic_growth_probe(spec: ProblemSpec, point: KKTPoint,
     ratio over feasible trials estimates the growth constant.
 
     The trials are drawn in order from one generator and restored in
-    batches, each batch one stacked state sweep (``_restored_trial``), so
-    the rows are those of restoring the trials one at a time.  A batch
-    holds at most ``_BATCH_NODES`` = 2**14 space-time nodes (8 trials on a
-    33 x 65 grid, at least one trial on any grid), and its rows are
-    recorded before the next batch is drawn.  The budget bounds the memory
-    a batch holds, mostly temporaries of the stacked constraint-boundary
-    roots.  In a solve-and-audit run on a 33 x 65 grid (peak resident size
-    105.6 MB one trial at a time), batches of 4, 8, 16 and 50 trials raised
-    the peak by 0.6, 2.1, 5.4 and 16.9 MB and cut the audit time by 57, 66,
-    69 and 73%: past 8 trials the memory grows faster than the time falls.
+    batches of at most ``_BATCH_NODES`` = 2**17 space-time nodes (all 50
+    trials at 33 x 65, one or two on the largest grids), each batch one
+    level-major stack (``_restored_trial``), so the rows are those of
+    restoring the trials one at a time.  A batch holds two fields per trial,
+    its controls and states, plus one root chunk of its boundary
+    (``kkt._ROOT_CHUNK_NODES``).  Fifty trials on u + 0.25 y^3 <= 0.4 at
+    33 x 65 take 34 ms and peak at 2.8 MB traced, against 58.5 ms and
+    3.2 MB in batches of 8 (2**14 nodes) whose boundaries were rooted whole.
     """
     _check_probe_arguments(n_trials, radius)
     solver = options or SolverOptions()
     grid, timegrid = point.state.grid, point.state.timegrid
     rng = np.random.default_rng(seed)
     qw = quadrature_weights(grid, timegrid).values
-    per_batch = max(1, _BATCH_NODES // (timegrid.n_levels * grid.n_interior))
+    batch = max(1, _BATCH_NODES // (timegrid.n_levels * grid.n_interior))
     rows = []
     kappa = np.inf
     n_feasible = 0
-    for first in range(0, n_trials, per_batch):
-        deltas = radius * _smooth_random_fields(grid, timegrid, rng,
-                                                min(per_batch, n_trials - first))
-        deltas[:, 0] = 0.0
-        trials = _restored_trial(spec, grid, timegrid,
-                                 point.control.values + deltas, solver)
-        for trial, (control, state, objective, _) in enumerate(trials, first):
-            du = control.values - point.control.values
+    for first in range(0, n_trials, batch):
+        u = radius * _smooth_random_fields(grid, timegrid, rng, min(batch, n_trials - first))
+        u[0] = 0.0
+        u += point.control.values[:, None]
+        u, states, objectives, _ = _restored_trial(spec, grid, timegrid, u, solver)
+        for b, objective in enumerate(objectives):
+            du = u[:, b] - point.control.values
             norm_du = float(np.sqrt(np.sum(qw * du**2)))
             g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
-                                state.values, control.values)
+                                states[:, b], u[:, b])
             feasible = bool(np.max(g) <= FEASIBILITY_SLACK) and norm_du >= 1e-8
-            ratio = 0.0
-            if norm_du >= 1e-8:
-                ratio = (objective - point.objective) / norm_du**2
+            ratio = (objective - point.objective) / norm_du**2 if norm_du >= 1e-8 else 0.0
             if feasible:
                 n_feasible += 1
                 kappa = min(kappa, ratio)
-            rows.append((trial, ratio, norm_du, feasible))
+            rows.append((first + b, ratio, norm_du, feasible))
     if not np.isfinite(kappa):
         kappa = 0.0
     return GrowthProbe(rows, float(kappa), n_feasible)

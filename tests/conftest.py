@@ -1,6 +1,7 @@
 """Shared fixtures: solved reference points reused across the suite."""
 
 import os
+import tracemalloc
 
 # One BLAS thread, set before numpy loads, as the benchmark runs: the dense
 # reference backend solves systems of a few hundred unknowns, where threaded
@@ -32,6 +33,20 @@ def tracking_with_constraint(expr):
 # potential f'(y) + g_y/g_u to be exactly tangent.
 SLOPED_TEXT = tracking_with_constraint("u + 0.5*y - 0.4")
 
+# The mixed constraint of the benchmark's second-order workload.
+CUBIC_TEXT = tracking_with_constraint("u + 0.25*y^3 - 0.4")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak of the memory ``tracemalloc`` traces while ``fn(*args,
+    **kwargs)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def solve_builtin(name, nodes, n_levels, tol):
     return solve_spec(parakkt.builtin_problem(name), nodes, n_levels, tol)
@@ -55,6 +70,12 @@ def tracking_bundle():
 def sloped_bundle():
     """The g = u + 0.5 y - 0.4 problem solved tightly on a 33x65 grid."""
     return solve_spec(parakkt.loads(SLOPED_TEXT), (33,), 65, 1e-10)
+
+
+@pytest.fixture(scope="session")
+def cubic_bundle():
+    """The g = u + 0.25 y^3 - 0.4 problem solved tightly on a 33x65 grid."""
+    return solve_spec(parakkt.loads(CUBIC_TEXT), (33,), 65, 1e-10)
 
 
 @pytest.fixture(scope="session")

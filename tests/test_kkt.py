@@ -203,6 +203,28 @@ class TestControlUpdate:
         assert b[32, 3] == pytest.approx(direct, abs=1e-12)
         np.testing.assert_allclose(b, 0.4, atol=1e-9)
 
+    def test_a_stack_is_rooted_in_chunks_that_give_each_row_its_own_root(
+            self, cubic_bundle, monkeypatch):
+        from parakkt import kkt
+
+        spec, point, _, _ = cubic_bundle
+        grid, timegrid = point.state.grid, point.state.timegrid
+        rng = np.random.default_rng(7)
+        y = point.state.values
+        stack = y + 0.3 * rng.standard_normal((17,) + y.shape)
+        alone = [constraint_boundary_field(spec, grid, timegrid, y) for y in stack]
+        chunks, root = [], kkt._boundary
+
+        def recorded(spec, env, y):
+            chunks.append(len(y))
+            return root(spec, env, y)
+
+        monkeypatch.setattr(kkt, "_boundary", recorded)
+        stacked = constraint_boundary_field(spec, grid, timegrid, stack)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+        # 2**13 // (65 * 31) = 4 rows a chunk.
+        assert chunks == [4, 4, 4, 4, 1]
+
 
     @pytest.mark.parametrize(
         "helper",

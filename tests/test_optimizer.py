@@ -269,10 +269,11 @@ class TestLineSearchFailures:
 
     @staticmethod
     def failing_state_solve(monkeypatch, fail_at):
-        """Patches ``solve_state`` to raise on its ``fail_at``-th call (0: never)."""
+        """Patches the stacked state march to raise on its ``fail_at``-th call
+        (0: never)."""
         from parakkt import optimizer
 
-        original = optimizer.solve_state
+        original = optimizer._march_states
         calls = []
 
         def patched(*args, **kwargs):
@@ -281,7 +282,7 @@ class TestLineSearchFailures:
                 raise SolveError("state Newton stalled (injected)")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "solve_state", patched)
+        monkeypatch.setattr(optimizer, "_march_states", patched)
         return calls
 
     def test_failed_trial_shrinks_the_step(self, monkeypatch):
@@ -345,11 +346,11 @@ class TestRestorationCheck:
         grid = SpatialGrid(extents=spec.extents, nodes=(17,))
         timegrid = TimeGrid(n_levels=33, horizon=spec.horizon)
         calls = self.shifted_boundary(monkeypatch, [1e-9])
-        [(control, _, _, boundary)] = _restored_trial(
-            spec, grid, timegrid, np.ones((1, 33, 15)), SolverOptions())
+        control, _, _, boundary = _restored_trial(
+            spec, grid, timegrid, np.ones((33, 1, 15)), SolverOptions())
         assert len(calls) == 2
         assert boundary is None
-        assert float(np.max(control.values)) == 0.4
+        assert float(np.max(control)) == 0.4
 
 
 class TestBoundaryReuse:
@@ -372,30 +373,34 @@ class TestBoundaryReuse:
         from parakkt import kkt, optimizer
 
         roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
-        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
+        passes = self.recorded_calls(monkeypatch, optimizer, "_boundary_rows")
         updates = self.recorded_calls(monkeypatch, optimizer, "control_update_field")
         _, (_, trace, _) = solve(MIXED, (17,), 33, tol_kkt=1e-9)
         assert trace.converged
         assert len(updates) > len(trace.rows) > 1
         assert len(roots) == len(passes) > 0
 
-    def test_restored_rows_carry_the_boundary_of_their_state(self, monkeypatch):
+    def test_a_restored_control_carries_the_boundary_of_its_state(self, monkeypatch):
         from parakkt import optimizer
 
-        spec = loads(tracking_with_constraint("u + 0.25*y^3 - 0.4"))
+        spec = MIXED
         grid = SpatialGrid(extents=spec.extents, nodes=(17,))
         timegrid = TimeGrid(n_levels=33, horizon=spec.horizon)
-        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
-        u_values = np.stack([np.zeros((33, 15)), np.ones((33, 15))])
-        rows = _restored_trial(spec, grid, timegrid, u_values, SolverOptions())
+        passes = self.recorded_calls(monkeypatch, optimizer, "_boundary_rows")
+        u_values = np.stack([np.zeros((33, 15)), np.ones((33, 15))], axis=1)
+        u, states, _, boundary = _restored_trial(spec, grid, timegrid, u_values.copy(),
+                                                 SolverOptions())
         # The first pass leaves u = 0 and moves u = 1; the second leaves it.
-        assert [len(y_values) for *_, y_values in passes] == [2, 1]
-        assert np.array_equal(rows[0][0].values, u_values[0])
-        assert not np.array_equal(rows[1][0].values, u_values[1])
-        for _, state, _, boundary in rows:
+        assert [len(y_rows) for *_, y_rows in passes] == [2, 1]
+        assert np.array_equal(u[:, 0], u_values[:, 0])
+        assert not np.array_equal(u[:, 1], u_values[:, 1])
+        assert boundary is None         # a stack of two holds none
+        for row in range(2):
+            alone, state, _, boundary = _restored_trial(
+                spec, grid, timegrid, u_values[:, row:row + 1].copy(), SolverOptions())
+            assert np.array_equal(alone, u[:, row:row + 1])
             assert np.array_equal(
-                boundary, constraint_boundary_field(spec, grid, timegrid,
-                                                    state.values))
+                boundary, constraint_boundary_field(spec, grid, timegrid, state[:, 0]))
 
     def test_certificate_solves_one_boundary_for_all_its_sweeps(self, monkeypatch):
         from parakkt import kkt, optimizer
@@ -480,7 +485,7 @@ class TestConstraintOnUAlone:
         from parakkt import kkt, optimizer
 
         spec = loads(tracking_with_constraint("u + 0*y - 0.4"))
-        passes = self.recorded_calls(monkeypatch, optimizer, "constraint_boundary_field")
+        passes = self.recorded_calls(monkeypatch, optimizer, "_boundary_rows")
         roots = self.recorded_calls(monkeypatch, kkt, "_boundary")
         _, (point, trace, _) = solve(spec, (17,), 33, tol_kkt=1e-9)
         assert trace.converged

@@ -26,7 +26,7 @@ from parakkt import (
 )
 from parakkt.exceptions import ConfigError, SolveError
 from parakkt.grids import assemble_operator
-from parakkt.parabolic import _StepSolver, step_scope
+from parakkt.parabolic import _march_states, _StepSolver, step_scope
 
 
 def exact_decay(grid, timegrid):
@@ -145,8 +145,8 @@ class TestStateSolve:
 
 
 class TestStackedStateSolve:
-    """A sequence of controls marches as one stack; each row is bit for bit
-    what its control gives alone."""
+    """A stack of controls marches as one (``_march_states``); each row is bit
+    for bit what ``solve_state`` gives its control alone."""
 
     @staticmethod
     def controls(*levels):
@@ -155,17 +155,24 @@ class TestStackedStateSolve:
         tg = TimeGrid(33, spec.horizon)
         return spec, [SpaceTimeField(np.full((33, 15), c), g, tg) for c in levels]
 
+    @staticmethod
+    def march(spec, controls, options=SolverOptions()):
+        """(states, worst Newton counts, step residuals) of the stacked controls."""
+        grid, timegrid = controls[0].grid, controls[0].timegrid
+        u = np.stack([c.values for c in controls], axis=1)
+        return _march_states(spec, grid, timegrid, u, options)
+
     @pytest.mark.parametrize("ls", ["auto", "dense"])
     def test_rows_with_different_newton_counts_match_single_solves(self, ls):
-        spec, controls = self.controls(0.0, 1.0, 30.0)
+        spec, controls = self.controls(0.0, 1.0, 30.0, -30.0)
         options = SolverOptions(linear_solver=ls)
-        pairs = solve_state(spec, controls, options)
-        assert [rep.max_newton_iterations for _, rep in pairs] == [0, 2, 4]
-        for control, (state, rep) in zip(controls, pairs):
+        states, max_newton, step_res = self.march(spec, controls, options)
+        assert max_newton == [0, 2, 4, 4]
+        for row, control in enumerate(controls):
             alone, rep_alone = solve_state(spec, control, options)
-            assert state.values.tobytes() == alone.values.tobytes()
-            assert rep.step_residuals.tobytes() == rep_alone.step_residuals.tobytes()
-            assert rep.bound_ratio == rep_alone.bound_ratio
+            assert rep_alone.max_newton_iterations == max_newton[row]
+            assert states[:, row].tobytes() == alone.values.tobytes()
+            assert step_res[row].tobytes() == rep_alone.step_residuals.tobytes()
 
     def test_a_stalling_row_raises_its_own_error(self):
         spec, (good, bad, other) = self.controls(1.0, 1e4, 30.0)
@@ -173,7 +180,7 @@ class TestStackedStateSolve:
             solve_state(spec, bad)
         assert "stalled at step 1" in str(alone.value)
         with pytest.raises(SolveError) as stacked:
-            solve_state(spec, [good, bad, other])
+            self.march(spec, [good, bad, other])
         assert str(stacked.value) == str(alone.value)
 
     def test_the_first_failing_row_decides_the_error(self):
@@ -183,15 +190,9 @@ class TestStackedStateSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="stalled"):
-                solve_state(spec, [stalls, blows_up])
+                self.march(spec, [stalls, blows_up])
             with pytest.raises(SolveError, match="non-finite"):
-                solve_state(spec, [blows_up, stalls])
-
-    def test_controls_on_different_grids_are_refused(self):
-        spec, (a,) = self.controls(0.0)
-        b = SpaceTimeField.zeros(a.grid, TimeGrid(17, spec.horizon))
-        with pytest.raises(ConfigError, match="different grids"):
-            solve_state(spec, [a, b])
+                self.march(spec, [blows_up, stalls])
 
 
 class TestLinearizedSolve:
@@ -407,7 +408,7 @@ class TestStepSolver:
         b[3] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(SolveError, match="singular step matrix at step 2"):
+            with pytest.raises(SolveError, match="non-finite right-hand side at step 2"):
                 stepper.solve(d + shift, b, 2)
 
     def test_adjoint_sweep_at_a_converged_state_factors_once(self, monkeypatch):
@@ -464,6 +465,40 @@ class TestStepSolver:
             with pytest.raises(SolveError, match="singular step matrix at step 4"):
                 stepper.solve(np.array(d), np.ones(len(d)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("matrix, linear_solver, mode", [
+        ([[2.0, 1.0], [1.0, 2.0]], "auto", "banded"),
+        ([[3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 3.0]], "auto", "splu"),
+        ([[3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 3.0]], "dense", "dense"),
+    ])
+    def test_a_non_finite_right_hand_side_is_named(self, matrix, linear_solver, mode, bad):
+        """A regular step matrix: the fault is b, not the matrix or the step."""
+        stepper = unit_step_solver(matrix, linear_solver)
+        assert stepper.mode == mode
+        b = np.ones(len(matrix))
+        b[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="non-finite right-hand side at step 7"):
+                stepper.solve(np.zeros(len(matrix)), b, 7)
+
+    def test_a_refined_solve_may_solve_a_singular_consistent_system(self):
+        """Where the backends differ: the second row's matrix is all ones, and
+        b = (1, 1, 1) lies in its range.  Refinement against the first row's
+        factor returns a solution of that system; dense refuses the matrix."""
+        d = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        b = np.array([1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
+        refined = unit_step_solver(np.ones((3, 3)), rows=2)
+        assert refined.mode == "splu"
+        x = refined.solve(d, b, 1)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(x[3:], 1.0 / 3.0, rtol=0, atol=4 * eps)
+        assert self.backward_error(np.ones((3, 3)), 0.0, x[3:], b[3:]) <= 2 * eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolveError, match="singular step matrix at step 1"):
+                unit_step_solver(np.ones((3, 3)), "dense", rows=2).solve(d, b, 1)
+
     @pytest.mark.parametrize("nodes, mode", [((17,), "banded"), ((9, 3), "banded"),
                                              ((9, 9), "splu")])
     def test_the_step_matrix_picks_the_backend(self, nodes, mode):
@@ -486,16 +521,18 @@ class TestStepScope:
     @pytest.mark.parametrize("ls", ["auto", "dense"])
     def test_a_stacked_state_sweep_in_1d(self, ls):
         spec, controls = TestStackedStateSolve.controls(0.0, 1.0, 30.0)
+        march = TestStackedStateSolve.march
         options = SolverOptions(linear_solver=ls)
-        alone = solve_state(spec, controls, options)
+        alone, _, alone_res = march(spec, controls, options)
         with step_scope():
-            solve_state(spec, controls[0], options)     # held for one row, then grown
-            stacked = solve_state(spec, controls, options)
-            fewer = solve_state(spec, controls[1:], options)
+            march(spec, controls[:1], options)          # held for one row, then grown
+            stacked, _, stacked_res = march(spec, controls, options)
+            fewer, _, fewer_res = march(spec, controls[1:], options)
         assert self.held() is None
-        for (state, rep), (ref, rep_ref) in zip(stacked + fewer, alone + alone[1:]):
-            assert state.values.tobytes() == ref.values.tobytes()
-            assert rep.step_residuals.tobytes() == rep_ref.step_residuals.tobytes()
+        assert stacked.tobytes() == alone.tobytes()
+        assert stacked_res.tobytes() == alone_res.tobytes()
+        assert fewer.tobytes() == alone[:, 1:].tobytes()
+        assert fewer_res.tobytes() == alone_res[1:].tobytes()
 
     @pytest.mark.parametrize("ls", ["auto", "dense"])
     def test_adjoint_and_linear_sweeps_on_a_non_symmetric_operator(self, monkeypatch, ls):

@@ -13,7 +13,7 @@ from parakkt import (
     sample_critical_direction,
     strongly_active,
 )
-from parakkt import soc
+from parakkt import loads, soc
 from parakkt.exceptions import ConfigError, HypothesisViolationError
 from parakkt.grids import objective_weights, quadrature_weights
 from parakkt.optimizer import _restored_trial
@@ -21,7 +21,7 @@ from parakkt.parabolic import SolverOptions
 from parakkt.problem import eval_scalar_map
 from parakkt.soc import _smooth_random_fields
 
-from conftest import solve_builtin
+from conftest import CUBIC_TEXT, SLOPED_TEXT, solve_builtin, solve_spec, traced_peak
 
 
 def one_trial_at_a_time(spec, point, n_trials, radius=1e-2, seed=0):
@@ -32,15 +32,15 @@ def one_trial_at_a_time(spec, point, n_trials, radius=1e-2, seed=0):
     qw = quadrature_weights(grid, timegrid).values
     rows, kappa, n_feasible = [], np.inf, 0
     for trial in range(n_trials):
-        delta = radius * _smooth_random_fields(grid, timegrid, rng)[0]
+        delta = radius * _smooth_random_fields(grid, timegrid, rng)[:, 0]
         delta[0] = 0.0
         u_try = point.control.values + delta
-        control, state, objective, _ = _restored_trial(spec, grid, timegrid, u_try[None],
-                                                       SolverOptions())[0]
-        du = control.values - point.control.values
+        control, state, [objective], _ = _restored_trial(spec, grid, timegrid,
+                                                         u_try[:, None], SolverOptions())
+        du = control[:, 0] - point.control.values
         norm_du = float(np.sqrt(np.sum(qw * du**2)))
         g = eval_scalar_map(spec.constraint.eval, grid, timegrid,
-                            state.values, control.values)
+                            state[:, 0], control[:, 0])
         feasible = bool(np.max(g) <= 1e-8) and norm_du >= 1e-8
         ratio = (objective - point.objective) / norm_du**2 if norm_du >= 1e-8 else 0.0
         if feasible:
@@ -250,19 +250,55 @@ class TestGrowthProbe:
         assert probe.n_feasible == n_feasible
         assert abs(probe.kappa_hat - kappa) <= 1e-12
 
-    def test_batches_hold_at_most_the_node_budget(self, tracking_bundle, monkeypatch):
-        from parakkt import soc
+    @pytest.mark.parametrize("text", [SLOPED_TEXT, CUBIC_TEXT], ids=["sloped", "cubic"])
+    def test_mixed_batches_match_one_trial_at_a_time(self, text, monkeypatch):
+        """Every trial is projected and marched again: stacks of 50, then 50."""
+        from parakkt import optimizer
 
-        spec, point, _, _ = tracking_bundle
-        sizes = []
+        spec, point, _, _ = solve_spec(loads(text), (33,), 65, 1e-10)
+        marches, march = [], optimizer._march_states
 
-        def recorded(spec, grid, timegrid, u_values, solver):
-            sizes.append(len(u_values))
-            return _restored_trial(spec, grid, timegrid, u_values, solver)
+        def recorded(spec, grid, timegrid, u, solver):
+            marches.append(u.shape[1])
+            return march(spec, grid, timegrid, u, solver)
 
-        monkeypatch.setattr(soc, "_restored_trial", recorded)
-        quadratic_growth_probe(spec, point, n_trials=17)
-        assert sizes == [8, 8, 1]         # 2**14 // (65 * 31) = 8
+        monkeypatch.setattr(optimizer, "_march_states", recorded)
+        probe = quadratic_growth_probe(spec, point, n_trials=50, seed=4)
+        assert marches == [50, 50]
+        monkeypatch.undo()
+        rows, kappa, n_feasible = one_trial_at_a_time(spec, point, 50, seed=4)
+        assert probe.rows == rows
+        assert (probe.kappa_hat, probe.n_feasible) == (kappa, n_feasible)
+
+    @pytest.mark.parametrize("nodes, trials, batches, chunk", [
+        (33, 50, [50], 4 * 65 * 31),          # 2**17 // (65 * 31) = 65; 2**13 // (65 * 31) = 4
+        (129, 16, [15, 1], 65 * 127),         # 2**17 // (65 * 127) = 15; a row is 8,255 nodes
+    ])
+    def test_batches_and_roots_hold_at_most_their_node_budgets(self, nodes, trials,
+                                                               batches, chunk, monkeypatch):
+        from parakkt import kkt
+
+        spec, point, _, _ = solve_spec(loads(CUBIC_TEXT), (nodes,), 65, 1e-8)
+        sizes, roots, root = [], [], kkt._boundary
+
+        def restored(spec, grid, timegrid, u, solver):
+            sizes.append(u.shape[1])
+            return _restored_trial(spec, grid, timegrid, u, solver)
+
+        def rooted(spec, env, y):
+            roots.append(y.size)
+            return root(spec, env, y)
+
+        monkeypatch.setattr(soc, "_restored_trial", restored)
+        monkeypatch.setattr(kkt, "_boundary", rooted)
+        quadratic_growth_probe(spec, point, n_trials=trials)
+        assert sizes == batches
+        assert max(roots) == chunk
+
+    def test_fifty_trials_peak_below_the_batches_of_eight(self, cubic_bundle):
+        """Batches of 8 (2**14 nodes) peaked at 3.22 MB traced (x86-64, numpy 2.4.6)."""
+        spec, point, _, _ = cubic_bundle
+        assert traced_peak(quadratic_growth_probe, spec, point, n_trials=50) <= 3.1e6
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_trials": 0}, "at least one trial"),
