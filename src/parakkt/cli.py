@@ -126,16 +126,17 @@ def _cmd_validate(args) -> int:
 
 
 def _solve_run(args, precheck=None):
-    """Load, run ``precheck(spec, grid, timegrid)`` before ``--out`` exists,
-    solve, and write ``trace.csv`` and the four field files.  Returns
-    ``(spec, out, head, point, trace, report, checked)``, ``head`` being the
-    PROBLEM section and ``checked`` what the pre-check returned."""
+    """Load, build the options and run ``precheck(spec, grid, timegrid)``
+    before ``--out`` exists, solve, and write ``trace.csv`` and the four
+    field files.  Returns ``(spec, out, head, point, trace, report,
+    checked)``, ``head`` being the PROBLEM section and ``checked`` what the
+    pre-check returned."""
     spec = _load_spec(args)
     grid, timegrid = _grids(spec, args)
-    checked = precheck(spec, grid, timegrid) if precheck else None
-    out = _ensure_out(args)
     options = OptimizerOptions(max_outer=args.max_outer, tol_kkt=args.tol,
                                u_init=args.u_init, solver=_solver_options(args))
+    checked = precheck(spec, grid, timegrid) if precheck else None
+    out = _ensure_out(args)
     point, trace, report = solve_ocp(spec, grid, timegrid, options)
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         fh.write(trace.to_csv())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import AuditError, ConfigError, HypothesisViolationError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
-from .parabolic import forward_residual, sample_initial_state, step_operator, step_scope
+from .parabolic import _held, forward_residual, sample_initial_state, step_operator, step_scope
 from .problem import ProblemSpec, cylinder_env, eval_broadcast, eval_scalar_map
 
 __all__ = [
@@ -161,25 +161,20 @@ def _boundary(spec: ProblemSpec, env: dict, y: np.ndarray) -> np.ndarray:
 
 
 def _boundary_reads_state(spec: ProblemSpec) -> bool:
-    """Whether the constraint boundary can depend on y.
-
-    Its root reads g and g_u and starts from zeros, so where neither reads
-    y the boundary is one field for every state.  A map that is not a
-    compiled expression (no ``variables``) counts as reading y.
-    """
+    """Whether the constraint boundary can depend on y: its root reads g
+    and g_u alone.  A map that is not a compiled expression (no
+    ``variables``) counts as reading y."""
     g = spec.constraint
     return any("y" in getattr(fn, "variables", {"y"}) for fn in (g.eval, g.du))
 
 
 def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
-                    phi: np.ndarray, boundary: np.ndarray | None = None):
+                    phi: np.ndarray, boundary: np.ndarray):
     cost, g = spec.cost, spec.constraint
 
     def at(fn, u):
         return eval_broadcast(fn, y.shape, y=y, u=u, **env)
 
-    if boundary is None:
-        boundary = _boundary(spec, env, y)
     u_free = _monotone_root(lambda u: at(cost.du, u) - phi,
                             lambda u: at(cost.duu, u),
                             boundary.copy(), "control stationarity")
@@ -193,22 +188,30 @@ def _control_update(spec: ProblemSpec, env: dict, y: np.ndarray,
 
 
 def _boundary_rows(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid, y_rows):
-    """The constraint boundary of each state of a stack or sequence, in order,
-    rooted as asked for in chunks of at most ``_ROOT_CHUNK_NODES`` nodes (one
-    state at least).  The root is per node: each is its state's root alone."""
+    """An iterator over the constraint boundary of each state of a stack or
+    sequence, in order, rooted in chunks of at most ``_ROOT_CHUNK_NODES``
+    nodes (one state at least); the root is per node.  A boundary that reads
+    no state is one field for every row, rooted at y = 0 once per call or,
+    read-only, once per open step scope."""
     env = cylinder_env(grid, timegrid)
-    rows = max(1, _ROOT_CHUNK_NODES // (timegrid.n_levels * grid.n_interior))
-    for i in range(0, len(y_rows), rows):
-        yield from _boundary(spec, env, np.asarray(y_rows[i:i + rows]))
+    shape = (timegrid.n_levels, grid.n_interior)
+    if not _boundary_reads_state(spec):
+        held = _held(("boundary", shape[0], timegrid.horizon), spec, grid,
+                     lambda: _boundary(spec, env, np.zeros(shape)))
+        return iter([held] * len(y_rows))
+    rows = max(1, _ROOT_CHUNK_NODES // (shape[0] * shape[1]))
+    return (b for i in range(0, len(y_rows), rows)
+            for b in _boundary(spec, env, np.asarray(y_rows[i:i + rows])))
 
 
 def constraint_boundary_field(spec: ProblemSpec, grid: SpatialGrid,
                               timegrid: TimeGrid,
                               y_values: np.ndarray) -> np.ndarray:
     """Per-node root of u -> g(x, t, y, u), the feasible set being u <= root,
-    for one state or a stack of them (rooted by ``_boundary_rows``)."""
+    for one state or a stack of them, by ``_boundary_rows`` (read-only where
+    a step scope holds it)."""
     if y_values.ndim == 2:
-        return _boundary(spec, cylinder_env(grid, timegrid), y_values)
+        return next(_boundary_rows(spec, grid, timegrid, y_values[None]))
     return np.array(list(_boundary_rows(spec, grid, timegrid, y_values)))
 
 
@@ -225,10 +228,11 @@ def control_update_field(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGri
 
     Returns ``(u, e, boundary, constrained)``: the new control, the matching
     multiplier (zero off the active set), the constraint boundary in u, and
-    the mask of nodes where the constraint decided the value.  ``boundary``,
-    if given, must be ``constraint_boundary_field`` of ``y_values``; the
-    update then uses it instead of solving for it again.
+    the mask of nodes where the constraint decided the value.  ``boundary``
+    is ``constraint_boundary_field`` of ``y_values``, solved for unless given.
     """
+    if boundary is None:
+        boundary = constraint_boundary_field(spec, grid, timegrid, y_values)
     return _control_update(spec, cylinder_env(grid, timegrid), y_values,
                            phi_values, boundary)
 
@@ -236,9 +240,9 @@ def control_update_field(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGri
 def pointwise_control_update(spec: ProblemSpec, x, t: float, y: float,
                              phi: float):
     """Scalar (u, e) update: the field version on a 1x1 cylinder at (x, t)."""
-    u, e, _, _ = _control_update(spec, _point_env(spec, x, t),
-                                 np.array([[float(y)]]),
-                                 np.array([[float(phi)]]))
+    env, y = _point_env(spec, x, t), np.array([[float(y)]])
+    u, e, _, _ = _control_update(spec, env, y, np.array([[float(phi)]]),
+                                 _boundary(spec, env, y))
     return float(u[0, 0]), float(e[0, 0])
 
 

@@ -25,16 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import SolveError
+from .exceptions import ConfigError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     FEASIBILITY_SLACK,
     KKTPoint,
-    _boundary_reads_state,
     _boundary_rows,
     _multiplier_max,
     _pointwise_residuals,
-    constraint_boundary_field,
     control_update_field,
     kkt_residuals,
 )
@@ -63,6 +61,14 @@ class OptimizerOptions:
     tol_kkt: float = 1e-8
     u_init: float = 0.0
     solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        if not 0 < self.tol_kkt < np.inf:
+            raise ConfigError(f"tol_kkt must be finite and positive: {self.tol_kkt!r}")
+        if self.max_outer < 0:
+            raise ConfigError(f"max_outer must be at least 0: {self.max_outer!r}")
+        if not np.isfinite(self.u_init):
+            raise ConfigError(f"u_init must be finite: {self.u_init!r}")
 
 
 @dataclass
@@ -172,7 +178,7 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     )
 
 
-def _restored_trial(spec, grid, timegrid, u, solver, held=None):
+def _restored_trial(spec, grid, timegrid, u, solver):
     """State solves plus feasibility restoration of a stack of controls.
 
     ``u`` holds B controls level by level, (n_levels, B, n_interior), and is
@@ -182,9 +188,9 @@ def _restored_trial(spec, grid, timegrid, u, solver, held=None):
     states, objectives, boundary)``, each row what restoring it alone gives.
     For a stack of one, ``boundary`` is the constraint boundary its last
     projection used, or ``None`` if that projection moved it; a larger stack
-    returns ``None`` rather than hold one more field per row.  ``held``, if
-    given, is the boundary of every state (``_boundary_reads_state``); the
-    projections then use it and solve none.  A failure raises ``SolveError``.
+    returns ``None`` rather than hold one more field per row.  Each pass
+    roots its boundaries by ``kkt._boundary_rows``, once in a step scope where
+    they read no state.  A failure raises ``SolveError``.
     """
     n_rows = u.shape[1]
     states = _march_states(spec, grid, timegrid, u, solver)[0]
@@ -192,8 +198,7 @@ def _restored_trial(spec, grid, timegrid, u, solver, held=None):
     rows = slice(None)      # every row, as a view; then the rows the last pass moved
     for _ in range(2):
         ids = np.arange(n_rows)[rows]
-        bounds = ([held] * len(ids) if held is not None else
-                  _boundary_rows(spec, grid, timegrid, [states[:, r] for r in ids]))
+        bounds = _boundary_rows(spec, grid, timegrid, [states[:, r] for r in ids])
         moved = []
         for r, b in zip(ids, bounds):
             if np.any(u[:, r] > b):
@@ -235,16 +240,11 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     u_values = np.full((timegrid.n_levels, grid.n_interior),
                        float(options.u_init))
-    # A boundary that does not read y is one field for every state: solved
-    # once here, it serves every projection and control update.
-    held = None
-    if not _boundary_reads_state(spec):
-        held = constraint_boundary_field(spec, grid, timegrid, np.zeros_like(u_values))
 
     def restored(u):
         """(control, state, objective, boundary) of ``u`` restored, a stack of one."""
         u, states, [objective], boundary = _restored_trial(spec, grid, timegrid, u[:, None],
-                                                           solver, held)
+                                                           solver)
         return (SpaceTimeField(u[:, 0], grid, timegrid),
                 SpaceTimeField(states[:, 0], grid, timegrid), objective, boundary)
 

@@ -20,8 +20,9 @@ The solvers and audits that make many short sweeps (``solve_ocp``,
 entry points) run inside a ``step_scope``: the operator A of a (spec, grid)
 is assembled once in it, and each direction (A, and A^T for the adjoint)
 gets one ``_StepSolver`` per (tau, linear solver), its tiling grown to the
-largest stack asked for.  Nested calls use the scope that is open, and it
-is released when the outermost call returns or raises.  A sweep outside
+largest stack asked for; a constraint boundary that reads no state is
+rooted once in it (``kkt._boundary_rows``).  Nested calls use the open
+scope, released when the outermost call returns or raises.  A call outside
 any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls at once, level by level: one
@@ -81,6 +82,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.linear_solver not in ("auto", "dense"):
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
+        if not 0 < self.newton_tol < math.inf:
+            raise ConfigError(f"newton_tol must be finite and positive: {self.newton_tol!r}")
+        if self.newton_max_iter < 1:
+            raise ConfigError(f"newton_max_iter must be at least 1: {self.newton_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ def _bandwidth(matrix: sp.spmatrix) -> int:
 
 @contextlib.contextmanager
 def step_scope():
-    """Hold the step machinery of the calls made inside, until the outermost
+    """Hold what the calls made inside build (``_held``) until the outermost
     scope closes; an inner scope uses the open one.  Also a decorator."""
     if getattr(_local, "held", None) is not None:
         yield
@@ -268,7 +273,7 @@ def step_scope():
 
 def _held(key, spec, grid, make, usable=lambda value: True):
     """``make()``, or what the open scope holds under ``key`` for (spec, grid),
-    made again when it is not ``usable``.
+    made again when it is not ``usable``.  An array is held read-only.
 
     The entry keeps spec and grid alive, so their ids name them while it
     lives."""
@@ -279,6 +284,8 @@ def _held(key, spec, grid, make, usable=lambda value: True):
     entry = held.get(key)
     if entry is None or not usable(entry[2]):
         entry = held[key] = (spec, grid, make())
+        if isinstance(entry[2], np.ndarray):
+            entry[2].flags.writeable = False
     return entry[2]
 
 

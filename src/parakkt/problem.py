@@ -77,8 +77,10 @@ class ProblemSpec:
             raise ConfigError("extents must be positive and finite")
         if not 0 < self.horizon < np.inf:
             raise ConfigError("time horizon must be positive and finite")
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ConfigError("gamma1 and gamma2 must be positive")
+        if not (0 < self.gamma1 < np.inf and 0 < self.gamma2 < np.inf):
+            raise ConfigError("gamma1 and gamma2 must be positive and finite")
+        if not np.isfinite(self.nonlinearity.lower_slope):
+            raise ConfigError("the reaction slope bound C_f must be finite")
 
 
 def cylinder_env(grid, timegrid) -> dict:

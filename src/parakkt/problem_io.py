@@ -111,9 +111,7 @@ def loads(text: str, source: str = "<string>") -> ProblemSpec:
 
     gamma1 = _float(cp, "constants", "gamma1", source)
     gamma2 = _float(cp, "constants", "gamma2", source)
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise ProblemIOError(f"{source}: gamma1 and gamma2 must be positive")
-
+    # ProblemSpec refuses bad numbers: gamma1, gamma2, C_f, extents and T.
     spec = ProblemSpec(
         name=name,
         dim=dim,

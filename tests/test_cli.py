@@ -148,6 +148,41 @@ class TestSolve:
         assert "invalid choice" in err.splitlines()[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, reason", [
+        ("--tol", "nan", "tol_kkt must be finite and positive"),
+        ("--tol", -1, "tol_kkt must be finite and positive"),
+        ("--max-outer", -3, "max_outer must be at least 0"),
+        ("--u-init", "nan", "u_init must be finite"),
+        ("--u-init", "inf", "u_init must be finite"),
+    ])
+    def test_an_option_that_can_never_be_met_is_refused(self, tmp_path, capsys,
+                                                        option, value, reason):
+        """Refused before the solve, not run to the cap: no output directory."""
+        out = tmp_path / "out"
+        rc = run("solve", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+                 option, value, "--out", out)
+        assert rc == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=")
+        assert reason in first
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, rc", [
+        ("gamma2 = 1", "gamma2 = 1", 3), ("gamma2 = 1", "gamma2 = nan", 2),
+        ("gamma2 = 1", "gamma2 = inf", 2), ("gamma1 = 0.1", "gamma1 = nan", 2),
+        ("C_f = 0", "C_f = nan", 2),
+    ])
+    def test_a_non_finite_bound_is_refused(self, tmp_path, capsys, old, new, rc):
+        """g_u = 0.01 is below the floor gamma2 / 2; a nan gamma2 hid that."""
+        text = tracking_with_constraint("0.01*u - 0.004")
+        assert old in text
+        problem = tmp_path / "slow.ini"
+        problem.write_text(text.replace(old, new))
+        assert run("solve", "--problem-file", problem, "--nx", 9, "--nt", 9,
+                   "--out", tmp_path / "out") == rc
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith(f"error kind={'audit' if rc == 3 else 'config'} exit={rc}")
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         rc = run(
             "solve", "--problem", "tracking_box_1d",

@@ -29,9 +29,12 @@ from parakkt.kkt import (
     _MAX_BRACKET_DOUBLINGS,
     _MAX_ROOT_ITER,
     FEASIBILITY_SLACK,
+    _boundary,
     _monotone_root,
     active_threshold,
 )
+from parakkt.parabolic import step_scope
+from parakkt.problem import cylinder_env
 
 EPS = np.finfo(float).eps
 
@@ -202,6 +205,29 @@ class TestControlUpdate:
         direct = constraint_boundary(spec, x0, 0.5, point.state.values[32, 3])
         assert b[32, 3] == pytest.approx(direct, abs=1e-12)
         np.testing.assert_allclose(b, 0.4, atol=1e-9)
+
+    def test_a_boundary_that_reads_no_state_is_held_read_only_in_a_scope(
+            self, tracking_bundle):
+        """u <= 0.4: one field, rooted at y = 0, serves every state; a scope
+        holds it read-only until it closes, and a call outside roots its own."""
+        spec, point, _, _ = tracking_bundle
+        grid, timegrid = point.state.grid, point.state.timegrid
+        y = point.state.values
+        with step_scope():
+            held = constraint_boundary_field(spec, grid, timegrid, y)
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 0.0
+            assert constraint_boundary_field(spec, grid, timegrid, 2.0 * y) is held
+        assert getattr(parakkt.parabolic._local, "held", None) is None
+        assert held.tobytes() == _boundary(spec, cylinder_env(grid, timegrid), y).tobytes()
+        fresh = [constraint_boundary_field(spec, grid, timegrid, y) for _ in range(2)]
+        assert fresh[0] is not fresh[1] and fresh[0] is not held
+        assert all(b.flags.writeable for b in fresh)
+        assert fresh[0].tobytes() == held.tobytes()
+        stack = constraint_boundary_field(spec, grid, timegrid, np.stack([y, -y]))
+        assert stack.flags.writeable
+        assert stack.tobytes() == np.stack([held, held]).tobytes()
 
     def test_a_stack_is_rooted_in_chunks_that_give_each_row_its_own_root(
             self, cubic_bundle, monkeypatch):

@@ -14,7 +14,7 @@ from parakkt import (
     solve_ocp,
     strongly_active,
 )
-from parakkt.exceptions import SolveError
+from parakkt.exceptions import ConfigError, SolveError
 from parakkt.grids import SpaceTimeField, objective_weights
 from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field, recover_multiplier_max
 from parakkt.optimizer import (TRACE_HEADER, _merit, _merit_gradient, _restored_trial,
@@ -99,6 +99,24 @@ class TestOptions:
         assert not trace.converged
         assert trace.message == "stopped after 1 iterations"
         assert len(trace.rows) == 1
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol_kkt": float("nan")}, "tol_kkt must be finite and positive"),
+        ({"tol_kkt": float("inf")}, "tol_kkt must be finite and positive"),
+        ({"tol_kkt": 0.0}, "tol_kkt must be finite and positive"),
+        ({"tol_kkt": -1.0}, "tol_kkt must be finite and positive"),
+        ({"max_outer": -3}, "max_outer must be at least 0"),
+        ({"u_init": float("nan")}, "u_init must be finite"),
+        ({"u_init": float("inf")}, "u_init must be finite"),
+        ({"u_init": -float("inf")}, "u_init must be finite"),
+    ])
+    def test_an_option_that_can_never_be_met_is_refused(self, kwargs, match):
+        """Such a solve ran to the iteration cap and read as non-convergence."""
+        with pytest.raises(ConfigError, match=match):
+            OptimizerOptions(**kwargs)
+
+    def test_no_iteration_is_a_budget(self):
+        assert OptimizerOptions(max_outer=0).max_outer == 0
 
     def test_warm_initial_control(self):
         _, (p_cold, t_cold, _) = solve("tracking_box_1d", (17,), 17, tol_kkt=1e-9)

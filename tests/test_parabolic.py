@@ -655,3 +655,15 @@ class TestFailureModes:
         for removed in ("banded", "splu", "qr"):
             with pytest.raises(ConfigError, match="unknown linear solver"):
                 SolverOptions(linear_solver=removed)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"newton_tol": float("nan")}, "newton_tol must be finite and positive"),
+        ({"newton_tol": float("inf")}, "newton_tol must be finite and positive"),
+        ({"newton_tol": 0.0}, "newton_tol must be finite and positive"),
+        ({"newton_tol": -1e-10}, "newton_tol must be finite and positive"),
+        ({"newton_max_iter": 0}, "newton_max_iter must be at least 1"),
+        ({"newton_max_iter": -3}, "newton_max_iter must be at least 1"),
+    ])
+    def test_a_newton_option_that_can_never_be_met_is_refused(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            SolverOptions(**kwargs)

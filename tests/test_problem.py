@@ -170,6 +170,35 @@ class TestDerivedMaps:
         with pytest.raises(ConfigError, match="must be positive and finite"):
             dataclasses.replace(builtin_problem("tracking_box_1d"), **{field: value})
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("gamma1 = 0.1", "gamma1 = nan", "gamma1 and gamma2 must be positive and finite"),
+        ("gamma1 = 0.1", "gamma1 = inf", "gamma1 and gamma2 must be positive and finite"),
+        ("gamma2 = 1", "gamma2 = nan", "gamma1 and gamma2 must be positive and finite"),
+        ("gamma2 = 1", "gamma2 = inf", "gamma1 and gamma2 must be positive and finite"),
+        ("gamma2 = 1", "gamma2 = 0", "gamma1 and gamma2 must be positive and finite"),
+        ("C_f = 0", "C_f = nan", "C_f must be finite"),
+        ("C_f = 0", "C_f = -inf", "C_f must be finite"),
+    ])
+    def test_a_non_finite_bound_is_refused(self, old, new, match):
+        """A nan gamma2 turned the g_u floor off: g_u < nan is never true."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d")
+        assert old in text
+        with pytest.raises(ConfigError, match=match):
+            loads(text.replace(old, new))
+
+    @pytest.mark.parametrize("field, value", [("gamma1", float("nan")),
+                                              ("gamma2", float("nan")),
+                                              ("gamma2", float("inf"))])
+    def test_problem_spec_refuses_a_non_finite_gamma(self, field, value):
+        with pytest.raises(ConfigError, match="gamma1 and gamma2 must be positive"):
+            dataclasses.replace(builtin_problem("tracking_box_1d"), **{field: value})
+
+    def test_problem_spec_refuses_a_non_finite_reaction_slope(self):
+        spec = builtin_problem("tracking_box_1d")
+        bad = dataclasses.replace(spec.nonlinearity, lower_slope=float("nan"))
+        with pytest.raises(ConfigError, match="C_f must be finite"):
+            dataclasses.replace(spec, nonlinearity=bad)
+
 
 class TestParsingErrors:
     def test_missing_section(self):

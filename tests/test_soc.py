@@ -13,15 +13,16 @@ from parakkt import (
     sample_critical_direction,
     strongly_active,
 )
-from parakkt import loads, soc
+from parakkt import builtin_problem, loads, soc
 from parakkt.exceptions import ConfigError, HypothesisViolationError
-from parakkt.grids import objective_weights, quadrature_weights
-from parakkt.optimizer import _restored_trial
-from parakkt.parabolic import SolverOptions
+from parakkt.grids import SpaceTimeField, objective_weights, quadrature_weights
+from parakkt.optimizer import _restored_trial, discrete_objective
+from parakkt.parabolic import SolverOptions, solve_state
 from parakkt.problem import eval_scalar_map
-from parakkt.soc import _smooth_random_fields
+from parakkt.soc import CriticalDirection, _c2_residual, _smooth_random_fields
 
-from conftest import CUBIC_TEXT, SLOPED_TEXT, solve_builtin, solve_spec, traced_peak
+from conftest import (CUBIC_TEXT, SLOPED_TEXT, solve_builtin, solve_spec, traced_peak,
+                      tracking_with_constraint)
 
 
 def one_trial_at_a_time(spec, point, n_trials, radius=1e-2, seed=0):
@@ -190,6 +191,47 @@ class TestQuadraticForm:
         zeroed.state_direction.values[:] = 0.0
         assert quadratic_form(spec, point, zeroed) == 0.0
 
+    @pytest.mark.parametrize("g, share", [
+        (None, 0.0), ("u + 0.5*y - 0.4", 0.0), ("u + 0.1*u^3 + 0.2*y*u - 0.4", 0.02),
+    ], ids=["box", "sloped", "curved"])
+    def test_the_form_is_the_second_difference_of_the_lagrangian(self, g, share):
+        """Q(v) is d^2/ds^2 of l(u + s v) at s = 0, where l(u) = J(y(u), u) +
+        sum w e g(y(u), u) holds the multiplier e of the point fixed.  The
+        gaps read 7.7e-10 to 8.3e-10 of Q.  On the curved constraint the
+        terms e (g_yy z^2 + 2 g_yu z v + g_uu v^2) are 3.1% of Q (the g_yu
+        part 0.26%), so a dropped or wrong g_yu or g_uu term fails."""
+        spec = loads(tracking_with_constraint(g)) if g else builtin_problem("tracking_box_1d")
+        spec, point, _, _ = solve_spec(spec, (17,), 33, 1e-10)
+        grid, timegrid = point.state.grid, point.state.timegrid
+        options = SolverOptions(newton_tol=1e-13)
+        w = objective_weights(grid, timegrid).values
+        e = point.multiplier.values
+
+        def lagrangian(u):
+            control = SpaceTimeField(u, grid, timegrid)
+            y = solve_state(spec, control, options)[0]
+            g_values = eval_scalar_map(spec.constraint.eval, grid, timegrid, y.values, u)
+            return discrete_objective(spec, y, control) + float(np.sum(w * e * g_values))
+
+        v = _smooth_random_fields(grid, timegrid, np.random.default_rng(5))[:, 0]
+        v[0] = 0.0
+        v = SpaceTimeField(v, grid, timegrid)
+        z = linearized_state(spec, point, v, options)
+        q = quadratic_form(spec, point, CriticalDirection(
+            v, z, 0.0, True, _c2_residual(spec, point, v, z), 0.0))
+        s, u = 1e-2, point.control.values
+        second = (lagrangian(u + s * v.values) - 2.0 * lagrangian(u)
+                  + lagrangian(u - s * v.values)) / s**2
+        assert abs(second - q) <= 1e-8 * abs(q)
+
+        def at(key):
+            return eval_scalar_map(getattr(spec.constraint, key), grid, timegrid,
+                                   point.state.values, u)
+
+        zv, vv = z.values, v.values
+        g_terms = e * (at("dyy") * zv**2 + 2.0 * at("dyu") * zv * vv + at("duu") * vv**2)
+        assert abs(float(np.sum(w * g_terms))) >= share * abs(q)
+
 
 class TestSmallestEigenvalue:
     def test_tracking_floor_is_the_control_weight(self, tracking_bundle):
@@ -294,6 +336,26 @@ class TestGrowthProbe:
         quadratic_growth_probe(spec, point, n_trials=trials)
         assert sizes == batches
         assert max(roots) == chunk
+
+    @pytest.mark.parametrize("nodes", [33, 129])
+    def test_a_box_boundary_is_rooted_once_per_probe(self, nodes, monkeypatch):
+        """u <= 0.4 reads no state: the probe's scope roots it once for every
+        trial and pass, where chunks of trials took 26 roots at 33 x 65 and
+        100 at 129 x 65; the scope holds nothing once the probe returns."""
+        from parakkt import kkt, parabolic
+
+        spec, point, _, _ = solve_builtin("tracking_box_1d", (nodes,), 65, 1e-8)
+        roots, root = [], kkt._boundary
+
+        def rooted(spec, env, y):
+            roots.append(y.shape)
+            return root(spec, env, y)
+
+        monkeypatch.setattr(kkt, "_boundary", rooted)
+        probe = quadratic_growth_probe(spec, point, n_trials=50)
+        assert roots == [(65, nodes - 2)]
+        assert probe.n_feasible == 50
+        assert getattr(parabolic._local, "held", None) is None
 
     def test_fifty_trials_peak_below_the_batches_of_eight(self, cubic_bundle):
         """Batches of 8 (2**14 nodes) peaked at 3.22 MB traced (x86-64, numpy 2.4.6)."""
