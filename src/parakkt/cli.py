@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -174,6 +175,8 @@ def _read_point(spec, point_dir):
 
 
 def _cmd_check_kkt(args) -> int:
+    if not 0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be finite and positive: {args.tol!r}")
     spec = _load_spec(args)
     point, grid, timegrid = _read_point(spec, args.point)
     report = kkt_residuals(spec, point)
@@ -316,7 +319,13 @@ def _add_seed(p):
 
 class _Parser(argparse.ArgumentParser):
     """Refuses an argument with ``ConfigError``, so the refusal is reported
-    like every other failure; subparsers are made of this class too."""
+    like every other failure, and reads a value such as ``-1e4`` as a
+    negative number, not as an option; subparsers are made of this class
+    too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")

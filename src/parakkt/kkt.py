@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import AuditError, ConfigError, HypothesisViolationError, SolveError
+from .exceptions import ConfigError, HypothesisViolationError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid
 from .parabolic import _held, forward_residual, sample_initial_state, step_operator, step_scope
 from .problem import ProblemSpec, cylinder_env, eval_broadcast, eval_scalar_map
@@ -43,7 +43,6 @@ _MAX_ROOT_ITER = 200
 # rooted at once, 0.9 MB for a chunk of 2**13 nodes (4 such states).
 _ROOT_CHUNK_NODES = 2**13       # nodes per root of a stack of states
 
-MULTIPLIER_SIGN_SLACK = 1e-10
 FEASIBILITY_SLACK = 1e-8
 
 
@@ -325,26 +324,6 @@ class KKTPoint:
     adjoint: SpaceTimeField
     multiplier: SpaceTimeField
     objective: float
-
-    def validate(self, spec: ProblemSpec) -> None:
-        for name, fld in (("control", self.control), ("adjoint", self.adjoint),
-                          ("multiplier", self.multiplier)):
-            if not self.state.same_layout(fld):
-                raise ConfigError(f"{name} layout differs from the state layout")
-        e = self.multiplier.values
-        if float(np.min(e)) < -MULTIPLIER_SIGN_SLACK:
-            raise AuditError(
-                f"multiplier has negative entries below {-MULTIPLIER_SIGN_SLACK:g}"
-            )
-        g = eval_scalar_map(spec.constraint.eval, self.state.grid,
-                            self.state.timegrid, self.state.values,
-                            self.control.values)
-        worst = float(np.max(g))
-        if worst > FEASIBILITY_SLACK:
-            raise AuditError(
-                f"constraint violated by {worst:.3e}, beyond the allowed "
-                f"{FEASIBILITY_SLACK:g}"
-            )
 
 
 @dataclass(frozen=True)

@@ -150,13 +150,16 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     Sweeps the backward solve and the boundary-based multiplier formula until
     the multiplier stops moving; ``SolveError`` reports the last change if
     it still moves after ``max_sweeps`` sweeps, or if a multiplier is not
-    finite.  Where the sweep does not read the multiplier (g_y = 0 at every
-    node), the first sweep's pair is returned: a second sweep would give
-    its adjoint again, the formula its multiplier again, and the loop would
-    stop there with the same pair.  The result depends only on the inputs,
-    so two calls on the same pair agree to rounding regardless of when or
-    where the pair was produced.
+    finite, and ``max_sweeps`` below 1 is a ``ConfigError``.  Where the
+    sweep does not read the multiplier (g_y = 0 at every node), the first
+    sweep's pair is returned: a second sweep would give its adjoint again,
+    the formula its multiplier again, and the loop would stop there with the
+    same pair.  The result depends only on the inputs, so two calls on the
+    same pair agree to rounding regardless of when or where the pair was
+    produced.
     """
+    if max_sweeps < 1:
+        raise ConfigError(f"max_sweeps must be at least 1: {max_sweeps!r}")
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
     e = SpaceTimeField.zeros(grid, timegrid)

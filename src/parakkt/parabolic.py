@@ -27,9 +27,11 @@ any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
-every row, while each row keeps its own Newton bookkeeping and ends bit for
-bit where its own sweep would (``_march_states``).  ``solve_state`` marches
-a stack of one; the restoration of ``optimizer`` marches its trials.
+every row, and each row stops where its own sweep would (``_march_states``).
+A row's Newton stops when its residual meets the tolerance; the march fails
+when a residual is not finite or a row reaches ``newton_max_iter``, and a
+stack fails at the first such row it meets.  ``solve_state`` marches a stack
+of one; the restoration of ``optimizer`` marches its trials.
 
 The adjoint field is stored on all time levels.  Its last stored level is
 the solution of the first backward step started from a virtual zero beyond
@@ -68,8 +70,6 @@ __all__ = [
     "solve_adjoint",
 ]
 
-_STALL_LIMIT = 5
-
 _local = threading.local()     # .held: this thread's open step scope, or None
 
 
@@ -91,7 +91,6 @@ class SolverOptions:
 @dataclass(frozen=True)
 class StateSolveReport:
     max_newton_iterations: int
-    step_residuals: np.ndarray
     bound_ratio: float
 
 
@@ -122,13 +121,8 @@ class _StepSolver:
     M + diag(d0), read as CSC without a copy, are (M + diag(d0))^T, and
     every triangular solve is made with ``trans="T"``.  The columns are
     ordered by minimum degree on the pattern of M^T + M
-    (``permc_spec="MMD_AT_PLUS_A"``; George and Liu, SIAM Rev. 31, 1989).
-    On the 2-D step matrices of 31^2 and 39^2 interior nodes this cuts the
-    L+U fill from 33,348 and 60,750 entries (SuperLU's default COLAMD) to
-    21,664 and 38,530, and one ``lu.solve`` from 0.08-0.11 and 0.14-0.18 ms
-    to 0.05-0.06 and 0.07-0.08 ms (scipy 1.17.1, one BLAS thread, a 2-core
-    x86-64 host).  About half of that is the ordering and half the
-    transposed solve, which is the faster one in this SuperLU build.
+    (``permc_spec="MMD_AT_PLUS_A"``; George and Liu, SIAM Rev. 31, 1989),
+    which fills less than SuperLU's default COLAMD on the 2-D step matrices.
 
     A solver made for ``rows`` > 1 also solves a stack of up to that many
     systems, given as flat vectors d and b of k * n entries (k <= rows; d
@@ -320,14 +314,14 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
     """March the semilinear state equation driven by the given control.
 
     Returns the state field together with a report carrying the worst Newton
-    iteration count, the final residual of every step, and the ratio of the
-    state sup norm to the natural size of the data.  The march is that of a
-    stack of one (``_march_states``).
+    iteration count and the ratio of the state sup norm to the natural size
+    of the data.  The march is that of a stack of one (``_march_states``);
+    ``forward_residual`` recomputes the defect of the returned state.
     """
     options = options or SolverOptions()
     grid, timegrid = control.grid, control.timegrid
-    values, max_newton, step_res = _march_states(spec, grid, timegrid,
-                                                 control.values[:, None], options)
+    values, max_newton = _march_states(spec, grid, timegrid,
+                                       control.values[:, None], options)
     state = SpaceTimeField(values[:, 0], grid, timegrid)
     qw = quadrature_weights(grid, timegrid)
     data_size = float(np.sqrt(np.sum(qw.values * control.values**2)))
@@ -339,7 +333,7 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
         ratio = float("inf")
     else:
         ratio = sup / data_size
-    return state, StateSolveReport(max_newton[0], step_res[0], ratio)
+    return state, StateSolveReport(max_newton[0], ratio)
 
 
 def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
@@ -350,18 +344,17 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     solver of its grid for B rows (``_step_solver``).  Every Newton
     iteration of a level evaluates one residual over the flat stack of its
     rows (A y from ``_StepSolver.product``), makes one stacked step solve
-    and one f' evaluation.  Tolerance, stall count and iteration cap are
-    kept per row in Python floats.  A row is frozen the moment it converges
-    while others of its level march on: its right-hand side is zeroed, so
-    its step is zero and it keeps the iterate its own sweep stops at.  A row
-    that fails stops, and so does every row above it, whose outcome no
-    longer matters; the rows below march on and the lowest failed row's
-    error is raised at the end.  A level starts from the iterate the level
-    before ended on, so its first residual reuses the f(y) and A y computed
-    there.
+    and one f' evaluation.  Each row has its own tolerance, in a Python
+    float.  A row is frozen the moment it converges while others of its
+    level march on: its right-hand side is zeroed, so its step is zero and it
+    keeps the iterate its own sweep stops at.  The first row met whose
+    residual is not finite, or that is still above its tolerance after
+    ``newton_max_iter`` iterations, fails the whole stack with its
+    ``SolveError``.  A level starts from the iterate the level before ended
+    on, so its first residual reuses the f(y) and A y computed there.
 
-    Returns the (n_levels, B, n_interior) states, each row's worst Newton
-    count and its (n_levels - 1) final step residuals.
+    Returns the (n_levels, B, n_interior) states and each row's worst Newton
+    count.
     """
     n_levels, n_rows, n = u.shape
     tau = timegrid.tau
@@ -369,26 +362,21 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     starts = np.arange(0, n_rows * n, n)
 
     def row_max(v):
-        return np.maximum.reduceat(np.abs(v), starts[:v.size // n]).tolist()
+        return np.maximum.reduceat(np.abs(v), starts).tolist()
 
     u_max = np.abs(u).max(axis=2).tolist()
     u = u.reshape(n_levels, -1)
     values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
     values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
     max_newton = [0] * n_rows
-    step_res = np.zeros((n_rows, n_levels - 1))
-    limit, failure = n_rows, None     # rows >= limit have stopped
     fy = ay = None                    # f(y) and A y at the current iterate
     with _step_solver(spec, grid, tau, options.linear_solver, n_rows) as stepper:
         for j in range(n_levels - 1):
-            k = limit
-            y = y_prev = values[j, :k * n]
-            u_lvl = u[j + 1, :k * n]
+            y = y_prev = values[j]
+            u_lvl = u[j + 1]
             tol = [options.newton_tol * (1.0 + a + b)
                    for a, b in zip(row_max(y_prev), u_max[j + 1])]
-            best = [math.inf] * k
-            stall = [0] * k
-            live = list(range(k))
+            live = list(range(n_rows))
             frozen = None                 # 0 on converged rows, once some share a level
             n_solves = 0
             while True:
@@ -400,31 +388,18 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 for i in live:
                     rnorm = rnorms[i]
                     if not math.isfinite(rnorm):
-                        message = f"state Newton produced non-finite residual at step {j + 1}"
-                    elif rnorm <= tol[i]:
-                        step_res[i, j] = rnorm
+                        raise SolveError(
+                            f"state Newton produced non-finite residual at step {j + 1}")
+                    if rnorm <= tol[i]:
                         max_newton[i] = max(max_newton[i], n_solves)
                         settled.append(i)
-                        continue
                     elif n_solves >= options.newton_max_iter:
-                        message = (f"state Newton did not converge at step {j + 1}: "
-                                   f"residual {rnorm:.3e} after {n_solves} iterations")
-                    elif rnorm >= best[i] and stall[i] + 1 >= _STALL_LIMIT:
-                        message = (f"state Newton stalled at step {j + 1}: residual "
-                                   f"{rnorm:.3e} after {n_solves} iterations")
+                        raise SolveError(
+                            f"state Newton did not converge at step {j + 1}: "
+                            f"residual {rnorm:.3e} after {n_solves} iterations")
                     else:
-                        stall[i] = stall[i] + 1 if rnorm >= best[i] else 0
-                        best[i] = min(best[i], rnorm)
                         still.append(i)
-                        continue
-                    limit, failure = i, message
-                    break
                 live = still
-                if limit < k:
-                    k = limit
-                    y, y_prev, u_lvl, res = (v[:k * n] for v in (y, y_prev, u_lvl, res))
-                    frozen = None if frozen is None else frozen[:k * n]
-                    fy = None
                 if not live:
                     break
                 # A converged row solves for a zero step, which leaves it as it is.
@@ -436,12 +411,8 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
                 fy = None
                 n_solves += 1
-            values[j + 1, :k * n] = y
-            if limit == 0:
-                break
-    if failure is not None:
-        raise SolveError(failure)
-    return values.reshape(n_levels, n_rows, n), max_newton, step_res
+            values[j + 1] = y
+    return values.reshape(n_levels, n_rows, n), max_newton
 
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,

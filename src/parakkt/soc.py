@@ -269,9 +269,7 @@ def quadratic_growth_probe(spec: ProblemSpec, point: KKTPoint,
     level-major stack (``_restored_trial``), so the rows are those of
     restoring the trials one at a time.  A batch holds two fields per trial,
     its controls and states, plus one root chunk of its boundary
-    (``kkt._ROOT_CHUNK_NODES``).  Fifty trials on u + 0.25 y^3 <= 0.4 at
-    33 x 65 take 34 ms and peak at 2.8 MB traced, against 58.5 ms and
-    3.2 MB in batches of 8 (2**14 nodes) whose boundaries were rooted whole.
+    (``kkt._ROOT_CHUNK_NODES``).
     """
     _check_probe_arguments(n_trials, radius)
     solver = options or SolverOptions()

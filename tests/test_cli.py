@@ -183,6 +183,18 @@ class TestSolve:
         first = capsys.readouterr().err.splitlines()[0]
         assert first.startswith(f"error kind={'audit' if rc == 3 else 'config'} exit={rc}")
 
+    def test_a_negative_number_may_carry_an_exponent(self, tmp_path, capsys):
+        """argparse alone reads -1e4 as an option and refuses the value."""
+        assert run("solve", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+                   "--u-init", "-1e4", "--out", tmp_path / "solved") == 0
+        out = tmp_path / "soc"
+        assert run("soc", "--problem", "tracking_box_1d", "--nx", 9, "--nt", 9,
+                   "--radius", "-1e-2", "--out", out) == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=")
+        assert "radius must be finite and positive, got -0.01" in first
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         rc = run(
             "solve", "--problem", "tracking_box_1d",
@@ -218,6 +230,19 @@ class TestCheckKKT:
         )
         assert rc == 0
         assert (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_a_tolerance_that_can_never_be_met_is_refused(self, solved_dir, tmp_path,
+                                                          capsys, tol):
+        """Refused before the audit: no output directory."""
+        out = tmp_path / "out"
+        rc = run("check-kkt", "--problem", "tracking_box_1d", "--point", solved_dir,
+                 "--tol", tol, "--out", out)
+        assert rc == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=config exit=2 msg=")
+        assert "--tol must be finite and positive" in first
+        assert not out.exists()
 
     def test_missing_point_directory(self, tmp_path, capsys):
         rc = run(

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -60,3 +61,38 @@ def test_the_check_finds_an_unused_import():
                      "__all__ = ['e']\n\ndef f(v: 'os.PathLike'):\n    return v\n")
     used = used_names(tree)
     assert {n for n in imported_names(tree) if n not in used} == {"d"}
+
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def benchmark_boundaries():
+    """The (module, attribute) pairs ``bench/spans.py`` wraps: every entry of
+    its ``BOUNDARIES`` and its ``FACTORIZATION``, read from the source."""
+    tables = {}
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            tables[node.targets[0].id] = node.value
+    entries = ast.literal_eval(tables["BOUNDARIES"]) + (
+        ast.literal_eval(tables["FACTORIZATION"]),)
+    return [(module, attr) for _, module, attr in entries]
+
+
+def resolve(module, attr):
+    """What a dotted ``attr`` of ``module`` names, or None."""
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+@pytest.mark.parametrize("module, attr", benchmark_boundaries())
+def test_every_benchmark_boundary_resolves(module, attr):
+    """A renamed boundary would blank the per-layer metrics that rest on it."""
+    assert callable(resolve(module, attr)), f"{module}.{attr} is gone"
+
+
+def test_a_missing_boundary_does_not_resolve():
+    assert resolve("parakkt.parabolic", "_StepSolver.solve") is not None
+    assert resolve("parakkt.parabolic", "_StepSolver.absent") is None
+    assert resolve("parakkt.parabolic", "absent.solve") is None

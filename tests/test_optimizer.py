@@ -1,7 +1,11 @@
 """Outer solve loop: convergence, traces, and option handling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import parakkt
 from parakkt import (
@@ -9,12 +13,13 @@ from parakkt import (
     SolverOptions,
     SpatialGrid,
     TimeGrid,
+    cli,
     loads,
     recompute_certificate,
     solve_ocp,
     strongly_active,
 )
-from parakkt.exceptions import ConfigError, SolveError
+from parakkt.exceptions import ConfigError, ParakktError, SolveError
 from parakkt.grids import SpaceTimeField, objective_weights
 from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field, recover_multiplier_max
 from parakkt.optimizer import (TRACE_HEADER, _merit, _merit_gradient, _restored_trial,
@@ -233,6 +238,13 @@ class TestCertificateRecomputation:
             recompute_certificate(spec, point.state, point.control,
                                   max_sweeps=max_sweeps)
 
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_no_sweep_is_a_config_error(self, mixed_point, max_sweeps):
+        spec, point = mixed_point
+        with pytest.raises(ConfigError, match="max_sweeps must be at least 1"):
+            recompute_certificate(spec, point.state, point.control,
+                                  max_sweeps=max_sweeps)
+
 
 class TestMerit:
     """The line search descends M = J + sum w e g with the multiplier frozen."""
@@ -297,7 +309,7 @@ class TestLineSearchFailures:
         def patched(*args, **kwargs):
             calls.append(None)
             if len(calls) == fail_at:
-                raise SolveError("state Newton stalled (injected)")
+                raise SolveError("state Newton did not converge (injected)")
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optimizer, "_march_states", patched)
@@ -539,3 +551,42 @@ class TestMixedConstraintSweeps:
         _, (_, trace, _) = solve(MIXED, (17,), 33, tol_kkt=1e-9)
         assert trace.converged
         assert len(sweeps) == len(trace.rows) + 1
+
+
+class TestExtremeInitialControls:
+    """The state equation is monotone, so a large initial control is a legal
+    input: a solve from it certifies a point or fails with a typed error."""
+
+    @pytest.mark.parametrize("u_init", [1e4, -1e4])
+    @pytest.mark.parametrize("problem", parakkt.catalog_names())
+    def test_a_catalog_problem_converges_from_a_large_control(self, problem, u_init):
+        dim = parakkt.builtin_problem(problem).dim
+        nodes, levels = ((17, 17), 17) if dim == 2 else ((33,), 65)
+        _, (_, trace, report) = solve(problem, nodes, levels, tol_kkt=1e-8, u_init=u_init)
+        assert trace.converged and report.kkt_error <= 1e-8
+
+    @staticmethod
+    @st.composite
+    def problems(draw):
+        """A catalog problem, or tracking_box_1d under g = u + c y^k - b."""
+        name = draw(st.sampled_from(parakkt.catalog_names() + ("mixed",)))
+        if name != "mixed":
+            return parakkt.builtin_problem(name)
+        c, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 0.8))
+        k = draw(st.integers(1, 3))
+        return loads(tracking_with_constraint(f"u + {c!r}*y^{k} - {b!r}"))
+
+    @given(spec=problems(), nx=st.sampled_from([3, 5, 9, 17]),
+           levels=st.sampled_from([2, 3, 5, 9, 17]), u_init=st.floats(-1e6, 1e6))
+    def test_every_draw_certifies_or_fails_typed(self, spec, nx, levels, u_init):
+        """A solve that stops unconverged fails as the CLI fails it (exit 4)."""
+        nodes = (nx,) if spec.dim == 1 else (min(nx, 9),) * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                _, (_, trace, report) = solve(spec, nodes, levels, tol_kkt=1e-8,
+                                              u_init=u_init)
+                cli._require_converged(trace)
+            except ParakktError:
+                return
+        assert report.kkt_error <= 1e-8
