@@ -3,7 +3,9 @@
 The time-stepped control problem on a coarse grid is written out as a plain
 nonlinear program in the stacked variables (all state levels, all control
 levels past the initial one) and solved by a primal-dual active-set method
-that knows nothing about parabolic structure.  Its multipliers, rescaled by
+that knows nothing about parabolic structure: each exchange of its working
+set drops one row with a negative multiplier or, when there is none, adds
+every violated row at once.  Its multipliers, rescaled by
 the objective weight of a single node, must then agree with the adjoint and
 multiplier fields of the PDE-side solver; that agreement is the strongest
 correctness check the package has.  Only the spatial operator and the initial
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .exceptions import OracleError
+from .exceptions import ConfigError, OracleError
 from .grids import SpatialGrid, TimeGrid, assemble_operator
 from .kkt import KKTPoint
 from .parabolic import sample_initial_state
@@ -336,12 +338,23 @@ def solve_nlp_active_set(instance: NLPInstance,
                          max_newton: int = 100) -> NLPSolution:
     """Primal-dual active set with damped Newton inner solves.
 
-    Maintains a working set of inequality rows treated as equalities, solves
-    each working-set problem to tight stationarity, then exchanges at most
-    one row (worst violated in, most negative multiplier out) per round.
+    Maintains a working set of inequality rows treated as equalities and
+    solves each working-set problem to tight stationarity.  Then one
+    exchange follows: the row with the most negative multiplier leaves, or,
+    when no multiplier is negative, every violated row outside the set
+    enters with a zero multiplier.  ``n_set_changes`` counts exchanges, and
+    more than ``MAX_SET_CHANGES`` of them is an ``OracleError``.  The
+    residual of the accepted damping trial is the next Newton iterate's.
+    A ``z0`` of the wrong size or not finite, or ``max_newton`` below 1, is
+    a ``ConfigError``.
     """
     n = instance.n_vars
+    if max_newton < 1:
+        raise ConfigError(f"max_newton must be at least 1: {max_newton!r}")
     z = np.zeros(n) if z0 is None else np.array(z0, dtype=float)
+    if z.shape != (n,) or not np.all(np.isfinite(z)):
+        raise ConfigError(f"z0 must hold {n} finite values: shape {z.shape}, "
+                          f"{np.count_nonzero(~np.isfinite(z))} not finite")
     n_eq = instance.eq(z).size
     lam = np.zeros(n_eq)
     working = np.zeros(0, dtype=int)
@@ -352,11 +365,11 @@ def solve_nlp_active_set(instance: NLPInstance,
     while True:
         # Newton on the working-set KKT system.
         kkt_matrix = _WorkingSetKKT(working)
+        mu = np.zeros(n_ineq)
+        mu[working] = mu_w
+        current = _kkt_residual(instance, z, lam, mu, working)
         for _ in range(max_newton):
-            mu = np.zeros(n_ineq)
-            mu[working] = mu_w
-            res, stat, feq, gin, grad, jf, jg = _kkt_residual(instance, z, lam, mu,
-                                                              working)
+            res, stat, feq, gin, grad, jf, jg = current
             scale = 1.0 + float(np.max(np.abs(grad)))
             rnorm = float(np.max(np.abs(res)))
             if not np.isfinite(rnorm):
@@ -389,23 +402,21 @@ def solve_nlp_active_set(instance: NLPInstance,
                 mu_t = mu_w + alpha * dmu
                 mu_full = np.zeros(n_ineq)
                 mu_full[working] = mu_t
-                res_t, *_ = _kkt_residual(instance, z_t, lam_t, mu_full,
-                                          working)
-                if float(np.max(np.abs(res_t))) <= (1.0 - 1e-4 * alpha) * rnorm:
+                trial = _kkt_residual(instance, z_t, lam_t, mu_full, working)
+                if float(np.max(np.abs(trial[0]))) <= (1.0 - 1e-4 * alpha) * rnorm:
                     break
                 alpha *= 0.5
             else:
                 raise OracleError(
                     "oracle Newton stalled; no damping step reduced the residual"
                 )
-            z, lam, mu_w = z_t, lam_t, mu_t
+            z, lam, mu_w, mu, current = z_t, lam_t, mu_t, mu_full, trial
         else:
             raise OracleError(
                 f"oracle Newton did not reach tolerance in {max_newton} "
                 "iterations"
             )
 
-        gin = instance.ineq(z)
         feas_tol = NEWTON_TOL * (1.0 + float(np.max(np.abs(gin))))
         outside = np.setdiff1d(np.arange(n_ineq), working, assume_unique=False)
         violated = outside[gin[outside] > feas_tol] if outside.size else outside
@@ -416,7 +427,7 @@ def solve_nlp_active_set(instance: NLPInstance,
         if changes >= MAX_SET_CHANGES:
             raise OracleError(
                 f"active-set iteration exceeded {MAX_SET_CHANGES} working-set "
-                "changes; the instance is cycling"
+                "exchanges; the instance is cycling"
             )
         if negative.size:
             worst = negative[np.argmin(mu_w[negative])]
@@ -425,9 +436,8 @@ def solve_nlp_active_set(instance: NLPInstance,
             working = working[keep]
             mu_w = mu_w[keep]
         else:
-            worst = violated[np.argmax(gin[violated])]
-            working = np.append(working, worst)
-            mu_w = np.append(mu_w, 0.0)
+            working = np.append(working, violated)
+            mu_w = np.append(mu_w, np.zeros(violated.size))
         changes += 1
 
     mu = np.zeros(n_ineq)
@@ -478,7 +488,13 @@ def compare_multipliers(instance: NLPInstance, sol: NLPSolution,
     The comparison covers the weighted levels (everything past the initial
     one).  With scaling off, the raw NLP multipliers are compared instead;
     that is only useful to demonstrate how wrong the unscaled match is.
+    A point on other grids than the instance's is a ``ConfigError``.
     """
+    grid, timegrid = instance.meta["grid"], instance.meta["timegrid"]
+    for f in (point.adjoint, point.multiplier):
+        if not (f.grid.matches(grid) and f.timegrid.matches(timegrid)):
+            raise ConfigError(f"point on {f.grid!r}, {f.timegrid!r}; the instance "
+                              f"is on {grid!r}, {timegrid!r}")
     big_k = instance.meta["n_steps"]
     n = instance.meta["n_interior"]
     omega = instance.meta["omega"]
