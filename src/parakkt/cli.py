@@ -10,7 +10,9 @@ On failure the first line on stderr is machine parsable:
     error kind=<config|audit|non-convergence|io> exit=<code> msg=<text>
 
 with exit codes 2 (bad configuration), 3 (an audit refused the data or the
-result), 4 (an iteration did not converge), 5 (file I/O).
+result), 4 (an iteration did not converge), 5 (file I/O).  A verb runs
+without numpy's floating-point warnings: a value that is not finite ends in
+such a refusal, and a warning would only print ahead of it.
 """
 
 from __future__ import annotations
@@ -390,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.run(args)
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except SystemExit as exc:
         # Only -h gets here, after argparse printed the help.
         return 0 if exc.code in (0, None) else 2

@@ -178,7 +178,7 @@ def _eval_coeff(fn, coords, dim, what):
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))
         raise AssemblyError(
-            f"non-finite diffusion coefficient {what} at x={tuple(coords[bad])}"
+            f"non-finite diffusion coefficient {what} at x={tuple(coords[bad].tolist())}"
         )
     return vals
 

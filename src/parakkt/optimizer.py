@@ -53,6 +53,7 @@ TRACE_HEADER = "iter,J,step,stat_res,comp_res,feas_viol,active_count"
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 30
+MAX_CERTIFICATE_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -143,29 +144,25 @@ def _sweep_reads_multiplier(spec, state, control) -> bool:
 @step_scope()
 def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
                           control: SpaceTimeField,
-                          solver: SolverOptions | None = None,
-                          max_sweeps: int = 100):
+                          solver: SolverOptions | None = None):
     """Rebuild (adjoint, multiplier) from a frozen state/control pair.
 
     Sweeps the backward solve and the boundary-based multiplier formula until
     the multiplier stops moving; ``SolveError`` reports the last change if
-    it still moves after ``max_sweeps`` sweeps, or if a multiplier is not
-    finite, and ``max_sweeps`` below 1 is a ``ConfigError``.  Where the
-    sweep does not read the multiplier (g_y = 0 at every node), the first
-    sweep's pair is returned: a second sweep would give its adjoint again,
-    the formula its multiplier again, and the loop would stop there with the
-    same pair.  The result depends only on the inputs, so two calls on the
+    it still moves after ``MAX_CERTIFICATE_SWEEPS`` sweeps, or if a
+    multiplier is not finite.  Where the sweep does not read the multiplier
+    (g_y = 0 at every node), the first sweep's pair is returned: a second
+    sweep would give its adjoint again, the formula its multiplier again,
+    and the loop would stop there with the same pair.  The result depends only on the inputs, so two calls on the
     same pair agree to rounding regardless of when or where the pair was
     produced.
     """
-    if max_sweeps < 1:
-        raise ConfigError(f"max_sweeps must be at least 1: {max_sweeps!r}")
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
     e = SpaceTimeField.zeros(grid, timegrid)
     multiplier_of = _multiplier_max(spec, state)
     gap = np.inf
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_CERTIFICATE_SWEEPS):
         adjoint = solve_adjoint(spec, state, control, e, solver)
         e_next = multiplier_of(adjoint)
         # The gap is finite exactly when both multipliers are.
@@ -176,7 +173,7 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
                 or (sweep == 0 and not _sweep_reads_multiplier(spec, state, control))):
             return adjoint, e
     raise SolveError(
-        f"certificate sweeps did not settle in {max_sweeps} sweeps: last "
+        f"certificate sweeps did not settle in {MAX_CERTIFICATE_SWEEPS} sweeps: last "
         f"multiplier change {gap:.3e}"
     )
 

@@ -42,6 +42,7 @@ __all__ = [
 
 MAX_VARS = 2000
 MAX_SET_CHANGES = 500
+MAX_NEWTON = 100
 NEWTON_TOL = 1e-11
 STATIONARITY_TOL = 1e-9
 COMPLEMENTARITY_TOL = 1e-10
@@ -74,7 +75,6 @@ class NLPSolution:
     objective: float
     working_set: np.ndarray
     n_set_changes: int
-    converged: bool
     stationarity_inf: float
     feas_eq_inf: float
     feas_ineq: float
@@ -334,8 +334,7 @@ class _WorkingSetKKT:
 
 
 def solve_nlp_active_set(instance: NLPInstance,
-                         z0: np.ndarray | None = None,
-                         max_newton: int = 100) -> NLPSolution:
+                         z0: np.ndarray | None = None) -> NLPSolution:
     """Primal-dual active set with damped Newton inner solves.
 
     Maintains a working set of inequality rows treated as equalities and
@@ -343,14 +342,13 @@ def solve_nlp_active_set(instance: NLPInstance,
     exchange follows: the row with the most negative multiplier leaves, or,
     when no multiplier is negative, every violated row outside the set
     enters with a zero multiplier.  ``n_set_changes`` counts exchanges, and
-    more than ``MAX_SET_CHANGES`` of them is an ``OracleError``.  The
-    residual of the accepted damping trial is the next Newton iterate's.
-    A ``z0`` of the wrong size or not finite, or ``max_newton`` below 1, is
-    a ``ConfigError``.
+    more than ``MAX_SET_CHANGES`` of them is an ``OracleError``, as is a
+    working set whose Newton does not reach tolerance in ``MAX_NEWTON``
+    iterations.  The residual of the accepted damping trial is the next
+    Newton iterate's.  A ``z0`` of the wrong size or not finite is a
+    ``ConfigError``.
     """
     n = instance.n_vars
-    if max_newton < 1:
-        raise ConfigError(f"max_newton must be at least 1: {max_newton!r}")
     z = np.zeros(n) if z0 is None else np.array(z0, dtype=float)
     if z.shape != (n,) or not np.all(np.isfinite(z)):
         raise ConfigError(f"z0 must hold {n} finite values: shape {z.shape}, "
@@ -368,7 +366,7 @@ def solve_nlp_active_set(instance: NLPInstance,
         mu = np.zeros(n_ineq)
         mu[working] = mu_w
         current = _kkt_residual(instance, z, lam, mu, working)
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             res, stat, feq, gin, grad, jf, jg = current
             scale = 1.0 + float(np.max(np.abs(grad)))
             rnorm = float(np.max(np.abs(res)))
@@ -413,7 +411,7 @@ def solve_nlp_active_set(instance: NLPInstance,
             z, lam, mu_w, mu, current = z_t, lam_t, mu_t, mu_full, trial
         else:
             raise OracleError(
-                f"oracle Newton did not reach tolerance in {max_newton} "
+                f"oracle Newton did not reach tolerance in {MAX_NEWTON} "
                 "iterations"
             )
 
@@ -450,7 +448,6 @@ def solve_nlp_active_set(instance: NLPInstance,
         objective=instance.objective(z),
         working_set=np.sort(working.copy()),
         n_set_changes=changes,
-        converged=True,
         stationarity_inf=float(np.max(np.abs(stat))),
         feas_eq_inf=float(np.max(np.abs(feq), initial=0.0)),
         feas_ineq=max(0.0, float(np.max(gin, initial=0.0))),
@@ -467,7 +464,6 @@ class MultiplierComparison:
     multiplier_inf: float
     multiplier_l2: float
     objective_gap: float
-    scaled: bool
 
     def to_text(self) -> str:
         return "\n".join([
@@ -476,41 +472,30 @@ class MultiplierComparison:
             "multiplier_inf %.17g" % self.multiplier_inf,
             "multiplier_l2 %.17g" % self.multiplier_l2,
             "objective_gap %.17g" % self.objective_gap,
-            "scaled %d" % self.scaled,
         ])
 
 
 def compare_multipliers(instance: NLPInstance, sol: NLPSolution,
-                        point: KKTPoint,
-                        apply_weight_scaling: bool = True) -> MultiplierComparison:
-    """Agreement between the NLP multipliers and the PDE-side fields.
+                        point: KKTPoint) -> MultiplierComparison:
+    """Agreement between the NLP multipliers, divided by the objective node
+    weight (``unpack_solution``), and the PDE-side fields.
 
     The comparison covers the weighted levels (everything past the initial
-    one).  With scaling off, the raw NLP multipliers are compared instead;
-    that is only useful to demonstrate how wrong the unscaled match is.
-    A point on other grids than the instance's is a ``ConfigError``.
+    one).  A point on other grids than the instance's is a ``ConfigError``.
     """
     grid, timegrid = instance.meta["grid"], instance.meta["timegrid"]
     for f in (point.adjoint, point.multiplier):
         if not (f.grid.matches(grid) and f.timegrid.matches(timegrid)):
             raise ConfigError(f"point on {f.grid!r}, {f.timegrid!r}; the instance "
                               f"is on {grid!r}, {timegrid!r}")
-    big_k = instance.meta["n_steps"]
-    n = instance.meta["n_interior"]
-    omega = instance.meta["omega"]
-    denom = omega if apply_weight_scaling else 1.0
-    phi_or = sol.lam.reshape(big_k, n) / denom
-    e_or = sol.mu.reshape(big_k, n) / denom
-    phi_pde = point.adjoint.values[1:]
-    e_pde = point.multiplier.values[1:]
-    d_phi = phi_pde - phi_or
-    d_e = e_pde - e_or
-    cell = omega
+    _, _, phi_or, e_or = unpack_solution(instance, sol)
+    d_phi = point.adjoint.values[1:] - phi_or
+    d_e = point.multiplier.values[1:] - e_or
+    cell = instance.meta["omega"]
     return MultiplierComparison(
         adjoint_inf=float(np.max(np.abs(d_phi))),
         adjoint_l2=float(np.sqrt(cell * np.sum(d_phi**2))),
         multiplier_inf=float(np.max(np.abs(d_e))),
         multiplier_l2=float(np.sqrt(cell * np.sum(d_e**2))),
         objective_gap=float(point.objective - sol.objective),
-        scaled=apply_weight_scaling,
     )

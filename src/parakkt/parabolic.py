@@ -29,7 +29,7 @@ The state sweep marches a stack of controls at once, level by level: one
 residual, one step solve and one f' evaluation per Newton iteration serve
 every row, and each row stops where its own sweep would (``_march_states``).
 A row's Newton stops when its residual meets the tolerance; the march fails
-when a residual is not finite or a row reaches ``newton_max_iter``, and a
+when a residual is not finite or a row reaches ``NEWTON_MAX_ITER``, and a
 stack fails at the first such row it meets.  ``solve_state`` marches a stack
 of one; the restoration of ``optimizer`` marches its trials.
 
@@ -72,11 +72,12 @@ __all__ = [
 
 _local = threading.local()     # .held: this thread's open step scope, or None
 
+NEWTON_MAX_ITER = 30
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     newton_tol: float = 1e-10
-    newton_max_iter: int = 30
     linear_solver: str = "auto"
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class SolverOptions:
             raise ConfigError(f"unknown linear solver {self.linear_solver!r}")
         if not 0 < self.newton_tol < math.inf:
             raise ConfigError(f"newton_tol must be finite and positive: {self.newton_tol!r}")
-        if self.newton_max_iter < 1:
-            raise ConfigError(f"newton_max_iter must be at least 1: {self.newton_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -349,7 +348,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     level march on: its right-hand side is zeroed, so its step is zero and it
     keeps the iterate its own sweep stops at.  The first row met whose
     residual is not finite, or that is still above its tolerance after
-    ``newton_max_iter`` iterations, fails the whole stack with its
+    ``NEWTON_MAX_ITER`` iterations, fails the whole stack with its
     ``SolveError``.  A level starts from the iterate the level before ended
     on, so its first residual reuses the f(y) and A y computed there.
 
@@ -393,7 +392,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                     if rnorm <= tol[i]:
                         max_newton[i] = max(max_newton[i], n_solves)
                         settled.append(i)
-                    elif n_solves >= options.newton_max_iter:
+                    elif n_solves >= NEWTON_MAX_ITER:
                         raise SolveError(
                             f"state Newton did not converge at step {j + 1}: "
                             f"residual {rnorm:.3e} after {n_solves} iterations")
@@ -416,9 +415,10 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
-                           rhs: SpaceTimeField, initial_values: np.ndarray,
+                           rhs: SpaceTimeField,
                            options: SolverOptions | None = None) -> SpaceTimeField:
-    """March the linearized equation z' + A z + c z = r forward in time.
+    """March the linearized equation z' + A z + c z = r forward in time
+    from z = 0.
 
     The zero-order coefficient ``c`` and the source ``r`` are read at the
     target level of each step.
@@ -428,11 +428,8 @@ def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
         raise ConfigError("potential and rhs live on different grids")
     grid, timegrid = potential.grid, potential.timegrid
     tau = timegrid.tau
-    initial_values = np.broadcast_to(
-        np.asarray(initial_values, dtype=float), (grid.n_interior,)
-    )
     values = np.empty((timegrid.n_levels, grid.n_interior))
-    values[0] = initial_values
+    values[0] = 0.0
     with _step_solver(spec, grid, tau, options.linear_solver) as stepper:
         for j in range(timegrid.n_levels - 1):
             b = values[j] / tau + rhs.values[j + 1]

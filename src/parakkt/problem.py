@@ -190,20 +190,21 @@ def _map_env(dim, pts):
     return env
 
 
-def _finite_or_raise(vals, what, pts, dim):
+def _sampled(fn, what, pts, **env):
+    """``fn`` on the sample points; a value that is not finite is an
+    ``AuditError`` naming the map and the first such point."""
+    vals = eval_broadcast(fn, (len(pts),), **env)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        i = int(np.argmax(bad))
-        raise AuditError(
-            f"{what} evaluated non-finite at {_fmt_point(tuple(pts[i]))}"
-        )
+        raise AuditError(f"{what} evaluated non-finite at "
+                         f"{_fmt_point(tuple(pts[int(np.argmax(bad))]))}")
+    return vals
 
 
-def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
-                        n_samples: int = 2048) -> HypothesisReport:
+def validate_hypotheses(spec: ProblemSpec, y_range, u_range) -> HypothesisReport:
     """Audit the structural assumptions over a sampling box.
 
-    Checks, on a Halton sample of (x, t, y, u) augmented with the box
+    Checks, on 2048 Halton points of (x, t, y, u) augmented with the box
     corners: the diffusion matrix is symmetric with minimum eigenvalue
     bounded away from zero, f(0) = 0 with f' bounded below by the declared
     slope, L_uu >= gamma1, and g_u >= gamma2.  Non-finite evaluations raise
@@ -213,26 +214,20 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
     u_range = (float(u_range[0]), float(u_range[1]))
     if y_range[0] > y_range[1] or u_range[0] > u_range[1]:
         raise ConfigError("audit ranges must be nondecreasing intervals")
-    pts = _sample_box(spec.dim, spec.extents, spec.horizon, y_range, u_range,
-                      n_samples)
+    pts = _sample_box(spec.dim, spec.extents, spec.horizon, y_range, u_range, 2048)
     env = _map_env(spec.dim, pts)
     x_env = {k: env[k] for k in env if k.startswith("x")}
 
     if spec.diffusion is None:
         ell_min = 1.0
     else:
-        a11 = eval_broadcast(spec.diffusion[0][0], (len(pts),), **x_env)
-        _finite_or_raise(a11, "a11", pts, spec.dim)
+        a11 = _sampled(spec.diffusion[0][0], "a11", pts, **x_env)
         if spec.dim == 1:
             ell_min = float(np.min(a11))
         else:
-            a22 = eval_broadcast(spec.diffusion[1][1], (len(pts),), **x_env)
-            _finite_or_raise(a22, "a22", pts, spec.dim)
-            if spec.diffusion[0][1] is None:
-                a12 = np.zeros(len(pts))
-            else:
-                a12 = eval_broadcast(spec.diffusion[0][1], (len(pts),), **x_env)
-                _finite_or_raise(a12, "a12", pts, spec.dim)
+            a22 = _sampled(spec.diffusion[1][1], "a22", pts, **x_env)
+            a12 = (0.0 if spec.diffusion[0][1] is None
+                   else _sampled(spec.diffusion[0][1], "a12", pts, **x_env))
             # Smallest eigenvalue of a symmetric 2x2 matrix, in closed form.
             half_tr = 0.5 * (a11 + a22)
             disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
@@ -241,21 +236,16 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range,
 
     y_only = env["y"]
     f0 = float(np.asarray(spec.nonlinearity.f(y=np.zeros(1)), dtype=float).ravel()[0])
-    fp = eval_broadcast(spec.nonlinearity.df, (len(pts),), y=y_only)
-    _finite_or_raise(fp, "f'", pts, spec.dim)
-    fvals = eval_broadcast(spec.nonlinearity.f, (len(pts),), y=y_only)
-    _finite_or_raise(fvals, "f", pts, spec.dim)
+    fp = _sampled(spec.nonlinearity.df, "f'", pts, y=y_only)
+    _sampled(spec.nonlinearity.f, "f", pts, y=y_only)
     slope_min = float(np.min(fp))
     f_zero_ok = abs(f0) <= 1e-14
     pass_reaction = f_zero_ok and slope_min >= spec.nonlinearity.lower_slope - 1e-12
 
-    luu = eval_broadcast(spec.cost.duu, (len(pts),), **env)
-    _finite_or_raise(luu, "L_uu", pts, spec.dim)
-    gu = eval_broadcast(spec.constraint.du, (len(pts),), **env)
-    _finite_or_raise(gu, "g_u", pts, spec.dim)
-    for fn, what in ((spec.cost.eval, "L"), (spec.constraint.eval, "g")):
-        vals = eval_broadcast(fn, (len(pts),), **env)
-        _finite_or_raise(vals, what, pts, spec.dim)
+    luu = _sampled(spec.cost.duu, "L_uu", pts, **env)
+    gu = _sampled(spec.constraint.du, "g_u", pts, **env)
+    _sampled(spec.cost.eval, "L", pts, **env)
+    _sampled(spec.constraint.eval, "g", pts, **env)
     i_luu = int(np.argmin(luu))
     i_gu = int(np.argmin(gu))
     min_luu = float(luu[i_luu])

@@ -73,9 +73,7 @@ def linearized_state(spec: ProblemSpec, point: KKTPoint,
                      v: SpaceTimeField,
                      options: SolverOptions | None = None) -> SpaceTimeField:
     """Solve the state equation linearized at the point, driven by ``v``."""
-    potential = _df_field(spec, point.state)
-    zero_init = np.zeros(point.state.grid.n_interior)
-    return solve_linear_parabolic(spec, potential, v, zero_init, options=options)
+    return solve_linear_parabolic(spec, _df_field(spec, point.state), v, options)
 
 
 def _c2_residual(spec, point, v, z):
@@ -188,7 +186,7 @@ def sample_critical_direction(spec: ProblemSpec, point: KKTPoint,
             zf = solve_linear_parabolic(
                 spec, SpaceTimeField(np.where(clamped, reduced, fp), grid, timegrid),
                 SpaceTimeField(np.where(clamped, 0.0, sign * raw), grid, timegrid),
-                0.0, options=options)
+                options)
             z = zf.values
             v = np.where(clamped, -g_y * z / g_u, sign * raw)
             lin = g_y * z + g_u * v

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import parakkt
-from parakkt import cli, read_field, write_field
+from parakkt import SpaceTimeField, SpatialGrid, TimeGrid, cli, read_field, write_field
 from parakkt.optimizer import TRACE_HEADER
 from parakkt.parabolic import _StepSolver
 
@@ -19,6 +19,19 @@ from conftest import SLOPED_TEXT, tracking_with_constraint
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_fresh(code):
+    """``code`` in a fresh interpreter, so what numpy or scipy print on their
+    first use, and which modules they load, are this run's alone."""
+    src = os.path.dirname(os.path.dirname(parakkt.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          text=True, capture_output=True, timeout=120)
+
+
+def run_main_fresh(*argv):
+    return run_fresh("import sys, parakkt.cli\n"
+                     f"sys.exit(parakkt.cli.main({[str(a) for a in argv]!r}))\n")
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +280,20 @@ class TestCheckKKT:
         assert rc == 3
         capsys.readouterr()
 
+    def test_a_control_on_another_grid_is_a_file_error(self, solved_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name in ("y", "phi", "e"):
+            (broken / f"{name}.field").write_text((solved_dir / f"{name}.field").read_text())
+        grid = SpatialGrid(extents=(1.0,), nodes=(9,))
+        write_field(broken / "u.field", SpaceTimeField.zeros(grid, TimeGrid(17, 1.0)))
+        out = tmp_path / "out"
+        rc = run("check-kkt", "--problem", "tracking_box_1d", "--point", broken, "--out", out)
+        assert rc == 5
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "error kind=io exit=5 msg=u.field layout differs from y.field")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, text", [(1, "1 2 2"), (2, "-1 1")],
                              ids=["two-nodes", "negative-extent"])
     def test_a_broken_field_header_is_a_file_error(self, solved_dir, tmp_path, capsys,
@@ -327,6 +354,31 @@ class TestValidate:
         assert "FAIL" in (tmp_path / "report.txt").read_text()
         capsys.readouterr()
 
+    def test_an_indefinite_diffusion_fails_the_audit(self, tmp_path, capsys):
+        bad = tmp_path / "saddle.ini"
+        bad.write_text(parakkt.catalog.builtin_problem_text("tracking_box_2d")
+                       + "\n[a]\na11 = 1\na12 = 2\na22 = 1\n")
+        assert run("validate", "--problem-file", bad, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("error kind=audit exit=3 msg=")
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "ellipticity_min -1 FAIL" in report
+
+    def test_a_reversed_range_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run("validate", "--problem", "tracking_box_1d", "--y-range", 1, -1, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=config exit=2 msg=audit ranges must be nondecreasing intervals"]
+        assert not out.exists()
+
+    def test_an_expression_that_does_not_parse_is_a_config_error(self, tmp_path, capsys):
+        # GrammarError is neither a ConfigError nor an I/O fault: the catch-all.
+        bad = tmp_path / "grammar.ini"
+        bad.write_text(tracking_with_constraint("u +* 0.4"))
+        assert run("validate", "--problem-file", bad, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=config exit=2 msg=[g] expr: unexpected token '*' in 'u +* 0.4'"]
+
     def test_a_constant_division_by_zero_is_a_typed_refusal(self, tmp_path, capsys):
         """1/0 evaluates to inf, so g is nan everywhere and the audit refuses it
         as non-finite, with its exit code and no traceback."""
@@ -341,19 +393,29 @@ class TestValidate:
         assert "Traceback" not in err
 
     def test_the_typed_refusal_is_the_first_line_of_stderr(self, tmp_path):
-        # A fresh interpreter, so numpy warnings would reach its real stderr.
         bad = tmp_path / "zero.ini"
         bad.write_text(tracking_with_constraint("u - 0.4 + 0*(1/0)"))
-        code = ("import sys, parakkt.cli\n"
-                f"sys.exit(parakkt.cli.main(['validate', '--problem-file', {str(bad)!r},"
-                f" '--out', {str(tmp_path / 'out')!r}]))\n")
-        src = os.path.dirname(os.path.dirname(parakkt.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                              capture_output=True, timeout=120)
+        done = run_main_fresh("validate", "--problem-file", bad, "--out", tmp_path / "out")
         assert done.returncode == 3
         assert done.stderr.splitlines()[0].startswith(
             "error kind=audit exit=3 msg=g evaluated non-finite")
+
+    @pytest.mark.parametrize("verb, rc, first", [
+        (("solve", "--nx", 9, "--nt", 9), 2,
+         "error kind=config exit=2 msg=non-finite diffusion coefficient a11 at x=(0.5,)"),
+        (("validate",), 3,
+         "error kind=audit exit=3 msg=a11 evaluated non-finite at (0.5, 0.3333, -3, -3.571)"),
+    ], ids=["solve", "validate"])
+    def test_a_pole_met_at_run_time_is_refused_on_the_first_line(self, tmp_path, verb, rc,
+                                                                  first):
+        """a11 = 1/(x1 - 0.5) divides by zero at a node of the grid and at a
+        sample point of the audit; numpy's warning of it is not printed."""
+        bad = tmp_path / "pole.ini"
+        bad.write_text(parakkt.catalog.builtin_problem_text("tracking_box_1d")
+                       + "\n[a]\na11 = 1/(x1 - 0.5)\n")
+        done = run_main_fresh(verb[0], "--problem-file", bad, *verb[1:], "--out", tmp_path / "out")
+        assert done.returncode == rc
+        assert done.stderr.splitlines() == [first]
 
     def test_loads_no_scipy_subpackage_beyond_linalg_and_sparse(self, tmp_path):
         # A fresh interpreter: this one has loaded scipy.stats for the tests.
@@ -365,10 +427,8 @@ class TestValidate:
             "print(rc, *sorted({m.split('.')[1] for m in sys.modules"
             " if m.startswith('scipy.') and not m.split('.')[1].startswith('_')}))\n"
         )
-        src = os.path.dirname(os.path.dirname(parakkt.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
-                              capture_output=True, timeout=120, check=True)
+        done = run_fresh(code)
+        assert done.returncode == 0, done.stderr
         rc, *loaded = done.stdout.split()
         assert rc == "0"
         assert set(loaded) <= {"linalg", "sparse", "version"}

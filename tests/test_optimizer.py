@@ -232,18 +232,13 @@ class TestCertificateRecomputation:
                                    rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("max_sweeps", [1, 2, 3])
-    def test_exhausted_sweeps_raise(self, mixed_point, max_sweeps):
-        spec, point = mixed_point
-        with pytest.raises(SolveError, match="did not settle"):
-            recompute_certificate(spec, point.state, point.control,
-                                  max_sweeps=max_sweeps)
+    def test_exhausted_sweeps_raise(self, mixed_point, max_sweeps, monkeypatch):
+        from parakkt import optimizer
 
-    @pytest.mark.parametrize("max_sweeps", [0, -1])
-    def test_no_sweep_is_a_config_error(self, mixed_point, max_sweeps):
         spec, point = mixed_point
-        with pytest.raises(ConfigError, match="max_sweeps must be at least 1"):
-            recompute_certificate(spec, point.state, point.control,
-                                  max_sweeps=max_sweeps)
+        monkeypatch.setattr(optimizer, "MAX_CERTIFICATE_SWEEPS", max_sweeps)
+        with pytest.raises(SolveError, match=f"did not settle in {max_sweeps} sweeps"):
+            recompute_certificate(spec, point.state, point.control)
 
 
 class TestMerit:
@@ -506,8 +501,9 @@ class TestConstraintOnUAlone:
             return multiplier_of
 
         monkeypatch.setattr(optimizer, "_multiplier_max", non_finite)
+        monkeypatch.setattr(optimizer, "MAX_CERTIFICATE_SWEEPS", 1)
         with pytest.raises(SolveError, match="did not settle in 1 sweeps"):
-            recompute_certificate(spec, point.state, point.control, max_sweeps=1)
+            recompute_certificate(spec, point.state, point.control)
 
     def test_a_zero_g_y_is_read_from_the_map_values(self, monkeypatch):
         # g = u + 0*y - 0.4 reads y, so every projection roots its boundary;

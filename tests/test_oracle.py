@@ -70,7 +70,6 @@ class TestInstance:
 class TestActiveSetSolve:
     def test_converges_to_certified_tolerances(self, small_tracking):
         _, _, _, _, _, sol = small_tracking
-        assert sol.converged
         assert sol.stationarity_inf <= STATIONARITY_TOL
         assert sol.feas_eq_inf <= 1e-9
         assert sol.feas_ineq <= 1e-9
@@ -87,7 +86,6 @@ class TestActiveSetSolve:
     def test_warm_start_from_solver_point(self, small_tracking):
         _, _, _, instance, point, cold = small_tracking
         warm = solve_nlp_active_set(instance, z0=pack_point(instance, point))
-        assert warm.converged
         assert warm.n_set_changes <= cold.n_set_changes
         assert warm.objective == pytest.approx(cold.objective, rel=1e-10)
 
@@ -103,7 +101,6 @@ class TestActiveSetSolve:
         grid = SpatialGrid(extents=spec.extents, nodes=(5,))
         timegrid = TimeGrid(n_levels=5, horizon=spec.horizon)
         sol = solve_nlp_active_set(discretize_to_nlp(spec, grid, timegrid))
-        assert sol.converged
         assert len(sol.working_set) == 0
         assert np.all(sol.mu == 0.0)
 
@@ -150,11 +147,17 @@ class TestExchanges:
         with pytest.raises(OracleError, match="exceeded 0 working-set exchanges"):
             solve_nlp_active_set(instance)
 
+    def test_the_newton_cap_raises(self, small_tracking, monkeypatch):
+        instance = small_tracking[3]
+        monkeypatch.setattr(oracle, "MAX_NEWTON", 1)
+        with pytest.raises(OracleError, match="did not reach tolerance in 1 iterations"):
+            solve_nlp_active_set(instance)
+
     @pytest.mark.parametrize("text", [None, CUBIC_TEXT], ids=["box", "cubic"])
     def test_a_17x17_instance_takes_few_exchanges(self, text):
         spec = parakkt.builtin_problem("tracking_box_1d") if text is None else parakkt.loads(text)
         trace, sol, cmp = _gaps_to_the_solver(spec, (17,), 17, tol_kkt=1e-11)
-        assert trace.converged and sol.converged
+        assert trace.converged
         assert sol.working_set.size > 100
         assert sol.n_set_changes <= 3
         assert cmp.adjoint_inf <= 1e-9
@@ -187,7 +190,6 @@ class TestRefusals:
         return dataclasses.replace(instance, eq=boom, ineq=boom, gradient=boom)
 
     @pytest.mark.parametrize("kwargs, match", [
-        ({"max_newton": 0}, "max_newton must be at least 1"),
         ({"z0": np.zeros(23)}, r"24 finite values: shape \(23,\)"),
         ({"z0": np.zeros((4, 6))}, r"shape \(4, 6\)"),
         ({"z0": np.full(24, np.nan)}, "24 not finite"),
@@ -216,7 +218,6 @@ class TestMultiplierCorrespondence:
     def test_scaled_multipliers_agree(self, small_tracking):
         spec, _, _, instance, point, sol = small_tracking
         cmp = compare_multipliers(instance, sol, point)
-        assert cmp.scaled
         assert cmp.adjoint_inf <= 1e-6
         assert cmp.multiplier_inf <= 1e-6
         assert abs(cmp.objective_gap) <= 1e-9
@@ -224,9 +225,8 @@ class TestMultiplierCorrespondence:
     def test_raw_multipliers_differ_by_the_cell_volume(self, small_tracking):
         """Without the volume rescale the two conventions must not agree."""
         spec, _, _, instance, point, sol = small_tracking
-        raw = compare_multipliers(instance, sol, point, apply_weight_scaling=False)
-        assert not raw.scaled
-        assert raw.adjoint_inf > 1e-2
+        raw = sol.lam.reshape(instance.meta["n_steps"], instance.meta["n_interior"])
+        assert float(np.max(np.abs(point.adjoint.values[1:] - raw))) > 1e-2
 
     def test_l2_distances_are_also_small(self, small_tracking):
         spec, _, _, instance, point, sol = small_tracking
@@ -412,7 +412,7 @@ class TestChecks:
         comp = oracle._complementarity(mu, np.array([1e-6, -1e-6]))
         assert comp == 1e-6
         sol = NLPSolution(z=np.zeros(2), lam=np.zeros(0), mu=mu, objective=0.0,
-                          working_set=np.arange(2), n_set_changes=2, converged=True,
+                          working_set=np.arange(2), n_set_changes=2,
                           stationarity_inf=0.0, feas_eq_inf=0.0, feas_ineq=0.0,
                           complementarity=comp)
         with pytest.raises(OracleError, match="complementarity"):

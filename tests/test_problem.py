@@ -24,6 +24,19 @@ from parakkt.exceptions import ConfigError, GrammarError, ProblemIOError
 from parakkt.expressions import SPACE_TIME_VARS, parse_expression
 from parakkt.problem import _sample_box, eval_broadcast, eval_scalar_map
 
+# The three layouts of [a]: a11 in one dimension; a11, a22 and optionally
+# a12 in two.
+DIFFUSION_LAYOUTS = [
+    ("tracking_box_1d", "a11 = 1 + x1"),
+    ("tracking_box_2d", "a11 = 2 + x1\na22 = 1.5"),
+    ("tracking_box_2d", "a11 = 2\na12 = 0.5\na22 = 1"),
+]
+
+
+def with_diffusion(name, body):
+    return builtin_problem_text(name) + f"\n[a]\n{body}\n"
+
+
 CATALOG = (
     "example31_poly",
     "mms_cubic_1d",
@@ -81,6 +94,12 @@ class TestRoundTrip:
         assert back.extents == spec.extents
         assert back.horizon == spec.horizon
         assert dumps(back) == dumps(spec)
+
+    @pytest.mark.parametrize("name, body", DIFFUSION_LAYOUTS, ids=["1d", "2d", "2d-cross"])
+    def test_every_diffusion_layout_round_trips(self, name, body):
+        text = dumps(loads(with_diffusion(name, body)))
+        assert f"\n[a]\n{body}\n\n" in text
+        assert dumps(loads(text)) == text
 
     def test_loaded_maps_evaluate_identically(self):
         spec = builtin_problem("tracking_box_1d")
@@ -216,6 +235,10 @@ class TestParsingErrors:
         with pytest.raises(ProblemIOError, match=r"missing key 'a11'"):
             loads(text + "\n[a]\na12 = 1\n")
 
+    def test_a_cross_term_in_one_dimension_is_refused(self):
+        with pytest.raises(ProblemIOError, match="key 'a12' in \\[a\\] is not valid in one"):
+            loads(with_diffusion("tracking_box_1d", "a11 = 1\na12 = 0.5"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemIOError):
             load_problem(tmp_path / "absent.ini")
@@ -259,23 +282,39 @@ class TestHypothesisValidation:
         for name in CATALOG:
             spec = builtin_problem(name)
             box = builtin_audit_box(name)
-            rep = validate_hypotheses(spec, box[0], box[1], n_samples=512)
+            rep = validate_hypotheses(spec, box[0], box[1])
             assert rep.pass_ellipticity, name
             assert rep.pass_reaction, name
             assert rep.pass_strong_convexity, name
-            assert rep.sample_count >= 512
+            assert rep.sample_count == 2048 + 2 ** (spec.dim + 3)
+
+    @pytest.mark.parametrize("name, body, smallest", [
+        (*DIFFUSION_LAYOUTS[0], 1.0),
+        (*DIFFUSION_LAYOUTS[1], 1.5),
+        (*DIFFUSION_LAYOUTS[2], (3.0 - np.sqrt(2.0)) / 2.0),
+        ("tracking_box_2d", "a11 = 1\na12 = 2\na22 = 1", -1.0),
+    ], ids=["1d", "2d", "2d-cross", "2d-indefinite"])
+    def test_ellipticity_is_the_smallest_eigenvalue_over_the_sample(self, name, body,
+                                                                    smallest):
+        """The corner x = 0 of the sample holds the minimum of a11 = 1 + x1
+        and of 2 + x1 against 1.5; [[2, 0.5], [0.5, 1]] has the eigenvalues
+        (3 -+ sqrt 2)/2 and [[1, 2], [2, 1]] has -1 and 3."""
+        rep = validate_hypotheses(loads(with_diffusion(name, body)), (-1, 1), (-1, 1))
+        assert rep.ellipticity_min == smallest
+        assert rep.pass_ellipticity == (smallest > 0)
+        assert rep.all_passed == (smallest > 0)
 
     def test_flat_control_cost_fails_convexity(self):
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
             "0.05*u^2", "0*u^2"
         )
-        rep = validate_hypotheses(loads(text), (-1, 1), (-1, 1), n_samples=128)
+        rep = validate_hypotheses(loads(text), (-1, 1), (-1, 1))
         assert not rep.pass_strong_convexity
         assert rep.min_luu == 0.0
 
     def test_report_extremes_are_recorded(self):
         spec = builtin_problem("tracking_box_1d")
-        rep = validate_hypotheses(spec, (-2, 2), (-2, 2), n_samples=256)
+        rep = validate_hypotheses(spec, (-2, 2), (-2, 2))
         assert rep.min_gu > 0.0
         assert rep.min_luu == pytest.approx(0.1, rel=1e-12)
         assert len(rep.argmin_luu) == 4
