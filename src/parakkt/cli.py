@@ -5,6 +5,12 @@ export-fields.  Every run writes its outputs under ``--out`` and keeps the
 content deterministic (no timestamps, nothing machine-specific), so reruns
 with the same inputs and seed produce byte-identical files.
 
+This module alone formats the reports and CSV files (``field_io`` writes
+the field files): numeric ``key value`` sections through ``_keyed`` and
+CSV rows through ``_write_csv``, both printing every number as ``%.17g``,
+which keeps every digit of a float and prints an int or a bool as ``%d``
+would.
+
 On failure the first line on stderr is machine parsable:
 
     error kind=<config|audit|non-convergence|io> exit=<code> msg=<text>
@@ -21,6 +27,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,7 +47,7 @@ from .kkt import KKTPoint, kkt_residuals
 from .optimizer import OptimizerOptions, discrete_objective, solve_ocp
 from .oracle import compare_multipliers, discretize_to_nlp, solve_nlp_active_set
 from .parabolic import SolverOptions, solve_state
-from .problem import validate_hypotheses
+from .problem import _fmt_point, validate_hypotheses
 from .regularity import _check_pairs, multiplier_continuity_report
 from .soc import (
     _check_probe_arguments,
@@ -52,16 +59,13 @@ from .soc import (
 
 __all__ = ["main"]
 
+TRACE_HEADER = "iter,J,step,stat_res,comp_res,feas_viol,active_count"
+
 
 def _fail(kind: str, code: int, msg: str) -> int:
     flat = " ".join(str(msg).split())
     sys.stderr.write(f"error kind={kind} exit={code} msg={flat}\n")
     return code
-
-
-def _section(out, name: str, body: str) -> None:
-    out.write(f"== SECTION {name} ==\n")
-    out.write(body.rstrip("\n") + "\n")
 
 
 def _load_spec(args):
@@ -89,10 +93,53 @@ def _ensure_out(args) -> str:
 
 
 def _write_report(out_dir: str, sections) -> None:
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         for name, body in sections:
-            _section(fh, name, body)
+            fh.write(f"== SECTION {name} ==\n{body}\n")
+
+
+def _keyed(**values) -> str:
+    """One ``key value`` line per keyword, in order, each value as ``%.17g``."""
+    return "\n".join("%s %.17g" % kv for kv in values.items())
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """``header`` and one line per row, each value printed as ``%.17g``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def _hypotheses_text(report) -> str:
+    lines = [
+        f"samples {report.sample_count}",
+        f"ellipticity_min {report.ellipticity_min:.6g} "
+        f"{'PASS' if report.pass_ellipticity else 'FAIL'}",
+        f"reaction slope_min {report.slope_min:.6g} f(0)="
+        f"{'0' if report.f_zero_ok else 'NONZERO'} "
+        f"{'PASS' if report.pass_reaction else 'FAIL'}",
+        f"min_Luu {report.min_luu:.6g} at {_fmt_point(report.argmin_luu)}",
+        f"min_gu {report.min_gu:.6g} at {_fmt_point(report.argmin_gu)}",
+        f"strong convexity/monotonicity "
+        f"{'PASS' if report.pass_strong_convexity else 'FAIL'}",
+    ]
+    return "\n".join(lines)
+
+
+def _holder_text(cont) -> str:
+    lines = []
+    for name, fit in cont.fits.items():
+        if fit.constant_field:
+            lines.append(f"{name} constant alpha 1 H 0")
+        else:
+            lines.append(
+                "%s alpha %.6g H %.6g pairs %d fit_residual %.3g"
+                % (name, fit.alpha_hat, fit.h_hat, fit.n_pairs,
+                   fit.fit_residual)
+            )
+    lines.append("active_boundary_jump %.17g" % cont.e_jump)
+    return "\n".join(lines)
 
 
 def _problem_summary(spec, grid=None, timegrid=None) -> str:
@@ -118,7 +165,7 @@ def _cmd_validate(args) -> int:
     out = _ensure_out(args)
     _write_report(out, [
         ("PROBLEM", _problem_summary(spec)),
-        ("HYPOTHESES", report.to_text()),
+        ("HYPOTHESES", _hypotheses_text(report)),
         ("STATUS", "PASS" if report.all_passed else "FAIL"),
     ])
     if not report.all_passed:
@@ -141,8 +188,7 @@ def _solve_run(args, precheck=None):
     checked = precheck(spec, grid, timegrid) if precheck else None
     out = _ensure_out(args)
     point, trace, report = solve_ocp(spec, grid, timegrid, options)
-    with open(os.path.join(out, "trace.csv"), "w") as fh:
-        fh.write(trace.to_csv())
+    _write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, trace.rows)
     for name, fld in (("y", point.state), ("u", point.control),
                       ("phi", point.adjoint), ("e", point.multiplier)):
         field_io.write_field(os.path.join(out, f"{name}.field"), fld)
@@ -160,7 +206,7 @@ def _cmd_solve(args) -> int:
     _write_report(out, [
         ("PROBLEM", head),
         ("OBJECTIVE", "%.17g" % point.objective),
-        ("RESIDUALS", report.to_text()),
+        ("RESIDUALS", _keyed(**asdict(report))),
         ("STATUS", trace.message or "done"),
     ])
     _require_converged(trace)
@@ -187,7 +233,7 @@ def _cmd_check_kkt(args) -> int:
     _write_report(out, [
         ("PROBLEM", _problem_summary(spec, grid, timegrid)),
         ("OBJECTIVE", "%.17g" % point.objective),
-        ("RESIDUALS", report.to_text()),
+        ("RESIDUALS", _keyed(**asdict(report))),
         ("STATUS", "PASS" if ok else "FAIL"),
     ])
     if not ok:
@@ -209,20 +255,18 @@ def _cmd_soc(args) -> int:
     probe = quadratic_growth_probe(spec, point, n_trials=args.trials,
                                    radius=args.radius, seed=args.seed,
                                    options=solver)
-    with open(os.path.join(out, "growth.csv"), "w") as fh:
-        fh.write(probe.to_csv())
+    _write_csv(os.path.join(out, "growth.csv"), "trial,ratio,norm_du,feasible",
+               probe.rows)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", report.to_text()),
-        ("LEGENDRE", "legendre_min %.17g\nlevel %d\nnode %d"
-         % (value, where[0], where[1])),
-        ("CRITICAL_DIRECTION",
-         "quadratic_form %.17g\nc1_value %.17g\nc1_satisfied %d\n"
-         "c2_residual %.17g\nc3_violation %.17g"
-         % (q, direction.c1_value, direction.c1_satisfied,
-            direction.c2_residual, direction.c3_violation)),
-        ("GROWTH", "kappa_hat %.17g\nn_feasible %d\ntrials %d"
-         % (probe.kappa_hat, probe.n_feasible, args.trials)),
+        ("RESIDUALS", _keyed(**asdict(report))),
+        ("LEGENDRE", _keyed(legendre_min=value, level=where[0], node=where[1])),
+        ("CRITICAL_DIRECTION", _keyed(
+            quadratic_form=q, c1_value=direction.c1_value,
+            c1_satisfied=direction.c1_satisfied, c2_residual=direction.c2_residual,
+            c3_violation=direction.c3_violation)),
+        ("GROWTH", _keyed(kappa_hat=probe.kappa_hat, n_feasible=probe.n_feasible,
+                          trials=args.trials)),
     ])
     return 0
 
@@ -235,12 +279,12 @@ def _cmd_holder(args) -> int:
                                         seed=args.seed)
     for name, fit in cont.fits.items():
         if not fit.constant_field:
-            with open(os.path.join(out, f"holder_{name}.csv"), "w") as fh:
-                fh.write(fit.to_csv())
+            _write_csv(os.path.join(out, f"holder_{name}.csv"),
+                       "bin_lo,bin_hi,n,max_increment", fit.bins)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", report.to_text()),
-        ("HOLDER", cont.to_text()),
+        ("RESIDUALS", _keyed(**asdict(report))),
+        ("HOLDER", _holder_text(cont)),
     ])
     return 0
 
@@ -252,12 +296,10 @@ def _cmd_oracle_compare(args) -> int:
     comparison = compare_multipliers(instance, sol, point)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", report.to_text()),
-        ("ORACLE",
-         comparison.to_text()
-         + "\nnlp_objective %.17g" % sol.objective
-         + "\nworking_set_size %d" % sol.working_set.size
-         + "\nset_changes %d" % sol.n_set_changes),
+        ("RESIDUALS", _keyed(**asdict(report))),
+        ("ORACLE", _keyed(**asdict(comparison), nlp_objective=sol.objective,
+                          working_set_size=sol.working_set.size,
+                          set_changes=sol.n_set_changes)),
     ])
     return 0
 
@@ -276,9 +318,8 @@ def _cmd_export_fields(args) -> int:
                          quadrature_weights(grid, timegrid))
     _write_report(out, [
         ("PROBLEM", _problem_summary(spec, grid, timegrid)),
-        ("STATE", "max_newton_iterations %d\nbound_ratio %.17g\nsup %.17g"
-         % (rep.max_newton_iterations, rep.bound_ratio,
-            float(np.max(np.abs(state.values))))),
+        ("STATE", _keyed(max_newton_iterations=rep.max_newton_iterations,
+                         bound_ratio=rep.bound_ratio, sup=float(np.max(np.abs(state.values))))),
     ])
     return 0
 

@@ -339,21 +339,6 @@ class ResidualReport:
     def kkt_error(self) -> float:
         return max(self.stat_res, self.comp_res, self.sign_viol, self.feas_viol)
 
-    def to_text(self) -> str:
-        return "\n".join(
-            "%s %.17g" % (k, getattr(self, k))
-            for k in ("stat_res", "comp_res", "sign_viol", "feas_viol",
-                      "adjoint_res", "state_res")
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "ResidualReport":
-        vals = {}
-        for line in text.strip().splitlines():
-            key, _, raw = line.strip().partition(" ")
-            vals[key] = float(raw)
-        return cls(**vals)
-
 
 def active_threshold(multiplier: SpaceTimeField) -> float:
     return 1e-6 * (1.0 + float(np.max(np.abs(multiplier.values))))

@@ -20,12 +20,11 @@ derivative of the reported objective, not an approximation of it.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, SolveError
+from .exceptions import ConfigError, HypothesisViolationError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     FEASIBILITY_SLACK,
@@ -47,8 +46,6 @@ __all__ = [
     "recompute_certificate",
     "solve_ocp",
 ]
-
-TRACE_HEADER = "iter,J,step,stat_res,comp_res,feas_viol,active_count"
 
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
@@ -81,24 +78,24 @@ class SolveTrace:
     def append(self, it, objective, step, stat, comp, feas, active):
         self.rows.append((it, objective, step, stat, comp, feas, active))
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(TRACE_HEADER + "\n")
-        for it, objective, step, stat, comp, feas, active in self.rows:
-            out.write(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-                % (it, objective, step, stat, comp, feas, active)
-            )
-        return out.getvalue()
-
 
 def discrete_objective(spec: ProblemSpec, state: SpaceTimeField,
                        control: SpaceTimeField) -> float:
     """The weighted running cost over the cylinder (initial level excluded)."""
-    w = objective_weights(state.grid, state.timegrid)
-    lvals = eval_scalar_map(spec.cost.eval, state.grid, state.timegrid,
-                            state.values, control.values)
-    return float(np.sum(w.values * lvals))
+    return _objective(spec, objective_weights(state.grid, state.timegrid).values,
+                      state.grid, state.timegrid, state.values, control.values)
+
+
+def _objective(spec, weights, grid, timegrid, y, u) -> float:
+    """sum w L(y, u) over the cylinder; an L that is not finite at a node of
+    any level raises ``HypothesisViolationError`` naming the first one."""
+    lvals = eval_scalar_map(spec.cost.eval, grid, timegrid, y, u)
+    bad = ~np.isfinite(lvals)
+    if bad.any():
+        level, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise HypothesisViolationError(f"running cost L evaluated non-finite at "
+                                       f"level {level}, node {node}")
+    return float(np.sum(weights * lvals))
 
 
 def reduced_gradient(spec: ProblemSpec, state: SpaceTimeField,
@@ -153,9 +150,9 @@ def recompute_certificate(spec: ProblemSpec, state: SpaceTimeField,
     multiplier is not finite.  Where the sweep does not read the multiplier
     (g_y = 0 at every node), the first sweep's pair is returned: a second
     sweep would give its adjoint again, the formula its multiplier again,
-    and the loop would stop there with the same pair.  The result depends only on the inputs, so two calls on the
-    same pair agree to rounding regardless of when or where the pair was
-    produced.
+    and the loop would stop there with the same pair.  The result depends
+    only on the inputs, so two calls on the same pair agree to rounding
+    regardless of when or where the pair was produced.
     """
     solver = solver or SolverOptions()
     grid, timegrid = state.grid, state.timegrid
@@ -218,8 +215,7 @@ def _restored_trial(spec, grid, timegrid, u, solver):
                 raise SolveError(f"feasibility restoration left the constraint "
                                  f"violated by {worst:.3e} after 2 projections")
     w = objective_weights(grid, timegrid).values
-    return u, states, [float(np.sum(w * eval_scalar_map(spec.cost.eval, grid, timegrid,
-                                                        states[:, r], u[:, r])))
+    return u, states, [_objective(spec, w, grid, timegrid, states[:, r], u[:, r])
                        for r in range(n_rows)], boundary
 
 

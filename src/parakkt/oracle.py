@@ -465,15 +465,6 @@ class MultiplierComparison:
     multiplier_l2: float
     objective_gap: float
 
-    def to_text(self) -> str:
-        return "\n".join([
-            "adjoint_inf %.17g" % self.adjoint_inf,
-            "adjoint_l2 %.17g" % self.adjoint_l2,
-            "multiplier_inf %.17g" % self.multiplier_inf,
-            "multiplier_l2 %.17g" % self.multiplier_l2,
-            "objective_gap %.17g" % self.objective_gap,
-        ])
-
 
 def compare_multipliers(instance: NLPInstance, sol: NLPSolution,
                         point: KKTPoint) -> MultiplierComparison:

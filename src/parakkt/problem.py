@@ -133,21 +133,6 @@ class HypothesisReport:
     def all_passed(self) -> bool:
         return self.pass_ellipticity and self.pass_reaction and self.pass_strong_convexity
 
-    def to_text(self) -> str:
-        lines = [
-            f"samples {self.sample_count}",
-            f"ellipticity_min {self.ellipticity_min:.6g} "
-            f"{'PASS' if self.pass_ellipticity else 'FAIL'}",
-            f"reaction slope_min {self.slope_min:.6g} f(0)="
-            f"{'0' if self.f_zero_ok else 'NONZERO'} "
-            f"{'PASS' if self.pass_reaction else 'FAIL'}",
-            f"min_Luu {self.min_luu:.6g} at {_fmt_point(self.argmin_luu)}",
-            f"min_gu {self.min_gu:.6g} at {_fmt_point(self.argmin_gu)}",
-            f"strong convexity/monotonicity "
-            f"{'PASS' if self.pass_strong_convexity else 'FAIL'}",
-        ]
-        return "\n".join(lines)
-
 
 def _fmt_point(pt):
     return "(" + ", ".join(f"{v:.4g}" for v in pt) + ")"
@@ -207,7 +192,8 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range) -> HypothesisReport
     Checks, on 2048 Halton points of (x, t, y, u) augmented with the box
     corners: the diffusion matrix is symmetric with minimum eigenvalue
     bounded away from zero, f(0) = 0 with f' bounded below by the declared
-    slope, L_uu >= gamma1, and g_u >= gamma2.  Non-finite evaluations raise
+    slope, L_uu >= gamma1, and g_u >= gamma2.  Every map, the initial state
+    y0 included, is evaluated there; a value that is not finite raises
     ``AuditError`` naming the map and the sample point.
     """
     y_range = (float(y_range[0]), float(y_range[1]))
@@ -233,6 +219,7 @@ def validate_hypotheses(spec: ProblemSpec, y_range, u_range) -> HypothesisReport
             disc = np.sqrt(0.25 * (a11 - a22) ** 2 + a12**2)
             ell_min = float(np.min(half_tr - disc))
     pass_ellipticity = bool(ell_min > 0.0)
+    _sampled(spec.initial_state, "y0", pts, **x_env)
 
     y_only = env["y"]
     f0 = float(np.asarray(spec.nonlinearity.f(y=np.zeros(1)), dtype=float).ravel()[0])

@@ -10,7 +10,6 @@ construction of H.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +42,6 @@ class HolderFit:
     constant_field: bool
     distances: np.ndarray
     increments: np.ndarray
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("bin_lo,bin_hi,n,max_increment\n")
-        for lo, hi, n, inc in self.bins:
-            out.write("%.17g,%.17g,%d,%.17g\n" % (lo, hi, n, inc))
-        return out.getvalue()
 
 
 def _point_cloud(field: SpaceTimeField):
@@ -186,20 +178,6 @@ def active_boundary_jump(spec: ProblemSpec, point: KKTPoint) -> float:
 class ContinuityReport:
     fits: dict
     e_jump: float
-
-    def to_text(self) -> str:
-        lines = []
-        for name, fit in self.fits.items():
-            if fit.constant_field:
-                lines.append(f"{name} constant alpha 1 H 0")
-            else:
-                lines.append(
-                    "%s alpha %.6g H %.6g pairs %d fit_residual %.3g"
-                    % (name, fit.alpha_hat, fit.h_hat, fit.n_pairs,
-                       fit.fit_residual)
-                )
-        lines.append("active_boundary_jump %.17g" % self.e_jump)
-        return "\n".join(lines)
 
 
 def multiplier_continuity_report(spec: ProblemSpec, point: KKTPoint,

@@ -18,7 +18,6 @@ the trials one at a time.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -232,13 +231,6 @@ class GrowthProbe:
     rows: list
     kappa_hat: float
     n_feasible: int
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("trial,ratio,norm_du,feasible\n")
-        for trial, ratio, norm_du, feasible in self.rows:
-            out.write("%d,%.17g,%.17g,%d\n" % (trial, ratio, norm_du, feasible))
-        return out.getvalue()
 
 
 def _check_probe_arguments(n_trials: int, radius: float) -> None:

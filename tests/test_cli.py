@@ -11,7 +11,7 @@ import pytest
 
 import parakkt
 from parakkt import SpaceTimeField, SpatialGrid, TimeGrid, cli, read_field, write_field
-from parakkt.optimizer import TRACE_HEADER
+from parakkt.cli import TRACE_HEADER
 from parakkt.parabolic import _StepSolver
 
 from conftest import SLOPED_TEXT, tracking_with_constraint
@@ -207,6 +207,20 @@ class TestSolve:
         assert first.startswith("error kind=config exit=2 msg=")
         assert "radius must be finite and positive, got -0.01" in first
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "soc"])
+    def test_a_cost_with_a_pole_is_refused_not_unconverged(self, tmp_path, capsys, verb):
+        """L = 1/(x1 - 0.5) + ... is infinite at node 3 of the grid: an audit
+        refusal (exit 3), not a line search that found no descent (exit 4)."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+            "expr = 0.5*(y - 0.8*sin(pi*x1))^2",
+            "expr = 1/(x1 - 0.5) + 0.5*(y - 0.8*sin(pi*x1))^2")
+        bad = tmp_path / "pole.ini"
+        bad.write_text(text)
+        assert run(verb, "--problem-file", bad, "--nx", 9, "--nt", 9,
+                   "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=audit exit=3 msg=running cost L evaluated non-finite at level 0, node 3"]
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         rc = run(
@@ -417,6 +431,16 @@ class TestValidate:
         assert done.returncode == rc
         assert done.stderr.splitlines() == [first]
 
+    def test_an_initial_state_with_a_pole_fails_the_audit(self, tmp_path, capsys):
+        """y0 = 1/(x1 - 0.5) is sampled with the other maps, so ``validate``
+        refuses what ``solve`` would refuse on the grid."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_1d")
+        bad = tmp_path / "y0.ini"
+        bad.write_text(text.replace("[y0]\nexpr = 0\n", "[y0]\nexpr = 1/(x1 - 0.5)\n"))
+        assert run("validate", "--problem-file", bad, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error kind=audit exit=3 msg=y0 evaluated non-finite at (0.5, 0.3333, -3, -3.571)"]
+
     def test_loads_no_scipy_subpackage_beyond_linalg_and_sparse(self, tmp_path):
         # A fresh interpreter: this one has loaded scipy.stats for the tests.
         code = (
@@ -532,6 +556,110 @@ class TestDiagnostics:
         assert rc == 3
         capsys.readouterr()
         assert not out.exists()
+
+
+PROBLEM_KEYS = ["problem", "dim", "extents", "horizon", "nodes", "levels"]
+RESIDUAL_KEYS = ["stat_res", "comp_res", "sign_viol", "feas_viol", "adjoint_res", "state_res"]
+INTEGER_KEYS = {"level", "node", "c1_satisfied", "n_feasible", "trials", "working_set_size",
+                "set_changes", "max_newton_iterations"}
+
+# Per verb: the report's sections in order, each with its line keys in order.
+# OBJECTIVE is one bare number and STATUS one message, so they carry none.
+LAYOUTS = {
+    "solve": {"PROBLEM": PROBLEM_KEYS, "OBJECTIVE": None, "RESIDUALS": RESIDUAL_KEYS,
+              "STATUS": None},
+    "soc": {"PROBLEM": PROBLEM_KEYS, "RESIDUALS": RESIDUAL_KEYS,
+            "LEGENDRE": ["legendre_min", "level", "node"],
+            "CRITICAL_DIRECTION": ["quadratic_form", "c1_value", "c1_satisfied",
+                                   "c2_residual", "c3_violation"],
+            "GROWTH": ["kappa_hat", "n_feasible", "trials"]},
+    "holder": {"PROBLEM": PROBLEM_KEYS, "RESIDUALS": RESIDUAL_KEYS,
+               "HOLDER": ["state", "control", "adjoint", "multiplier", "weighted_multiplier",
+                          "active_boundary_jump"]},
+    "oracle-compare": {"PROBLEM": PROBLEM_KEYS, "RESIDUALS": RESIDUAL_KEYS,
+                       "ORACLE": ["adjoint_inf", "adjoint_l2", "multiplier_inf",
+                                  "multiplier_l2", "objective_gap", "nlp_objective",
+                                  "working_set_size", "set_changes"]},
+    "export-fields": {"PROBLEM": PROBLEM_KEYS,
+                      "STATE": ["max_newton_iterations", "bound_ratio", "sup"]},
+}
+
+VERB_ARGS = {
+    "solve": ("--problem", "tracking_box_1d", "--nx", 9, "--nt", 9),
+    "soc": ("--problem", "tracking_box_1d", "--nx", 9, "--nt", 9, "--trials", 5),
+    # Its multiplier is zero: two fits take the constant line and write no table.
+    "holder": ("--problem", "strictly_feasible_1d", "--nx", 17, "--nt", 17,
+               "--pairs", 2000),
+    "oracle-compare": ("--problem", "tracking_box_1d", "--nx", 5, "--nt", 5),
+    "export-fields": ("--problem", "mms_cubic_1d", "--nx", 9, "--nt", 9),
+}
+
+
+def report_sections(out):
+    """``report.txt`` under ``out`` as {section: [line, ...]}, in file order."""
+    sections = {}
+    for line in (out / "report.txt").read_text().splitlines():
+        if line.startswith("== SECTION "):
+            body = sections[line.removeprefix("== SECTION ").removesuffix(" ==")] = []
+        else:
+            body.append(line)
+    return sections
+
+
+@pytest.fixture(scope="module")
+def verb_outputs(tmp_path_factory):
+    """Each verb of ``VERB_ARGS`` run once into its own directory."""
+    outs = {}
+    for verb, args in VERB_ARGS.items():
+        outs[verb] = tmp_path_factory.mktemp(verb)
+        assert run(verb, *args, "--out", outs[verb]) == 0
+    return outs
+
+
+class TestReportFormats:
+    @pytest.mark.parametrize("verb", list(LAYOUTS))
+    def test_sections_and_keys_keep_their_order(self, verb_outputs, verb):
+        sections = report_sections(verb_outputs[verb])
+        assert list(sections) == list(LAYOUTS[verb])
+        for name, keys in LAYOUTS[verb].items():
+            lines = sections[name]
+            if keys is None:
+                assert len(lines) == 1, name
+                continue
+            assert [line.split()[0] for line in lines] == keys, name
+            for line in lines:
+                key, value = line.split(maxsplit=1)
+                if key in INTEGER_KEYS:
+                    assert value.isdigit(), line
+
+    def test_a_constant_field_gets_a_line_and_no_table(self, verb_outputs):
+        out = verb_outputs["holder"]
+        lines = report_sections(out)["HOLDER"]
+        assert "multiplier constant alpha 1 H 0" in lines
+        assert "weighted_multiplier constant alpha 1 H 0" in lines
+        tables = sorted(p.name for p in out.glob("holder_*.csv"))
+        assert tables == ["holder_adjoint.csv", "holder_control.csv", "holder_state.csv"]
+
+    def test_check_kkt_prints_every_digit_of_the_residuals(self, solved_dir, tmp_path):
+        """The RESIDUALS lines read back through ``float`` are the residuals of
+        the saved point, bit for bit."""
+        assert run("check-kkt", "--problem", "tracking_box_1d", "--point", solved_dir,
+                   "--out", tmp_path) == 0
+        spec = parakkt.builtin_problem("tracking_box_1d")
+        point, _, _ = cli._read_point(spec, str(solved_dir))
+        report = parakkt.kkt_residuals(spec, point)
+        lines = report_sections(tmp_path)["RESIDUALS"]
+        assert [float(line.split()[1]).hex() for line in lines] == [
+            float(getattr(report, key)).hex() for key in RESIDUAL_KEYS]
+
+    @pytest.mark.parametrize("verb", ["solve", "soc"])
+    def test_a_rerun_writes_the_same_bytes(self, verb_outputs, tmp_path, verb):
+        assert run(verb, *VERB_ARGS[verb], "--out", tmp_path) == 0
+        first = sorted(p.name for p in verb_outputs[verb].iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == first
+        for name in first:
+            assert (tmp_path / name).read_bytes() == \
+                (verb_outputs[verb] / name).read_bytes(), name
 
 
 class TestExportFields:

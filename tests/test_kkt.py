@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import parakkt
 from parakkt import (
     KKTPoint,
-    ResidualReport,
     SpaceTimeField,
     SpatialGrid,
     TimeGrid,
@@ -125,11 +124,6 @@ class TestResiduals:
             "state_res",
         ):
             assert getattr(again, name) == getattr(report, name), name
-
-    def test_report_text_roundtrip(self, tracking_bundle):
-        _, _, _, report = tracking_bundle
-        back = ResidualReport.from_text(report.to_text())
-        assert back == report
 
 
 class TestControlUpdate:

@@ -1,5 +1,6 @@
 """Outer solve loop: convergence, traces, and option handling."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,11 +20,13 @@ from parakkt import (
     solve_ocp,
     strongly_active,
 )
-from parakkt.exceptions import ConfigError, ParakktError, SolveError
+from parakkt.cli import TRACE_HEADER
+from parakkt.exceptions import (ConfigError, HypothesisViolationError, ParakktError,
+                                SolveError)
 from parakkt.grids import SpaceTimeField, objective_weights
 from parakkt.kkt import FEASIBILITY_SLACK, constraint_boundary_field, recover_multiplier_max
-from parakkt.optimizer import (TRACE_HEADER, _merit, _merit_gradient, _restored_trial,
-                               discrete_objective, reduced_gradient)
+from parakkt.optimizer import (_merit, _merit_gradient, _restored_trial, discrete_objective,
+                               reduced_gradient)
 from parakkt.parabolic import solve_adjoint, solve_state
 
 from conftest import tracking_with_constraint
@@ -88,12 +91,16 @@ class TestConstrainedSolve:
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert trace.rows[-1][1] == pytest.approx(point.objective, rel=1e-12)
 
-    def test_trace_csv_layout(self, tracking_bundle):
+    def test_trace_csv_layout(self, tracking_bundle, tmp_path):
+        """``solve`` writes one CSV line per trace row, every value in full."""
         _, _, trace, _ = tracking_bundle
-        lines = trace.to_csv().strip().splitlines()
-        assert lines[0] == TRACE_HEADER
-        assert len(lines) == len(trace.rows) + 1
-        assert len(lines[1].split(",")) == 7
+        assert cli.main(["solve", "--problem", "tracking_box_1d", "--nx", "33", "--nt", "65",
+                         "--tol", "1e-10", "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert header == TRACE_HEADER
+        rows = [line.split(",") for line in lines]
+        assert [tuple(map(float, row)) for row in rows] == trace.rows
+        assert all(row[0].isdigit() and row[6].isdigit() for row in rows)
 
 
 class TestOptions:
@@ -324,6 +331,51 @@ class TestLineSearchFailures:
         self.failing_state_solve(monkeypatch, fail_at=1)
         with pytest.raises(SolveError, match="injected"):
             solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+
+
+class TestCertificateRetry:
+    @pytest.mark.parametrize("problem", ["tracking_box_1d", MIXED], ids=["box", "mixed"])
+    def test_a_report_that_fails_its_first_check_is_swept_again(self, monkeypatch, problem):
+        """Pointwise residuals within tolerance but a recomputed report above
+        it: the solve goes on from the certificate multiplier, converges one
+        step-0 row later, and the point it returns certifies."""
+        from parakkt import optimizer
+
+        _, (_, clean, _) = solve(problem, (17,), 33, tol_kkt=1e-9)
+        calls = []
+
+        def first_fails(spec, point):
+            calls.append(None)
+            report = parakkt.kkt_residuals(spec, point)
+            return dataclasses.replace(report, stat_res=1.0) if len(calls) == 1 else report
+
+        monkeypatch.setattr(optimizer, "kkt_residuals", first_fails)
+        spec, (point, trace, report) = solve(problem, (17,), 33, tol_kkt=1e-9)
+        assert len(calls) == 2
+        assert trace.converged and report.kkt_error <= 1e-9
+        assert trace.rows[:-1] == clean.rows
+        assert trace.rows[-1][2] == 0.0
+        assert parakkt.kkt_residuals(spec, point) == report
+
+
+class TestNonFiniteCost:
+    POLE = loads(parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
+        "expr = 0.5*(y - 0.8*sin(pi*x1))^2", "expr = 1/(x1 - 0.5) + 0.5*(y - 0.8*sin(pi*x1))^2"))
+
+    @pytest.mark.parametrize("where", ["solve", "objective"])
+    def test_a_cost_with_a_pole_is_refused(self, where):
+        """L = 1/(x1 - 0.5) + ... is infinite at node 3 of a 9-node grid on
+        every level; a solve refuses it, where the merit of every trial
+        would be infinite too."""
+        grid, timegrid = SpatialGrid((1.0,), (9,)), TimeGrid(9, 1.0)
+        zero = SpaceTimeField.zeros(grid, timegrid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(HypothesisViolationError, match="^running cost L evaluated "
+                               "non-finite at level 0, node 3$"):
+                if where == "solve":
+                    solve(self.POLE, (9,), 9)
+                else:
+                    discrete_objective(self.POLE, zero, zero)
 
 
 class TestRestorationCheck:

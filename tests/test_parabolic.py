@@ -670,6 +670,21 @@ class TestFailureModes:
             with pytest.raises(SolveError, match="non-finite"):
                 solve_state(spec, u)
 
+    @pytest.mark.parametrize("sweep, match", [
+        ("linear", "potential and rhs live on different grids"),
+        ("adjoint", "state, control, and multiplier layouts differ"),
+    ])
+    def test_fields_on_different_grids_are_refused(self, sweep, match):
+        spec = parakkt.builtin_problem("tracking_box_1d")
+        tg = TimeGrid(5, 1.0)
+        coarse = SpaceTimeField.zeros(SpatialGrid(extents=(1.0,), nodes=(9,)), tg)
+        fine = SpaceTimeField.zeros(SpatialGrid(extents=(1.0,), nodes=(17,)), tg)
+        with pytest.raises(ConfigError, match=match):
+            if sweep == "linear":
+                solve_linear_parabolic(spec, coarse, fine)
+            else:
+                solve_adjoint(spec, coarse, coarse, fine)
+
     def test_option_validation(self):
         for removed in ("banded", "splu", "qr"):
             with pytest.raises(ConfigError, match="unknown linear solver"):

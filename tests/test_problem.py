@@ -20,7 +20,7 @@ from parakkt import (
     validate_hypotheses,
 )
 from parakkt.catalog import builtin_problem_text
-from parakkt.exceptions import ConfigError, GrammarError, ProblemIOError
+from parakkt.exceptions import AuditError, ConfigError, GrammarError, ProblemIOError
 from parakkt.expressions import SPACE_TIME_VARS, parse_expression
 from parakkt.problem import _sample_box, eval_broadcast, eval_scalar_map
 
@@ -303,6 +303,17 @@ class TestHypothesisValidation:
         assert rep.ellipticity_min == smallest
         assert rep.pass_ellipticity == (smallest > 0)
         assert rep.all_passed == (smallest > 0)
+
+    @pytest.mark.parametrize("name", ["tracking_box_1d", "tracking_box_2d"])
+    def test_an_initial_state_with_a_pole_is_refused(self, name):
+        """The sample's point 1 has x1 = 0.5, where y0 = 1/(x1 - 0.5) divides
+        by zero."""
+        text = builtin_problem_text(name)
+        assert "[y0]\nexpr = 0\n" in text
+        spec = loads(text.replace("[y0]\nexpr = 0\n", "[y0]\nexpr = 1/(x1 - 0.5)\n"))
+        with np.errstate(divide="ignore"):
+            with pytest.raises(AuditError, match=r"^y0 evaluated non-finite at \(0\.5, "):
+                validate_hypotheses(spec, (-1, 1), (-1, 1))
 
     def test_flat_control_cost_fails_convexity(self):
         text = parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(

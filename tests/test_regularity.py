@@ -32,6 +32,21 @@ class TestModelExponents:
         fit = estimate_holder(model_field(np.sqrt), n_pairs=20000, seed=0)
         assert 0.40 <= fit.alpha_hat <= 0.65
 
+    @pytest.mark.parametrize("fn, low, high", [
+        (lambda x: x, 0.9, 1.0), (np.sqrt, 0.40, 0.65),
+    ], ids=["linear", "square-root"])
+    def test_a_two_dimensional_profile_reads_the_same_along_either_axis(self, fn, low,
+                                                                         high):
+        """The two-dimensional snap of the pair targets: on a 65x65x9 grid
+        v = x1 and v = x2 read 0.944, sqrt(x1) 0.572 and sqrt(x2) 0.571."""
+        g = SpatialGrid(extents=(1.0, 1.0), nodes=(65, 65))
+        tg = TimeGrid(n_levels=9, horizon=1.0)
+        alphas = [estimate_holder(SpaceTimeField.from_function(g, tg, lambda **env: fn(env[x])),
+                                  n_pairs=20000, seed=0).alpha_hat
+                  for x in ("x1", "x2")]
+        assert all(low <= a <= high for a in alphas)
+        assert abs(alphas[0] - alphas[1]) <= 0.01
+
     def test_curved_smooth_profile_stays_in_range(self):
         """x^2 flattens at wide separations, so it reads below the linear
         profile but still lands well inside (0, 1]."""

@@ -14,8 +14,8 @@ from parakkt import (
     strongly_active,
 )
 from parakkt import builtin_problem, loads, soc
-from parakkt.exceptions import ConfigError, HypothesisViolationError
-from parakkt.grids import SpaceTimeField, objective_weights, quadrature_weights
+from parakkt.exceptions import AuditError, ConfigError, HypothesisViolationError
+from parakkt.grids import SpaceTimeField, TimeGrid, objective_weights, quadrature_weights
 from parakkt.optimizer import _restored_trial, discrete_objective
 from parakkt.parabolic import SolverOptions, solve_state
 from parakkt.problem import eval_scalar_map
@@ -190,6 +190,19 @@ class TestQuadraticForm:
         zeroed.control_direction.values[:] = 0.0
         zeroed.state_direction.values[:] = 0.0
         assert quadratic_form(spec, point, zeroed) == 0.0
+
+    def test_a_direction_on_another_layout_is_refused(self, tracking_bundle):
+        spec, point, _, _ = tracking_bundle
+        d = sample_critical_direction(spec, point, seed=0)
+        other = SpaceTimeField.zeros(d.state_direction.grid, TimeGrid(9, spec.horizon))
+        with pytest.raises(AuditError, match="direction layout differs"):
+            quadratic_form(spec, point, dataclasses.replace(d, state_direction=other))
+
+    def test_a_direction_off_the_linearized_equation_is_refused(self, tracking_bundle):
+        spec, point, _, _ = tracking_bundle
+        d = sample_critical_direction(spec, point, seed=0)
+        with pytest.raises(AuditError, match="linearized-state residual 2.000e-08"):
+            quadratic_form(spec, point, dataclasses.replace(d, c2_residual=2e-8))
 
     @pytest.mark.parametrize("g, share", [
         (None, 0.0), ("u + 0.5*y - 0.4", 0.0), ("u + 0.1*u^3 + 0.2*y*u - 0.4", 0.02),
