@@ -44,6 +44,11 @@ _MAX_ROOT_ITER = 200
 _ROOT_CHUNK_NODES = 2**13       # nodes per root of a stack of states
 
 FEASIBILITY_SLACK = 1e-8
+# The state and adjoint recursions must hold to this in the max norm.  The
+# state Newton stops at newton_tol (1 + max |y| + max |u|), 1e-10 times that
+# scale by default, and the adjoint sweep solves to rounding; the certified
+# points of the catalog read at most 1.4e-10 and 3e-11.
+RECURSION_TOL = 1e-8
 
 
 def _point_env(spec: ProblemSpec, x, t: float) -> dict:
@@ -338,6 +343,17 @@ class ResidualReport:
     @property
     def kkt_error(self) -> float:
         return max(self.stat_res, self.comp_res, self.sign_viol, self.feas_viol)
+
+    def refusal(self, tol: float) -> str | None:
+        """Why the point is not certified at ``tol``, or None: the pointwise
+        residuals must meet ``tol`` and the recursions ``RECURSION_TOL``."""
+        if not self.kkt_error <= tol:
+            return f"KKT error {self.kkt_error:.3e} exceeds tolerance {tol:g}"
+        recursion = max(self.state_res, self.adjoint_res)
+        if not recursion <= RECURSION_TOL:
+            return (f"state/adjoint recursion residual {recursion:.3e} exceeds "
+                    f"{RECURSION_TOL:g}")
+        return None
 
 
 def active_threshold(multiplier: SpaceTimeField) -> float:

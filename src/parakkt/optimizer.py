@@ -226,8 +226,10 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     Returns ``(point, trace, report)`` where the point is the best quadruple
     found, the trace logs one row per outer iteration, and the report holds
-    the recomputed residuals of the returned point.  Non-convergence is not
-    an exception: the trace says so and the report shows how far it got.
+    the recomputed residuals of the returned point.  The run converges when
+    the report certifies the point (``ResidualReport.refusal``).
+    Non-convergence is not an exception: the trace says so and the report
+    shows how far it got.
     """
     options = options or OptimizerOptions()
     solver = options.solver
@@ -284,8 +286,11 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                              SpaceTimeField(e_cert, grid, timegrid), objective)
             report = kkt_residuals(spec, point)
             if report.kkt_error <= options.tol_kkt:
-                trace.converged = True
-                trace.message = f"converged in {it} iterations"
+                # A recursion the march or the sweep left short does not
+                # improve by iterating on: the run ends uncertified.
+                refusal = report.refusal(options.tol_kkt)
+                trace.converged = refusal is None
+                trace.message = refusal or f"converged in {it} iterations"
                 return point, trace, report
             e_values = e_cert
             continue

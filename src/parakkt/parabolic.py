@@ -10,9 +10,10 @@ sweep is the exact transpose of the forward linearized sweep, which is what
 makes the reduced gradient exact in the discrete duality pairing.  The
 step matrix picks its backend when its ``_StepSolver`` is built: LAPACK
 ``gtsv`` when it is tridiagonal (every 1-D grid), else a SuperLU
-factorization refined to rounding, taken at a sweep's first solve of the
-transposed step matrix under a minimum-degree ordering of its symmetrized
-pattern, solved with ``trans="T"`` and released at the sweep's end.
+factorization of the transposed step matrix, taken at a sweep's first solve
+under a minimum-degree ordering of its symmetrized pattern, solved with
+``trans="T"`` and released at the sweep's end; the linearized and adjoint
+sweeps refine each solve against it to a backward error of 2 eps.
 ``"dense"`` is the independent reference.
 
 The solvers and audits that make many short sweeps (``solve_ocp``,
@@ -25,13 +26,14 @@ rooted once in it (``kkt._boundary_rows``).  Nested calls use the open
 scope, released when the outermost call returns or raises.  A call outside
 any scope builds its own, and the two give the same fields bit for bit.
 
-The state sweep marches a stack of controls at once, level by level: one
-residual, one step solve and one f' evaluation per Newton iteration serve
-every row, and each row stops where its own sweep would (``_march_states``).
-A row's Newton stops when its residual meets the tolerance; the march fails
-when a residual is not finite or a row reaches ``NEWTON_MAX_ITER``, and a
-stack fails at the first such row it meets.  ``solve_state`` marches a stack
-of one; the restoration of ``optimizer`` marches its trials.
+The state sweep marches a stack of controls, each row bit for bit its own
+march (``_march_states``): on a tridiagonal step matrix all rows at once
+with exact Newton, otherwise row after row with a chord Newton on the
+sweep's held factor.  A row's Newton stops when its residual meets the
+tolerance; the march fails when a residual is not finite or a row reaches
+``NEWTON_MAX_ITER`` steps, and a stack fails at the first such row it meets.
+``solve_state`` marches a stack of one; the restoration of ``optimizer``
+marches its trials.
 
 The adjoint field is stored on all time levels.  Its last stored level is
 the solution of the first backward step started from a virtual zero beyond
@@ -73,6 +75,7 @@ __all__ = [
 _local = threading.local()     # .held: this thread's open step scope, or None
 
 NEWTON_MAX_ITER = 30
+CONTRACTION = 0.1     # a chord step must cut the residual by this, or refactor
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,14 @@ class _StepSolver:
     goes to LAPACK ``gtsv`` on the three diagonals of M, taken once (a 1x1
     system is a division).  Otherwise one SuperLU factorization
     (``spla.splu``) of M + diag(d0) is held, d0 being the first solve's d.
-    At d = d0 a solve is the LU solve; at any other d it is refined with the
-    residual r of M + diag(d) to a componentwise backward error
-    max |r| / (|M||x| + |d x| + |b|) (LAPACK ``xGERFS``) of at most 2 eps,
-    and M + diag(d) is factored and held instead once a correction fails to
-    halve that error or it is not finite.  So a refined solve may return a
+    A ``held`` solve (a chord step of the state march) is the LU solve with
+    M + diag(d), factored afresh, and held, when d is not the held factor's
+    diagonal.  Any other solve is the LU solve at that diagonal, and at any
+    other d it is refined with the residual r of M + diag(d) to a
+    componentwise backward error max |r| / (|M||x| + |d x| + |b|) (LAPACK
+    ``xGERFS``) of at most 2 eps, and M + diag(d) is factored and held
+    instead once a correction fails to halve that error or it is not
+    finite.  So a refined solve may return a
     solution of a singular but consistent system: its backward error is at
     most 2 eps, so it does solve that system, where ``gtsv`` and
     ``np.linalg.solve`` refuse the matrix.  The backends differ only there.
@@ -129,10 +135,10 @@ class _StepSolver:
     block-diagonal matrix, its diagonals tiled with zero joins, which
     eliminates each block exactly as a call of its own would.  The other
     backends solve the rows one by one, in order, on the one solver.
-    ``product`` gives A y on every block of such a stack; a tridiagonal A
-    multiplies through its tiled diagonals, adding each row's terms in the
-    order ``csr_matvec`` does, so every block gets the sums ``A @ y`` gives
-    it alone.
+    ``product`` gives A y; on a stack, which the state march makes only of
+    a tridiagonal A, it multiplies through the tiled diagonals, adding each
+    row's terms in the order ``csr_matvec`` does, so every block gets the
+    sums ``A @ y`` gives it alone.
     """
 
     def __init__(self, operator: sp.csr_matrix, tau: float,
@@ -166,9 +172,8 @@ class _StepSolver:
         self.lu = self.lu_diag = None
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        if self.a_diagonals is None:
-            return (self.operator @ y if y.size == self.n else np.concatenate(
-                [self.operator @ b for b in y.reshape(-1, self.n)]))
+        if self.a_diagonals is None:          # one row: only 1-D stacks march at once
+            return self.operator @ y
         lower, diag, upper = self.a_diagonals
         m = y.size
         out = diag[:m] * y
@@ -176,7 +181,8 @@ class _StepSolver:
         out[:-1] += upper[:m - 1] * y[1:]
         return out
 
-    def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int) -> np.ndarray:
+    def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int,
+              held: bool = False) -> np.ndarray:
         info = 0
         m = rhs.size
         try:
@@ -186,7 +192,8 @@ class _StepSolver:
                 x, info = self.gtsv(self.dl[:m - 1], self.d[:m] + diag_add,
                                     self.du[:m - 1], rhs, overwrite_d=True)[3:]
             elif self.mode == "splu":
-                x = self._by_row(self._refined_solve, diag_add, rhs)
+                x = self._by_row(self._held_solve if held else self._refined_solve,
+                                 diag_add, rhs)
             else:
                 x = self._by_row(self._dense_solve, diag_add, rhs)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
@@ -211,15 +218,23 @@ class _StepSolver:
     def _dense_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.base + np.diag(np.broadcast_to(diag_add, rhs.shape)), rhs)
 
+    def _factor(self, diag_add: np.ndarray):
+        data = self.base.data.copy()
+        data[self.diag_pos] += diag_add
+        # The CSR arrays of M + diag(d), read as CSC, are its transpose.
+        self.lu = spla.splu(sp.csc_matrix((data, self.base.indices, self.base.indptr),
+                                          shape=self.base.shape),
+                            permc_spec="MMD_AT_PLUS_A")
+        self.lu_diag = diag_add.copy()
+
+    def _held_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is None or not np.array_equal(diag_add, self.lu_diag):
+            self._factor(diag_add)
+        return self.lu.solve(rhs, trans="T")
+
     def _refined_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         if self.lu is None:
-            data = self.base.data.copy()
-            data[self.diag_pos] += diag_add
-            # The CSR arrays of M + diag(d), read as CSC, are its transpose.
-            self.lu = spla.splu(sp.csc_matrix((data, self.base.indices, self.base.indptr),
-                                              shape=self.base.shape),
-                                permc_spec="MMD_AT_PLUS_A")
-            self.lu_diag = diag_add.copy()
+            self._factor(diag_add)
         x = self.lu.solve(rhs, trans="T")
         if np.array_equal(diag_add, self.lu_diag):
             return x
@@ -313,8 +328,9 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
     """March the semilinear state equation driven by the given control.
 
     Returns the state field together with a report carrying the worst Newton
-    iteration count and the ratio of the state sup norm to the natural size
-    of the data.  The march is that of a stack of one (``_march_states``);
+    iteration count (on a step matrix that is not tridiagonal, the count of
+    chord steps) and the ratio of the state sup norm to the natural size of
+    the data.  The march is that of a stack of one (``_march_states``);
     ``forward_residual`` recomputes the defect of the returned state.
     """
     options = options or SolverOptions()
@@ -337,23 +353,33 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
 
 def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                   u: np.ndarray, options: SolverOptions):
-    """Implicit Euler with Newton per step for a stack of B controls at once.
+    """Implicit Euler with Newton per step for a stack of B controls.
 
     ``u`` has shape (n_levels, B, n_interior); the march takes the step
-    solver of its grid for B rows (``_step_solver``).  Every Newton
-    iteration of a level evaluates one residual over the flat stack of its
-    rows (A y from ``_StepSolver.product``), makes one stacked step solve
-    and one f' evaluation.  Each row has its own tolerance, in a Python
-    float.  A row is frozen the moment it converges while others of its
-    level march on: its right-hand side is zeroed, so its step is zero and it
-    keeps the iterate its own sweep stops at.  The first row met whose
-    residual is not finite, or that is still above its tolerance after
-    ``NEWTON_MAX_ITER`` iterations, fails the whole stack with its
-    ``SolveError``.  A level starts from the iterate the level before ended
-    on, so its first residual reuses the f(y) and A y computed there.
+    solver of its grid for B rows (``_step_solver``).  When the step matrix
+    is tridiagonal (every 1-D grid) the rows march at once with exact Newton:
+    every iteration of a level evaluates one residual over the flat stack of
+    its rows (A y from ``_StepSolver.product``), makes one stacked ``gtsv``
+    solve and one f' evaluation.  Otherwise each Newton step is a chord
+    step: one LU solve with M + diag(d_held), the factor the sweep holds,
+    with no refinement (Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, SIAM 1995, 5.4).  d_held is f' at the sweep's first iterate,
+    and it is taken again at the current iterate, and factored, only when a
+    step fails to cut the residual by ``CONTRACTION``.  A factor serves one
+    row, so a stack of more marches each row as a stack of one, and each
+    row is bit for bit its own march.
+
+    Each row has its own tolerance, in a Python float.  A row is frozen the
+    moment it converges while others of its level march on: its right-hand
+    side is zeroed, so its step is zero and it keeps the iterate its own
+    sweep stops at.  The first row met whose residual is not finite, or that
+    is still above its tolerance after ``NEWTON_MAX_ITER`` iterations, fails
+    the whole stack with its ``SolveError``.  A level starts from the iterate
+    the level before ended on, so its first residual reuses the f(y) and A y
+    computed there.
 
     Returns the (n_levels, B, n_interior) states and each row's worst Newton
-    count.
+    (or chord) count.
     """
     n_levels, n_rows, n = u.shape
     tau = timegrid.tau
@@ -363,13 +389,20 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     def row_max(v):
         return np.maximum.reduceat(np.abs(v), starts).tolist()
 
-    u_max = np.abs(u).max(axis=2).tolist()
-    u = u.reshape(n_levels, -1)
-    values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
-    values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
-    max_newton = [0] * n_rows
-    fy = ay = None                    # f(y) and A y at the current iterate
     with _step_solver(spec, grid, tau, options.linear_solver, n_rows) as stepper:
+        chord = stepper.a_diagonals is None
+        if chord and n_rows > 1:
+            marches = [_march_states(spec, grid, timegrid, u[:, row:row + 1], options)
+                       for row in range(n_rows)]
+            return (np.concatenate([states for states, _ in marches], axis=1),
+                    [count for _, (count,) in marches])
+        u_max = np.abs(u).max(axis=2).tolist()
+        u = u.reshape(n_levels, -1)
+        values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
+        values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
+        max_newton = [0] * n_rows
+        fy = ay = None                    # f(y) and A y at the current iterate
+        d_held = None                     # the chord's diagonal
         for j in range(n_levels - 1):
             y = y_prev = values[j]
             u_lvl = u[j + 1]
@@ -378,6 +411,7 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             live = list(range(n_rows))
             frozen = None                 # 0 on converged rows, once some share a level
             n_solves = 0
+            last = math.inf               # the chord's residual one step back
             while True:
                 if fy is None:
                     fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
@@ -407,7 +441,13 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 for i in settled:
                     frozen[i * n:(i + 1) * n] = 0.0
                 rhs = res if frozen is None else res * frozen
-                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
+                if chord:
+                    if d_held is None or rnorms[0] > CONTRACTION * last:
+                        d_held = np.asarray(df(y=y), dtype=float)
+                    last = rnorms[0]
+                    y = y - stepper.solve(d_held, rhs, j + 1, held=True)
+                else:
+                    y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
                 fy = None
                 n_solves += 1
             values[j + 1] = y

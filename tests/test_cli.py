@@ -294,6 +294,43 @@ class TestCheckKKT:
         assert rc == 3
         capsys.readouterr()
 
+    @staticmethod
+    def raise_state(fields):
+        fields["y"].values[5, 4] += 1.0
+
+    @staticmethod
+    def raise_adjoint_and_multiplier(fields):
+        at = np.unravel_index(np.argmax(fields["e"].values), fields["e"].values.shape)
+        fields["phi"].values[at] += 0.01
+        fields["e"].values[at] += 0.01
+
+    @pytest.mark.parametrize("edit, residual", [
+        (raise_state, "state_res"), (raise_adjoint_and_multiplier, "adjoint_res"),
+    ], ids=["state", "adjoint"])
+    def test_a_broken_recursion_is_refused(self, solved_dir, tmp_path, capsys, edit,
+                                           residual):
+        """Each edit leaves the four pointwise residuals within the tolerance
+        and breaks one recursion."""
+        fields = {name: read_field(solved_dir / f"{name}.field")
+                  for name in ("y", "u", "phi", "e")}
+        edit.__func__(fields)
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for name, fld in fields.items():
+            write_field(broken / f"{name}.field", fld)
+        out = tmp_path / "out"
+        rc = run("check-kkt", "--problem", "tracking_box_1d", "--point", broken, "--out", out)
+        assert rc == 3
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error kind=audit exit=3 msg=state/adjoint recursion residual")
+        report = (out / "report.txt").read_text()
+        assert "FAIL" in report
+        values = dict(parts for parts in map(str.split, report.splitlines())
+                      if len(parts) == 2)
+        assert max(float(values[k])
+                   for k in ("stat_res", "comp_res", "sign_viol", "feas_viol")) <= 1e-8
+        assert float(values[residual]) > 1.0
+
     def test_a_control_on_another_grid_is_a_file_error(self, solved_dir, tmp_path, capsys):
         broken = tmp_path / "broken"
         broken.mkdir()

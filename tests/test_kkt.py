@@ -33,7 +33,7 @@ from parakkt.kkt import (
     active_threshold,
 )
 from parakkt.parabolic import step_scope
-from parakkt.problem import cylinder_env
+from parakkt.problem import cylinder_env, eval_scalar_map
 
 EPS = np.finfo(float).eps
 
@@ -111,6 +111,40 @@ class TestResiduals:
         moved = KKTPoint(point.state, point.control, point.adjoint, e, point.objective)
         rep = kkt_residuals(spec, moved)
         assert rep.sign_viol == pytest.approx(1e-6, rel=1e-12)
+
+    def test_an_infeasible_control_is_flagged(self):
+        spec = hand_spec()
+        point = hand_point(spec)
+        u = point.control.copy()
+        u.values[1, 0] = 10.5                 # g = u - 10 = 0.5 at an e = 0 node
+        moved = KKTPoint(point.state, u, point.adjoint, point.multiplier, point.objective)
+        rep = kkt_residuals(spec, moved)
+        assert rep.feas_viol == 0.5
+        assert rep.comp_res == 0.0
+
+    def test_a_multiplier_off_the_active_set_is_flagged(self):
+        """e > 0 where g < 0 makes e g negative: complementarity is |e g|."""
+        spec = hand_spec()
+        point = hand_point(spec)
+        e = point.multiplier.copy()
+        e.values[1, 0] = 1e-3
+        moved = KKTPoint(point.state, point.control, point.adjoint, e, point.objective)
+        rep = kkt_residuals(spec, moved)
+        assert rep.comp_res == pytest.approx(1e-3 * (10.0 - 90.0 / 91.0), rel=1e-12)
+        assert rep.feas_viol == 0.0
+
+    @pytest.mark.parametrize("bundle", ["sloped_bundle", "cubic_bundle"])
+    def test_the_adjoint_residual_carries_the_multiplier_term(self, bundle, request):
+        """At these points e g_y is far from zero, so a wrong sign on it in the
+        adjoint residual could not stay below the recursion tolerance."""
+        spec, point, trace, report = request.getfixturevalue(bundle)
+        assert trace.converged
+        state, control = point.state, point.control
+        g_y = eval_scalar_map(spec.constraint.dy, state.grid, state.timegrid,
+                              state.values, control.values)
+        assert np.max(np.abs(point.multiplier.values * g_y)) > 1e-5
+        assert report.adjoint_res <= 1e-10
+        assert kkt_residuals(spec, point).adjoint_res == report.adjoint_res
 
     def test_recompute_matches_solver_report(self, tracking_bundle):
         spec, point, trace, report = tracking_bundle

@@ -358,6 +358,27 @@ class TestCertificateRetry:
         assert parakkt.kkt_residuals(spec, point) == report
 
 
+    @pytest.mark.parametrize("field", ["state_res", "adjoint_res"])
+    def test_a_broken_recursion_ends_the_solve_uncertified(self, monkeypatch, field):
+        """Pointwise residuals within tolerance but a recursion residual above
+        ``RECURSION_TOL``: the solve stops at once, not converged, and says why."""
+        from parakkt import optimizer
+
+        calls = []
+
+        def broken(spec, point):
+            calls.append(None)
+            return dataclasses.replace(parakkt.kkt_residuals(spec, point), **{field: 1e-6})
+
+        monkeypatch.setattr(optimizer, "kkt_residuals", broken)
+        _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
+        assert len(calls) == 1
+        assert not trace.converged and report.kkt_error <= 1e-9
+        assert trace.message == "state/adjoint recursion residual 1.000e-06 exceeds 1e-08"
+        with pytest.raises(SolveError, match="recursion residual"):
+            cli._require_converged(trace)
+
+
 class TestNonFiniteCost:
     POLE = loads(parakkt.catalog.builtin_problem_text("tracking_box_1d").replace(
         "expr = 0.5*(y - 0.8*sin(pi*x1))^2", "expr = 1/(x1 - 0.5) + 0.5*(y - 0.8*sin(pi*x1))^2"))

@@ -228,6 +228,20 @@ class TestMultiplierCorrespondence:
         raw = sol.lam.reshape(instance.meta["n_steps"], instance.meta["n_interior"])
         assert float(np.max(np.abs(point.adjoint.values[1:] - raw))) > 1e-2
 
+    def test_l2_distances_carry_the_cell_volume(self, small_tracking):
+        """A gap of 0.01 on every node of levels 1..4 of the 5x5 grid:
+        sqrt(h tau * 4 * 3) * 0.01 with h = tau = 1/4."""
+        spec, grid, timegrid, instance, point, sol = small_tracking
+        _, _, phi_or, e_or = unpack_solution(instance, sol)
+        phi, e = point.adjoint.copy(), point.multiplier.copy()
+        phi.values[1:] = phi_or + 0.01
+        e.values[1:] = e_or - 0.01
+        shifted = KKTPoint(point.state, point.control, phi, e, point.objective)
+        cmp = compare_multipliers(instance, sol, shifted)
+        assert cmp.adjoint_l2 == pytest.approx(0.01 * np.sqrt(0.75), rel=1e-12)
+        assert cmp.multiplier_l2 == pytest.approx(0.01 * np.sqrt(0.75), rel=1e-12)
+        assert cmp.adjoint_inf == pytest.approx(0.01, rel=1e-12)
+
     def test_l2_distances_are_also_small(self, small_tracking):
         spec, _, _, instance, point, sol = small_tracking
         cmp = compare_multipliers(instance, sol, point)

@@ -212,6 +212,91 @@ class TestStackedStateSolve:
                     self.march(spec, stack)
 
 
+class TestChordMarch:
+    """On a step matrix that is not tridiagonal each Newton step of the state
+    march is one LU solve with the factor its sweep holds, taken again only
+    when a step fails to cut the residual by ``CONTRACTION``."""
+
+    @staticmethod
+    def controls(*levels, nodes=(9, 9)):
+        spec = parakkt.builtin_problem("tracking_box_2d")
+        g = SpatialGrid(extents=spec.extents, nodes=nodes)
+        tg = TimeGrid(9, spec.horizon)
+        return spec, [SpaceTimeField(np.full((9, g.n_interior), c), g, tg) for c in levels]
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counts of ``splu`` factorizations, of the LU solves made with them
+        and of ``_StepSolver.solve`` calls."""
+        counts = {"splu": 0, "lu_solve": 0, "step_solve": 0}
+        original_splu, original_solve = spla.splu, _StepSolver.solve
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, *args, **kwargs):
+                counts["lu_solve"] += 1
+                return self.lu.solve(*args, **kwargs)
+
+        def splu(*args, **kwargs):
+            counts["splu"] += 1
+            return Counted(original_splu(*args, **kwargs))
+
+        def solve(self, *args, **kwargs):
+            counts["step_solve"] += 1
+            return original_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(_StepSolver, "solve", solve)
+        return counts
+
+    @pytest.mark.parametrize("level", [0.5, 2.0, -5.0])
+    def test_a_march_that_never_refreshes_factors_once(self, monkeypatch, level):
+        spec, (control,) = self.controls(level)
+        counts = self.counted(monkeypatch)
+        state, report = solve_state(spec, control)
+        assert report.max_newton_iterations >= 2
+        assert counts["splu"] == 1
+        assert counts["lu_solve"] == counts["step_solve"]
+        assert state_defect(spec, state, control) <= SolverOptions().newton_tol
+
+    @pytest.mark.parametrize("ls", ["auto", "dense"])
+    @pytest.mark.parametrize("level", [1e4, -1e4])
+    def test_a_large_control_refreshes_and_converges(self, monkeypatch, level, ls):
+        spec, (control,) = self.controls(level)
+        counts = self.counted(monkeypatch)
+        options = SolverOptions(linear_solver=ls)
+        state, report = solve_state(spec, control, options)
+        assert report.max_newton_iterations <= parakkt.parabolic.NEWTON_MAX_ITER
+        if ls == "auto":
+            assert 1 < counts["splu"] < counts["step_solve"]
+            assert counts["lu_solve"] == counts["step_solve"]
+        assert state_defect(spec, state, control) <= options.newton_tol
+
+    @pytest.mark.parametrize("ls", ["auto", "dense"])
+    def test_each_row_of_a_stack_is_its_own_march(self, ls):
+        """A factor serves one row, so the rows march one after another."""
+        spec, controls = self.controls(0.0, 1.0, 30.0, -30.0, 1e4)
+        options = SolverOptions(linear_solver=ls)
+        states, max_newton = TestStackedStateSolve.march(spec, controls, options)
+        assert max_newton[0] == 0 and min(max_newton[1:]) > 0
+        for row, control in enumerate(controls):
+            alone, rep_alone = solve_state(spec, control, options)
+            assert rep_alone.max_newton_iterations == max_newton[row]
+            assert states[:, row].tobytes() == alone.values.tobytes()
+            assert state_defect(spec, alone, control) <= options.newton_tol
+
+    def test_a_tridiagonal_step_matrix_keeps_exact_newton(self, monkeypatch):
+        """A 2-D grid with one interior node across is tridiagonal: no LU,
+        and the Newton counts of the stacked gtsv march."""
+        spec, controls = self.controls(0.0, 1.0, 30.0, -30.0, nodes=(3, 17))
+        counts = self.counted(monkeypatch)
+        states, max_newton = TestStackedStateSolve.march(spec, controls)
+        assert counts["splu"] == 0
+        assert max_newton == [0, 2, 4, 4]
+
+
 class TestLinearizedSolve:
     def test_matches_nonlinear_solve_for_zero_potential(self, mms_spec):
         """With the reaction frozen at zero state the linear path agrees."""

@@ -47,6 +47,21 @@ class TestModelExponents:
         assert all(low <= a <= high for a in alphas)
         assert abs(alphas[0] - alphas[1]) <= 0.01
 
+    @pytest.mark.parametrize("nodes", [(33, 9), (9, 33)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_targets_snap_to_the_nearest_node_on_a_non_square_grid(self, nodes, seed):
+        """Pair distances are drawn log-uniform on [d_min, d_max], and clamping
+        to the box only shortens them, so the median sampled distance stays
+        below sqrt(d_min d_max) (0.433 here): 0.337 when each target snaps to
+        its nearest node, 0.53-0.55 when the two axes are read swapped."""
+        g = SpatialGrid(extents=(1.0, 1.0), nodes=nodes)
+        tg = TimeGrid(n_levels=9, horizon=1.0)
+        fit = estimate_holder(SpaceTimeField.from_function(g, tg, lambda x2, **_: x2),
+                              n_pairs=4096, seed=seed)
+        d_max = np.sqrt(3.0)            # the diameter of the unit cylinder
+        d_min = d_max / 16.0            # below six cells of 1/32
+        assert np.median(fit.distances) <= np.sqrt(d_min * d_max)
+
     def test_curved_smooth_profile_stays_in_range(self):
         """x^2 flattens at wide separations, so it reads below the linear
         profile but still lands well inside (0, 1]."""
