@@ -103,6 +103,13 @@ def _keyed(**values) -> str:
     return "\n".join("%s %.17g" % kv for kv in values.items())
 
 
+def _residuals(report) -> str:
+    """The RESIDUALS section: the six residuals of a ``ResidualReport``,
+    without the scales its recursions are gated against."""
+    return _keyed(**{name: getattr(report, name) for name in (
+        "stat_res", "comp_res", "sign_viol", "feas_viol", "adjoint_res", "state_res")})
+
+
 def _write_csv(path: str, header: str, rows) -> None:
     """``header`` and one line per row, each value printed as ``%.17g``."""
     with open(path, "w") as fh:
@@ -206,7 +213,7 @@ def _cmd_solve(args) -> int:
     _write_report(out, [
         ("PROBLEM", head),
         ("OBJECTIVE", "%.17g" % point.objective),
-        ("RESIDUALS", _keyed(**asdict(report))),
+        ("RESIDUALS", _residuals(report)),
         ("STATUS", trace.message or "done"),
     ])
     _require_converged(trace)
@@ -233,7 +240,7 @@ def _cmd_check_kkt(args) -> int:
     _write_report(out, [
         ("PROBLEM", _problem_summary(spec, grid, timegrid)),
         ("OBJECTIVE", "%.17g" % point.objective),
-        ("RESIDUALS", _keyed(**asdict(report))),
+        ("RESIDUALS", _residuals(report)),
         ("STATUS", "FAIL" if refusal else "PASS"),
     ])
     if refusal:
@@ -257,7 +264,7 @@ def _cmd_soc(args) -> int:
                probe.rows)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", _keyed(**asdict(report))),
+        ("RESIDUALS", _residuals(report)),
         ("LEGENDRE", _keyed(legendre_min=value, level=where[0], node=where[1])),
         ("CRITICAL_DIRECTION", _keyed(
             quadratic_form=q, c1_value=direction.c1_value,
@@ -281,7 +288,7 @@ def _cmd_holder(args) -> int:
                        "bin_lo,bin_hi,n,max_increment", fit.bins)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", _keyed(**asdict(report))),
+        ("RESIDUALS", _residuals(report)),
         ("HOLDER", _holder_text(cont)),
     ])
     return 0
@@ -294,7 +301,7 @@ def _cmd_oracle_compare(args) -> int:
     comparison = compare_multipliers(instance, sol, point)
     _write_report(out, [
         ("PROBLEM", head),
-        ("RESIDUALS", _keyed(**asdict(report))),
+        ("RESIDUALS", _residuals(report)),
         ("ORACLE", _keyed(**asdict(comparison), nlp_objective=sol.objective,
                           working_set_size=sol.working_set.size,
                           set_changes=sol.n_set_changes)),

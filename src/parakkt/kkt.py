@@ -44,10 +44,11 @@ _MAX_ROOT_ITER = 200
 _ROOT_CHUNK_NODES = 2**13       # nodes per root of a stack of states
 
 FEASIBILITY_SLACK = 1e-8
-# The state and adjoint recursions must hold to this in the max norm.  The
-# state Newton stops at newton_tol (1 + max |y| + max |u|), 1e-10 times that
-# scale by default, and the adjoint sweep solves to rounding; the certified
-# points of the catalog read at most 1.4e-10 and 3e-11.
+# The state and adjoint recursions must hold to this times their scale
+# (``ResidualReport``), in the max norm: a hundred times the default
+# newton_tol, at which the state Newton stops on the same scale, while the
+# adjoint sweep solves to rounding.  The certified catalog points read at
+# most 1.4e-10 and 3e-11.
 RECURSION_TOL = 1e-8
 
 
@@ -333,26 +334,35 @@ class KKTPoint:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """The first-order residuals of a point, with the sizes its two
+    recursions are gated against: ``state_scale`` = 1 + max |y| + max |u|,
+    the scale of the state march's tolerance, and ``adjoint_scale`` =
+    1 + max |phi| + max |L_y + e g_y|, the same for the adjoint equation."""
+
     stat_res: float
     comp_res: float
     sign_viol: float
     feas_viol: float
     adjoint_res: float
     state_res: float
+    state_scale: float
+    adjoint_scale: float
 
     @property
     def kkt_error(self) -> float:
         return max(self.stat_res, self.comp_res, self.sign_viol, self.feas_viol)
 
-    def refusal(self, tol: float) -> str | None:
+    def refusal(self, tol: float, recursion_tol: float = RECURSION_TOL) -> str | None:
         """Why the point is not certified at ``tol``, or None: the pointwise
-        residuals must meet ``tol`` and the recursions ``RECURSION_TOL``."""
+        residuals must meet ``tol`` and each recursion ``recursion_tol``
+        times its scale."""
         if not self.kkt_error <= tol:
             return f"KKT error {self.kkt_error:.3e} exceeds tolerance {tol:g}"
-        recursion = max(self.state_res, self.adjoint_res)
-        if not recursion <= RECURSION_TOL:
-            return (f"state/adjoint recursion residual {recursion:.3e} exceeds "
-                    f"{RECURSION_TOL:g}")
+        for name, res, scale in (("state", self.state_res, self.state_scale),
+                                 ("adjoint", self.adjoint_res, self.adjoint_scale)):
+            if not res <= recursion_tol * scale:
+                return (f"{name} recursion residual {res:.3e} exceeds "
+                        f"{recursion_tol:g} x {scale:.4g}")
         return None
 
 
@@ -400,6 +410,10 @@ def kkt_residuals(spec: ProblemSpec, point: KKTPoint) -> ResidualReport:
     fp = eval_broadcast(spec.nonlinearity.df, y.shape, y=y)
     ahead = np.vstack([phi[1:], np.zeros((1, grid.n_interior))])
     a_t = step_operator(spec, grid, transposed=True)
-    r = phi / tau + (a_t @ phi.T).T + fp * phi - ahead / tau + (l_y + e * g_y)
+    source = l_y + e * g_y
+    r = phi / tau + (a_t @ phi.T).T + fp * phi - ahead / tau + source
     adj_res = float(np.max(np.abs(r)))
-    return ResidualReport(stat, comp, sign, feas, adj_res, state_res)
+    state_scale = 1.0 + float(np.max(np.abs(y))) + float(np.max(np.abs(u)))
+    adjoint_scale = 1.0 + float(np.max(np.abs(phi))) + float(np.max(np.abs(source)))
+    return ResidualReport(stat, comp, sign, feas, adj_res, state_res,
+                          state_scale, adjoint_scale)

@@ -28,6 +28,7 @@ from .exceptions import ConfigError, HypothesisViolationError, SolveError
 from .grids import SpaceTimeField, SpatialGrid, TimeGrid, objective_weights
 from .kkt import (
     FEASIBILITY_SLACK,
+    RECURSION_TOL,
     KKTPoint,
     _boundary_rows,
     _multiplier_max,
@@ -287,8 +288,11 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             report = kkt_residuals(spec, point)
             if report.kkt_error <= options.tol_kkt:
                 # A recursion the march or the sweep left short does not
-                # improve by iterating on: the run ends uncertified.
-                refusal = report.refusal(options.tol_kkt)
+                # improve by iterating on: the run ends uncertified.  The
+                # gate keeps RECURSION_TOL's room of a hundred times the
+                # state march's tolerance when newton_tol is raised.
+                refusal = report.refusal(
+                    options.tol_kkt, max(RECURSION_TOL, 100.0 * solver.newton_tol))
                 trace.converged = refusal is None
                 trace.message = refusal or f"converged in {it} iterations"
                 return point, trace, report

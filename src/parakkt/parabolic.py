@@ -357,26 +357,19 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     ``u`` has shape (n_levels, B, n_interior); the march takes the step
     solver of its grid for B rows (``_step_solver``).  When the step matrix
-    is tridiagonal (every 1-D grid) the rows march at once with exact Newton:
-    every iteration of a level evaluates one residual over the flat stack of
-    its rows (A y from ``_StepSolver.product``), makes one stacked ``gtsv``
-    solve and one f' evaluation.  Otherwise each Newton step is a chord
-    step: one LU solve with M + diag(d_held), the factor the sweep holds,
-    with no refinement (Kelley, *Iterative Methods for Linear and Nonlinear
-    Equations*, SIAM 1995, 5.4).  d_held is f' at the sweep's first iterate,
-    and it is taken again at the current iterate, and factored, only when a
-    step fails to cut the residual by ``CONTRACTION``.  A factor serves one
-    row, so a stack of more marches each row as a stack of one, and each
-    row is bit for bit its own march.
-
-    Each row has its own tolerance, in a Python float.  A row is frozen the
-    moment it converges while others of its level march on: its right-hand
-    side is zeroed, so its step is zero and it keeps the iterate its own
-    sweep stops at.  The first row met whose residual is not finite, or that
-    is still above its tolerance after ``NEWTON_MAX_ITER`` iterations, fails
-    the whole stack with its ``SolveError``.  A level starts from the iterate
-    the level before ended on, so its first residual reuses the f(y) and A y
-    computed there.
+    is not tridiagonal the rows march one after another on that solver, each
+    with a chord Newton (``_chord_march``).  When it is tridiagonal (every
+    1-D grid) the rows march at once with exact Newton: every iteration of a
+    level evaluates one residual over the flat stack of its rows (A y from
+    ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
+    evaluation.  Each row has its own tolerance, in a Python float.  A row
+    is frozen the moment it converges while others of its level march on:
+    its right-hand side is zeroed, so its step is zero and it keeps the
+    iterate its own sweep stops at.  The first row met whose residual is not
+    finite, or that is still above its tolerance after ``NEWTON_MAX_ITER``
+    iterations, fails the whole stack with its ``SolveError``.  A level
+    starts from the iterate the level before ended on, so its first residual
+    reuses the f(y) and A y computed there.
 
     Returns the (n_levels, B, n_interior) states and each row's worst Newton
     (or chord) count.
@@ -390,19 +383,18 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         return np.maximum.reduceat(np.abs(v), starts).tolist()
 
     with _step_solver(spec, grid, tau, options.linear_solver, n_rows) as stepper:
-        chord = stepper.a_diagonals is None
-        if chord and n_rows > 1:
-            marches = [_march_states(spec, grid, timegrid, u[:, row:row + 1], options)
+        if stepper.a_diagonals is None:
+            y0 = sample_initial_state(spec, grid)
+            marches = [_chord_march(stepper, spec, y0, u[:, row], tau, options.newton_tol)
                        for row in range(n_rows)]
-            return (np.concatenate([states for states, _ in marches], axis=1),
-                    [count for _, (count,) in marches])
+            return (np.stack([states for states, _ in marches], axis=1),
+                    [count for _, count in marches])
         u_max = np.abs(u).max(axis=2).tolist()
         u = u.reshape(n_levels, -1)
         values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
         values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
         max_newton = [0] * n_rows
         fy = ay = None                    # f(y) and A y at the current iterate
-        d_held = None                     # the chord's diagonal
         for j in range(n_levels - 1):
             y = y_prev = values[j]
             u_lvl = u[j + 1]
@@ -411,7 +403,6 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             live = list(range(n_rows))
             frozen = None                 # 0 on converged rows, once some share a level
             n_solves = 0
-            last = math.inf               # the chord's residual one step back
             while True:
                 if fy is None:
                     fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
@@ -441,17 +432,61 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                 for i in settled:
                     frozen[i * n:(i + 1) * n] = 0.0
                 rhs = res if frozen is None else res * frozen
-                if chord:
-                    if d_held is None or rnorms[0] > CONTRACTION * last:
-                        d_held = np.asarray(df(y=y), dtype=float)
-                    last = rnorms[0]
-                    y = y - stepper.solve(d_held, rhs, j + 1, held=True)
-                else:
-                    y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
+                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
                 fy = None
                 n_solves += 1
             values[j + 1] = y
     return values.reshape(n_levels, n_rows, n), max_newton
+
+
+def _chord_march(stepper: _StepSolver, spec: ProblemSpec, y0: np.ndarray,
+                 u: np.ndarray, tau: float, newton_tol: float):
+    """``_march_states`` of one control ``u`` (n_levels, n_interior) from
+    ``y0`` on a step matrix that is not tridiagonal; returns the states and
+    the worst count of chord steps.
+
+    Each Newton step is a chord step: one LU solve with M + diag(d_held),
+    the factor ``stepper`` holds, with no refinement (Kelley, *Iterative
+    Methods for Linear and Nonlinear Equations*, SIAM 1995, 5.4).  d_held is
+    f' at the march's first iterate, taken again at the current iterate, and
+    factored, only when a step fails to cut the residual by ``CONTRACTION``.
+    A factor depends on d_held alone, so a row of a stack is bit for bit its
+    own march.
+    """
+    f, df = spec.nonlinearity.f, spec.nonlinearity.df
+    values = np.empty(u.shape)
+    values[0] = y0
+    max_steps = 0
+    fy = ay = d_held = None
+    for j in range(u.shape[0] - 1):
+        y = y_prev = values[j]
+        tol = newton_tol * (1.0 + float(np.max(np.abs(y_prev)))
+                            + float(np.max(np.abs(u[j + 1]))))
+        n_steps = 0
+        last = math.inf                   # the residual one step back
+        while True:
+            if fy is None:
+                fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
+            res = (y - y_prev) / tau + ay + fy - u[j + 1]
+            rnorm = float(np.max(np.abs(res)))
+            if not math.isfinite(rnorm):
+                raise SolveError(
+                    f"state Newton produced non-finite residual at step {j + 1}")
+            if rnorm <= tol:
+                break
+            if n_steps >= NEWTON_MAX_ITER:
+                raise SolveError(
+                    f"state Newton did not converge at step {j + 1}: "
+                    f"residual {rnorm:.3e} after {n_steps} iterations")
+            if d_held is None or rnorm > CONTRACTION * last:
+                d_held = np.asarray(df(y=y), dtype=float)
+            last = rnorm
+            y = y - stepper.solve(d_held, res, j + 1, held=True)
+            fy = None
+            n_steps += 1
+        max_steps = max(max_steps, n_steps)
+        values[j + 1] = y
+    return values, max_steps
 
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,

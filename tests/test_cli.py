@@ -322,7 +322,8 @@ class TestCheckKKT:
         rc = run("check-kkt", "--problem", "tracking_box_1d", "--point", broken, "--out", out)
         assert rc == 3
         first = capsys.readouterr().err.splitlines()[0]
-        assert first.startswith("error kind=audit exit=3 msg=state/adjoint recursion residual")
+        assert first.startswith(
+            f"error kind=audit exit=3 msg={residual.split('_')[0]} recursion residual")
         report = (out / "report.txt").read_text()
         assert "FAIL" in report
         values = dict(parts for parts in map(str.split, report.splitlines())

@@ -361,7 +361,8 @@ class TestCertificateRetry:
     @pytest.mark.parametrize("field", ["state_res", "adjoint_res"])
     def test_a_broken_recursion_ends_the_solve_uncertified(self, monkeypatch, field):
         """Pointwise residuals within tolerance but a recursion residual above
-        ``RECURSION_TOL``: the solve stops at once, not converged, and says why."""
+        ``RECURSION_TOL`` times its scale: the solve stops at once, not
+        converged, and says why."""
         from parakkt import optimizer
 
         calls = []
@@ -374,9 +375,29 @@ class TestCertificateRetry:
         _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
         assert len(calls) == 1
         assert not trace.converged and report.kkt_error <= 1e-9
-        assert trace.message == "state/adjoint recursion residual 1.000e-06 exceeds 1e-08"
+        scale = getattr(report, field.replace("_res", "_scale"))
+        assert 1.0 < scale < 10.0
+        assert trace.message == (f"{field.split('_')[0]} recursion residual 1.000e-06 "
+                                 f"exceeds 1e-08 x {scale:.4g}")
         with pytest.raises(SolveError, match="recursion residual"):
             cli._require_converged(trace)
+
+    SCALED_2D = loads(parakkt.catalog.builtin_problem_text("tracking_box_2d")
+                      .replace("3*sin(pi*x1)", "3e3*sin(pi*x1)")
+                      .replace("expr = u - 0.5", "expr = u - 500"))
+
+    @pytest.mark.parametrize("problem, newton_tol", [
+        (SCALED_2D, 1e-10), ("tracking_box_2d", 1e-6),
+    ], ids=["scaled", "newton-tol"])
+    def test_a_recursion_is_gated_at_the_scale_of_the_march(self, problem, newton_tol):
+        """The state march stops at newton_tol (1 + max |y| + max |u|): a
+        control bound of 500, or a newton_tol of 1e-6, leaves ``state_res``
+        above 1e-8, and the point still certifies."""
+        _, (_, trace, report) = solve(problem, (9, 9), 9,
+                                      solver=SolverOptions(newton_tol=newton_tol))
+        assert trace.converged, trace.message
+        assert report.state_res > 1e-8
+        assert report.state_res <= newton_tol * report.state_scale
 
 
 class TestNonFiniteCost:

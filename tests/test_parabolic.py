@@ -276,7 +276,8 @@ class TestChordMarch:
 
     @pytest.mark.parametrize("ls", ["auto", "dense"])
     def test_each_row_of_a_stack_is_its_own_march(self, ls):
-        """A factor serves one row, so the rows march one after another."""
+        """The rows march one after another on the one step solver, each
+        with its own chord."""
         spec, controls = self.controls(0.0, 1.0, 30.0, -30.0, 1e4)
         options = SolverOptions(linear_solver=ls)
         states, max_newton = TestStackedStateSolve.march(spec, controls, options)
@@ -286,6 +287,24 @@ class TestChordMarch:
             assert rep_alone.max_newton_iterations == max_newton[row]
             assert states[:, row].tobytes() == alone.values.tobytes()
             assert state_defect(spec, alone, control) <= options.newton_tol
+
+    def test_a_stack_builds_one_step_solver(self, monkeypatch):
+        """Outside a scope a stack of rows builds one solver, not one more per
+        row; rows that never refresh at the same first iterate share its
+        factor."""
+        spec, controls = self.controls(0.5, 2.0, -5.0)
+        counts = self.counted(monkeypatch)
+        built = []
+        original = _StepSolver.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_StepSolver, "__init__", init)
+        TestStackedStateSolve.march(spec, controls)
+        assert len(built) == 1
+        assert counts["splu"] == 1
 
     def test_a_tridiagonal_step_matrix_keeps_exact_newton(self, monkeypatch):
         """A 2-D grid with one interior node across is tridiagonal: no LU,

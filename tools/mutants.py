@@ -10,7 +10,7 @@ replaced by another wherever it occurs in that function, on the syntax tree
 (stdlib ``ast``), and the module is written back with ``ast.unparse``.  The
 edited copy lives in a temporary directory with ``tests``, ``bench`` and
 ``pyproject.toml``, and the tier-1 suite runs on it with ``-x``; a mutant is
-killed when the suite fails (or runs past ``--timeout``).  An unedited copy
+killed when the suite fails (or runs past ``TIMEOUT`` seconds).  An unedited copy
 runs first and must pass, or no verdict means anything.  The run prints one
 line per mutant, then a table of the verdicts with the first test each
 mutant failed, and exits 1 if any mutant survived.
@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 900.0         # seconds per suite run; the unedited suite takes about 20
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,20 @@ MUTANTS = (
            "Hölder sampling floor at one cell in place of six"),
     # The certificate's recursion gate.
     Mutant("certificate-skips-recursions", "kkt.py", "ResidualReport.refusal",
-           "max(self.state_res, self.adjoint_res)", "0.0",
+           "res <= recursion_tol * scale", "True",
            "certificate ignores the state and adjoint recursions"),
+    Mutant("certificate-unscaled", "kkt.py", "ResidualReport.refusal",
+           "recursion_tol * scale", "recursion_tol",
+           "recursions gated at 1e-8 whatever their scale"),
+    Mutant("certificate-ignores-newton-tol", "optimizer.py", "solve_ocp",
+           "max(RECURSION_TOL, 100.0 * solver.newton_tol)", "RECURSION_TOL",
+           "solve_ocp gates the recursions at 1e-8 whatever newton_tol"),
     # The chord march.
-    Mutant("chord-never-refreshes", "parabolic.py", "_march_states",
-           "d_held is None or rnorms[0] > CONTRACTION * last", "d_held is None",
+    Mutant("chord-never-refreshes", "parabolic.py", "_chord_march",
+           "d_held is None or rnorm > CONTRACTION * last", "d_held is None",
            "chord keeps the sweep's first factor"),
-    Mutant("chord-refreshes-every-step", "parabolic.py", "_march_states",
-           "rnorms[0] > CONTRACTION * last", "True",
+    Mutant("chord-refreshes-every-step", "parabolic.py", "_chord_march",
+           "rnorm > CONTRACTION * last", "True",
            "chord factors at every step (exact Newton)"),
     Mutant("chord-on-tridiagonal", "parabolic.py", "_march_states",
            "stepper.a_diagonals is None", "True",
@@ -153,14 +160,14 @@ def _copy_checkout(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def run_suite(checkout: str, timeout: float) -> tuple[int, float, str]:
+def run_suite(checkout: str) -> tuple[int, float, str]:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=checkout, env=env, capture_output=True, text=True, timeout=timeout)
+            cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         code = proc.returncode
         first = next((line.split(" - ")[0].split(" ", 1)[1]
                       for line in proc.stdout.splitlines()
@@ -170,7 +177,7 @@ def run_suite(checkout: str, timeout: float) -> tuple[int, float, str]:
     return code, time.perf_counter() - t0, first
 
 
-def check(mutant: Mutant | None, timeout: float) -> tuple[int, float, str]:
+def check(mutant: Mutant | None) -> tuple[int, float, str]:
     """(exit code, seconds, first failing test) of the suite on a copy of
     the checkout, with ``mutant`` applied unless it is None."""
     with tempfile.TemporaryDirectory(prefix="parakkt-mutant-") as tmp:
@@ -181,14 +188,13 @@ def check(mutant: Mutant | None, timeout: float) -> tuple[int, float, str]:
                 text = mutate(fh.read(), mutant)
             with open(path, "w") as fh:
                 fh.write(text)
-        return run_suite(tmp, timeout)
+        return run_suite(tmp)
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
     p.add_argument("--list", action="store_true", help="list the mutants and exit")
-    p.add_argument("--timeout", type=float, default=900.0, help="seconds per suite run")
     args = p.parse_args(argv)
     chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
     if args.only and len(chosen) != len(set(args.only)):
@@ -202,14 +208,14 @@ def main(argv=None) -> int:
     for m in chosen:                    # every edit must apply before anything runs
         with open(os.path.join(ROOT, "src", "parakkt", m.module)) as fh:
             mutate(fh.read(), m)
-    code, seconds, _ = check(None, args.timeout)
+    code, seconds, _ = check(None)
     print(f"control (unedited): exit {code} in {seconds:.1f} s", flush=True)
     if code != 0:
         print("error: the unedited suite does not pass; no verdict", file=sys.stderr)
         return 2
     rows = []
     for m in chosen:
-        code, seconds, first = check(m, args.timeout)
+        code, seconds, first = check(m)
         verdict = "killed" if code != 0 else "survived"
         rows.append((m, verdict, first))
         print(f"{m.name}: {verdict} (exit {code}, {seconds:.1f} s) {first}", flush=True)
