@@ -3,11 +3,12 @@
 Everything here operates node by node: because the running cost is strongly
 convex in u and the constraint is strictly increasing in u, the minimizer of
 the pointwise Lagrangian and the constraint boundary are well-defined roots
-of scalar monotone functions, which we compute with a safeguarded bracketed
-Newton iteration vectorized over the whole space-time cylinder.  A node stops
-as soon as its residual is exactly zero or its Newton step is at rounding
-level, 4 eps (1 + |u|); the bracket, refined by bisection whenever a Newton
-step leaves it, is the safeguard for maps Newton handles badly.
+of scalar monotone functions, which we compute vectorized over the whole
+space-time cylinder: one Newton step from the start at every node, then a
+bracketed Newton iteration, safeguarded by bisection, for the nodes left.
+Both stop a node once its residual is exactly zero or its next Newton step,
+by the declared derivative, is at most 4 eps (1 + |u|); a map affine in u
+is settled by the first step.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ __all__ = [
 
 _MAX_BRACKET_DOUBLINGS = 60
 _MAX_ROOT_ITER = 200
-# A root holds ~14 temporaries of its size: 11 MB for 50 states of 33 x 65
-# rooted at once, 0.9 MB for a chunk of 2**13 nodes (4 such states).
+# A root holds ~9 temporaries of its size: 7.4 MB for 50 states of 33 x 65
+# rooted at once, 0.6 MB for a chunk of 2**13 nodes (4 such states).
 _ROOT_CHUNK_NODES = 2**13       # nodes per root of a stack of states
 
 FEASIBILITY_SLACK = 1e-8
@@ -68,28 +69,43 @@ def _point_env(spec: ProblemSpec, x, t: float) -> dict:
 def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
     """Roots of a per-point strictly increasing function, vectorized.
 
-    Brackets each root by doubling steps away from the start value, on the
-    side where the sign says the root lies, then refines with Newton steps
-    that fall back to bisection whenever they leave the bracket.  A node is
-    done once its residual is exactly zero, its bracket is at most
-    4 eps (1 + |u|) wide, or its Newton step is finite, inside the bracket
-    and at most that long, in which case it takes that last step.  Done
-    nodes keep their value while the others go on.  A Newton step that
-    rounds onto a bracket end says the root lies within an ulp of it, so a
-    node still going on tries the next float inside (``np.nextafter``)
-    instead of bisecting toward it; only those nodes pay for the call, and
-    only bisecting nodes for a midpoint.  ``fn`` and ``dfn`` return arrays
-    of the shape of ``u0``.
+    Every node first takes one Newton step from its start value u0, to u1,
+    and evaluates there: it is done if fn(u1) is exactly zero, or if the
+    next step s = fn(u1) / dfn(u1) is finite and at most 4 eps (1 + |u1|)
+    long, and then returns u1 - s; a map affine in u is done so everywhere,
+    in two evaluations of fn.  A Newton point or step that is not finite
+    just leaves its node to what follows.  The nodes left bracket the root
+    between u0 and u1 if fn changes sign there, else by doubling steps away
+    from u0 on the side the sign says; Newton steps then refine it, with
+    bisection whenever they leave the bracket, until the residual is exactly
+    zero, the bracket is at most 4 eps (1 + |u|) wide, or a step inside it
+    passes the test above, which the node then takes.  Both step tests read
+    the declared ``dfn`` alike: a slope k times too steep lets a node stop up
+    to k times the tolerance from its root.  A step that rounds onto a
+    bracket end tries the next float inside (``np.nextafter``) instead.
+    Done nodes keep their value while the others go on.  ``fn`` and ``dfn``
+    return arrays of the shape of ``u0``.
     """
-    shape = u0.shape
     u = np.array(u0, dtype=float)
     v = fn(u)
     if not np.all(np.isfinite(v)):
         raise HypothesisViolationError(f"{what}: non-finite evaluation at start")
-    lo = u.copy()
-    hi = u.copy()
-    vlo = v.copy()
-    vhi = v.copy()
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        u1 = u - v / dfn(u)
+        u1 = np.where(np.isfinite(u1), u1, u)
+        v1 = fn(u1)
+        s = v1 / dfn(u1)
+        settled = (v1 == 0) | (np.abs(s) <= 4.0 * eps * (1.0 + np.abs(u1)))
+        root = np.where(v1 == 0, u1, u1 - s)
+    if settled.all():
+        return root
+    u = np.where(settled, root, u)     # on its root, with a zero residual
+    v = np.where(settled, 0.0, v)
+    down = (v > 0) & (v1 < 0) & (u1 < u)
+    up = (v < 0) & (v1 > 0) & (u1 > u)
+    lo, vlo = np.where(down, u1, u), np.where(down, v1, v)
+    hi, vhi = np.where(up, u1, u), np.where(up, v1, v)
     step = 1.0          # every node doubles in lockstep
     need_lo = vlo > 0
     need_hi = vhi < 0
@@ -114,8 +130,7 @@ def _monotone_root(fn, dfn, u0: np.ndarray, what: str) -> np.ndarray:
         )
     # A bracket end may already be a root, which no Newton step would enter.
     u = np.where(vlo == 0, lo, np.where(vhi == 0, hi, 0.5 * (lo + hi)))
-    eps = np.finfo(float).eps
-    done = np.zeros(shape, dtype=bool)
+    done = settled
     for _ in range(_MAX_ROOT_ITER):
         v = fn(u)
         lo = np.where(v <= 0, u, lo)

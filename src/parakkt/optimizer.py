@@ -3,12 +3,19 @@
 Each sweep solves the state forward, the adjoint backward, and then the
 pointwise constrained minimization at every node, which yields both a
 candidate control and a candidate multiplier.  The line search descends the
-merit M(u) = J(u) + sum w e g(y(u), u), the pointwise Lagrangian with the
-multiplier e of the sweep frozen: the sweep's adjoint carries e g_y, so its
+merit M(u) = J(u) + sum w e g(y(u), u), the pointwise Lagrangian with a
+multiplier e frozen: the adjoint solved with e carries e g_y, so the
 gradient L_u - phi + e g_u is the derivative of M, not of J alone, whenever
-g depends on y.  The move toward the candidate is a strict descent direction
-for M (strong convexity in u guarantees it), so an Armijo backtracking step
-keeps the sweep globally convergent; near the solution the full step is
+g depends on y.  Descent rests on which e is frozen.  The candidate u_new,
+built from the sweep's adjoint phi, minimizes h(v) = L(y, v) - phi v +
+e_new g(y, v) at every node, and h is strongly convex in v (L_uu >= gamma,
+e_new g_uu >= 0); so along d = u_new - u, h'(u) d <= -gamma d^2.  That is
+the slope of M frozen at the candidate's own e_new, up to the adjoint's
+response to (e_new - e) g_y, which is zero where g does not read y.  The
+sweep's own multiplier e, frozen first, adds (e - e_new) g_u(u_new) d at
+each node, which a change of the active set can make positive; then no
+Armijo step exists, and the search runs once more on the merit frozen at
+e_new with the adjoint of e_new.  Near the solution the full step is
 accepted and the iteration inherits the contraction of the fixed point.  The
 trace reports J.
 
@@ -220,6 +227,32 @@ def _restored_trial(spec, grid, timegrid, u, solver):
                        for r in range(n_rows)], boundary
 
 
+def _line_search(spec, w, state, control, objective, adjoint, e, direction, restored):
+    """Armijo backtracking from ``control`` along ``direction`` on the merit
+    frozen at the multiplier ``e``, whose adjoint is ``adjoint``.  Returns
+    ``(step, restored trial)``: the first Armijo step, else the first step
+    that does not raise the merit beyond rounding, else None.  A trial whose
+    state solve fails is a rejected step."""
+    gradient = _merit_gradient(spec, state, control, adjoint, e)
+    slope = float(np.sum(w.values * gradient * direction))
+    merit = _merit(spec, w, state, control, objective, e)
+    step = 1.0
+    fallback = None
+    for _ in range(_MAX_BACKTRACKS + 1):
+        try:
+            trial = restored(control.values + step * direction)
+        except SolveError:
+            step *= _BACKTRACK_FACTOR
+            continue
+        trial_merit = _merit(spec, w, trial[1], trial[0], trial[2], e)
+        if slope < 0 and trial_merit <= merit + _ARMIJO_C1 * step * slope:
+            return step, trial
+        if fallback is None and trial_merit <= merit + 1e-14 * (1 + abs(merit)):
+            fallback = (step, trial)
+        step *= _BACKTRACK_FACTOR
+    return fallback
+
+
 @step_scope()
 def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
               options: OptimizerOptions | None = None):
@@ -252,6 +285,7 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
 
     adjoint = None
     e_new = e_values
+    last_adjoint_res = np.inf
     for it in range(1, options.max_outer + 1):
         adjoint = solve_adjoint(spec, state, control,
                                 SpaceTimeField(e_values, grid, timegrid),
@@ -286,42 +320,33 @@ def solve_ocp(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
             point = KKTPoint(state, control, adjoint,
                              SpaceTimeField(e_cert, grid, timegrid), objective)
             report = kkt_residuals(spec, point)
-            if report.kkt_error <= options.tol_kkt:
-                # A recursion the march or the sweep left short does not
-                # improve by iterating on: the run ends uncertified.  The
-                # gate keeps RECURSION_TOL's room of a hundred times the
-                # state march's tolerance when newton_tol is raised.
-                refusal = report.refusal(
-                    options.tol_kkt, max(RECURSION_TOL, 100.0 * solver.newton_tol))
+            # The gate keeps RECURSION_TOL's room of a hundred times the
+            # state march's tolerance when newton_tol is raised.  The adjoint
+            # recursion is off by (e_cert - e_new) g_y, which the next sweeps
+            # shrink while e settles; a state recursion the march left short,
+            # or an adjoint one that stopped shrinking, does not improve by
+            # iterating on: the run ends uncertified.
+            gate = max(RECURSION_TOL, 100.0 * solver.newton_tol)
+            retry = last_adjoint_res > report.adjoint_res > gate * report.adjoint_scale
+            if report.kkt_error <= options.tol_kkt and not retry:
+                refusal = report.refusal(options.tol_kkt, gate)
                 trace.converged = refusal is None
                 trace.message = refusal or f"converged in {it} iterations"
                 return point, trace, report
+            last_adjoint_res = report.adjoint_res
             e_values = e_cert
             continue
 
         direction = u_new - control.values
-        gradient = _merit_gradient(spec, state, control, adjoint, e_values)
-        slope = float(np.sum(w.values * gradient * direction))
-        merit = _merit(spec, w, state, control, objective, e_values)
-        step = 1.0
-        accepted = None
-        fallback = None
-        for _ in range(_MAX_BACKTRACKS + 1):
-            try:
-                trial = restored(control.values + step * direction)
-            except SolveError:
-                # A trial whose state solve fails is a rejected step.
-                step *= _BACKTRACK_FACTOR
-                continue
-            trial_merit = _merit(spec, w, trial[1], trial[0], trial[2], e_values)
-            if slope < 0 and trial_merit <= merit + _ARMIJO_C1 * step * slope:
-                accepted = (step, trial)
-                break
-            if fallback is None and trial_merit <= merit + 1e-14 * (1 + abs(merit)):
-                fallback = (step, trial)
-            step *= _BACKTRACK_FACTOR
+        accepted = _line_search(spec, w, state, control, objective, adjoint,
+                                e_values, direction, restored)
         if accepted is None:
-            accepted = fallback
+            # No descent at the sweep's multiplier: search once more on the
+            # merit frozen at the candidate's own, with its adjoint.
+            adjoint = solve_adjoint(spec, state, control,
+                                    SpaceTimeField(e_new, grid, timegrid), solver)
+            accepted = _line_search(spec, w, state, control, objective, adjoint,
+                                    e_new, direction, restored)
         if accepted is None:
             trace.append(it, objective, 0.0, stat, comp, feas, active)
             trace.message = (

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import parakkt
@@ -396,14 +396,25 @@ def bracket_width_root(fn, dfn, u0):
 
 def every_node_root(fn, dfn, u0):
     """Reference: the iteration of ``_monotone_root`` with every step computed
-    on every node, landed or not, and an array-valued bracket step.  The
-    solver must agree with it bit for bit."""
+    on every node, settled, landed or not, and an array-valued bracket step.
+    The solver must agree with it bit for bit."""
     shape = u0.shape
     u = np.array(u0, dtype=float)
     v = fn(u)
-    lo, hi, vlo, vhi = u.copy(), u.copy(), v.copy(), v.copy()
+    with np.errstate(all="ignore"):
+        u1 = u - v / dfn(u)
+        u1 = np.where(np.isfinite(u1), u1, u)
+        v1 = fn(u1)
+        s = v1 / dfn(u1)
+        root = np.where(v1 == 0, u1, u1 - s)
+    settled = (v1 == 0) | (np.isfinite(s)
+                           & (np.abs(s) <= 4.0 * EPS * (1.0 + np.abs(u1))))
+    down = ~settled & (v > 0) & (v1 < 0) & (u1 < u)
+    up = ~settled & (v < 0) & (v1 > 0) & (u1 > u)
+    lo, vlo = np.where(down, u1, u), np.where(down, v1, v)
+    hi, vhi = np.where(up, u1, u), np.where(up, v1, v)
     step = np.ones(shape)
-    need_lo, need_hi = vlo > 0, vhi < 0
+    need_lo, need_hi = ~settled & (vlo > 0), ~settled & (vhi < 0)
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if not (need_lo.any() or need_hi.any()):
             break
@@ -413,10 +424,10 @@ def every_node_root(fn, dfn, u0):
         if need_hi.any():
             hi = np.where(need_hi, hi + step, hi)
             vhi = np.where(need_hi, fn(hi), vhi)
-        need_lo, need_hi = vlo > 0, vhi < 0
+        need_lo, need_hi = ~settled & (vlo > 0), ~settled & (vhi < 0)
         step *= 2.0
     u = np.where(vlo == 0, lo, np.where(vhi == 0, hi, 0.5 * (lo + hi)))
-    done = np.zeros(shape, dtype=bool)
+    done = settled
     for _ in range(_MAX_ROOT_ITER):
         v = fn(u)
         lo = np.where(v <= 0, u, lo)
@@ -433,7 +444,7 @@ def every_node_root(fn, dfn, u0):
         u = np.where(landed, u, np.where(ok, trial, 0.5 * (lo + hi)))
         done = landed | small_step
         if done.all():
-            return u
+            return np.where(settled, root, u)
     raise AssertionError("reference refinement did not converge")
 
 
@@ -510,10 +521,11 @@ class TestMonotoneRoot:
         monkeypatch.setattr(np, "nextafter", recorded)
         return calls
 
-    # From u0 = 0 the bracket is [0, 1] and the first iterate 0.5; a slope of
-    # 0.5 there (the true slope 1 elsewhere) puts the first Newton step
-    # exactly on a bracket end.  The third node starts on its root, so it has
-    # landed and is left out.
+    # A slope of 4 at u0 = 0 (the true slope 1 elsewhere) stops the Newton
+    # pass short of the root on the start's side, so the bracket is [0, 1]
+    # and the first iterate 0.5; a slope of 0.5 there puts the next Newton
+    # step exactly on a bracket end.  The third node starts on its root, so
+    # the pass settles it and it is left out.
     @pytest.mark.parametrize("root, end", [(0.25, 0.0), (0.75, 1.0)],
                              ids=["lo", "hi"])
     def test_a_step_onto_a_bracket_end_moves_one_float_inside(self, monkeypatch,
@@ -522,7 +534,7 @@ class TestMonotoneRoot:
             return u - root
 
         def dfn(u):
-            return np.where(u == 0.5, 0.5, 1.0)
+            return np.where(u == 0.5, 0.5, np.where(u == 0.0, 4.0, 1.0))
 
         u0 = np.array([0.0, 0.0, root])
         calls = self.nextafter_calls(monkeypatch)
@@ -534,10 +546,11 @@ class TestMonotoneRoot:
         np.testing.assert_allclose(u, root, rtol=0, atol=8.0 * EPS)
 
     def test_a_step_out_of_the_bracket_bisects(self):
-        # The slope 0.01 throws each Newton step far out of the bracket.  From
-        # u0 = 0 the first step goes from 0.5 to -19.5, so the next iterate
-        # of that node is the midpoint 0.25 of the bracket [0, 0.5]; the
-        # other starts give bracket ends that are not dyadic.
+        # The slope 0.01 throws each Newton step far past the root.  From
+        # u0 = 0 the Newton pass lands at 20, which brackets the root with 0;
+        # from the midpoint 10 the next step goes to -970, so the iterate
+        # after it is the midpoint 5 of the bracket [0, 10].  The other
+        # starts give bracket ends that are not dyadic.
         seen = []
 
         def fn(u):
@@ -549,9 +562,29 @@ class TestMonotoneRoot:
 
         u0 = np.array([0.0, 0.1, -0.3, 1.7]).reshape(2, 1, 2)
         u = _monotone_root(fn, dfn, u0, "test")
-        assert any(s.flat[0] == 0.25 for s in seen)
+        assert [s.flat[0] for s in seen[:4]] == [0.0, 20.0, 10.0, 5.0]
         assert np.array_equal(u, every_node_root(fn, dfn, u0))
         np.testing.assert_allclose(u, 0.2, rtol=0, atol=8.0 * EPS)
+
+    @given(params=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(-10.0, 10.0),
+                                     st.sampled_from([0.0, 1.0, 5.0])),
+                           min_size=2, max_size=8),
+           start=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_nodes_settled_and_not_give_what_each_gives_alone(self, params, start):
+        # c = 0 makes a node's map affine, which the Newton pass settles in
+        # two evaluations of fn; a cubic term sends the node on.
+        a, b, c = (np.array(col) for col in zip(*params))
+        alone, calls = [], []
+        for k in range(a.size):
+            fn = counted(lambda u, k=k: a[k] * u + c[k] * u**3 - b[k])
+            alone.append(_monotone_root(fn, lambda u, k=k: a[k] + 3.0 * c[k] * u**2,
+                                        np.array([start]), "test")[0])
+            calls.append(fn.calls)
+        assume(min(calls) == 2 < max(calls))
+        u = _monotone_root(lambda u: a * u + c * u**3 - b,
+                           lambda u: a + 3.0 * c * u**2, np.full(a.shape, start),
+                           "test")
+        assert np.array_equal(u, alone)
 
     @given(a=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=6),
            b=st.floats(-1.0, 1.0))
@@ -559,19 +592,30 @@ class TestMonotoneRoot:
         a = np.array(a)
         fn = counted(lambda u: a * u - b)
         u = _monotone_root(fn, lambda u: a + 0.0 * u, np.zeros(a.shape), "test")
-        assert fn.calls <= 6
+        assert fn.calls == 2
         np.testing.assert_allclose(u, b / a, rtol=4.0 * EPS, atol=4.0 * EPS)
 
     def test_bracket_grows_only_on_the_needed_side(self):
+        # The slope of u^3 is zero at the start, so the Newton point is not
+        # finite and every node brackets from u0 = 0, without a warning.
         seen = []
 
         def fn(u):
             seen.append(u.copy())
-            return u - 100.0
+            return u**3 - 1e6
 
-        u = _monotone_root(fn, lambda u: np.ones_like(u), np.zeros(3), "test")
+        u = _monotone_root(fn, lambda u: 3.0 * u**2, np.zeros(3), "test")
         np.testing.assert_array_equal(u, 100.0)
         assert all(np.all(s >= 0.0) for s in seen)
+        assert any(np.all(s == 127.0) for s in seen)
+
+    def test_a_non_finite_newton_point_goes_on_to_the_bracket(self):
+        # The Newton point 10 is where the map is nan: the node brackets
+        # from u0 = 0 and finds the root 1 as a bracket end.
+        fn = counted(lambda u: np.where(u > 2.0, np.nan, u - 1.0))
+        u = _monotone_root(fn, lambda u: np.full(u.shape, 0.1), np.zeros(2), "test")
+        np.testing.assert_array_equal(u, 1.0)
+        assert fn.calls == 4
 
     def test_exact_zero_at_the_start_stops_at_once(self):
         fn = counted(lambda u: u - 0.25)

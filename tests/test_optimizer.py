@@ -361,8 +361,9 @@ class TestCertificateRetry:
     @pytest.mark.parametrize("field", ["state_res", "adjoint_res"])
     def test_a_broken_recursion_ends_the_solve_uncertified(self, monkeypatch, field):
         """Pointwise residuals within tolerance but a recursion residual above
-        ``RECURSION_TOL`` times its scale: the solve stops at once, not
-        converged, and says why."""
+        ``RECURSION_TOL`` times its scale: the solve stops, not converged, and
+        says why; at once for the state recursion, and for the adjoint one
+        after one more sweep that does not shrink it."""
         from parakkt import optimizer
 
         calls = []
@@ -373,7 +374,7 @@ class TestCertificateRetry:
 
         monkeypatch.setattr(optimizer, "kkt_residuals", broken)
         _, (_, trace, report) = solve("tracking_box_1d", (17,), 33, tol_kkt=1e-9)
-        assert len(calls) == 1
+        assert len(calls) == (1 if field == "state_res" else 2)
         assert not trace.converged and report.kkt_error <= 1e-9
         scale = getattr(report, field.replace("_res", "_scale"))
         assert 1.0 < scale < 10.0
@@ -655,21 +656,40 @@ class TestExtremeInitialControls:
         _, (_, trace, report) = solve(problem, nodes, levels, tol_kkt=1e-8, u_init=u_init)
         assert trace.converged and report.kkt_error <= 1e-8
 
+    # The first three stopped with "line search failed at iteration 2": the
+    # merit frozen at the sweep's multiplier had a positive slope along the
+    # move.  The fourth met tol_kkt with its adjoint recursion 2.2e-8 off,
+    # (e_cert - e_new) g_y, and was refused at once.
+    @pytest.mark.parametrize("g, nx, levels, u_init", [
+        ("u + 0.1*y^2 - 0.1", 9, 9, -1.9),
+        ("u + 0.1*y^2 - 0.1", 9, 9, 1e3),
+        ("u + 0.604*y - 0.174", 3, 17, -1.9),
+        ("u + 0.9729508711384736*y - 0.6388640277436176", 3, 17, -1.031238534416598),
+    ], ids=["square-from-below", "square-from-above", "sloped", "adjoint-short"])
+    def test_a_mixed_solve_that_stopped_short_certifies(self, g, nx, levels, u_init):
+        spec = loads(tracking_with_constraint(g))
+        _, (_, trace, report) = solve(spec, (nx,), levels, tol_kkt=1e-8, u_init=u_init)
+        assert trace.converged, trace.message
+        assert report.refusal(1e-8) is None
+
     @staticmethod
     @st.composite
     def problems(draw):
-        """A catalog problem, or tracking_box_1d under g = u + c y^k - b."""
+        """A catalog problem, or tracking_box_1d under g = u + c y^k - b
+        (``mixed`` True)."""
         name = draw(st.sampled_from(parakkt.catalog_names() + ("mixed",)))
         if name != "mixed":
-            return parakkt.builtin_problem(name)
+            return parakkt.builtin_problem(name), False
         c, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.1, 0.8))
         k = draw(st.integers(1, 3))
-        return loads(tracking_with_constraint(f"u + {c!r}*y^{k} - {b!r}"))
+        return loads(tracking_with_constraint(f"u + {c!r}*y^{k} - {b!r}")), True
 
-    @given(spec=problems(), nx=st.sampled_from([3, 5, 9, 17]),
+    @given(problem=problems(), nx=st.sampled_from([3, 5, 9, 17]),
            levels=st.sampled_from([2, 3, 5, 9, 17]), u_init=st.floats(-1e6, 1e6))
-    def test_every_draw_certifies_or_fails_typed(self, spec, nx, levels, u_init):
-        """A solve that stops unconverged fails as the CLI fails it (exit 4)."""
+    def test_every_draw_certifies_or_fails_typed(self, problem, nx, levels, u_init):
+        """A catalog solve that stops unconverged fails as the CLI fails it
+        (exit 4); a solve of the mixed family certifies."""
+        spec, mixed = problem
         nodes = (nx,) if spec.dim == 1 else (min(nx, 9),) * 2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -678,5 +698,7 @@ class TestExtremeInitialControls:
                                               u_init=u_init)
                 cli._require_converged(trace)
             except ParakktError:
+                if mixed:
+                    raise
                 return
         assert report.kkt_error <= 1e-8

@@ -13,9 +13,10 @@ from parakkt import (
     sample_critical_direction,
     strongly_active,
 )
-from parakkt import builtin_problem, loads, soc
+from parakkt import KKTPoint, builtin_problem, loads, soc
 from parakkt.exceptions import AuditError, ConfigError, HypothesisViolationError
-from parakkt.grids import SpaceTimeField, TimeGrid, objective_weights, quadrature_weights
+from parakkt.grids import (SpaceTimeField, SpatialGrid, TimeGrid, objective_weights,
+                           quadrature_weights)
 from parakkt.optimizer import _restored_trial, discrete_objective
 from parakkt.parabolic import SolverOptions, solve_state
 from parakkt.problem import eval_scalar_map
@@ -259,6 +260,22 @@ class TestSmallestEigenvalue:
         spec, point, _, _ = feasible_bundle
         value, _ = legendre_min(spec, point)
         assert value == pytest.approx(0.1, abs=1e-12)
+
+    def test_the_floor_is_the_least_density_and_where_it_sits(self):
+        # example31_poly has L_uu = 0.1 and g_uu = 6 y^4 u, so with e > 0 the
+        # density L_uu + e g_uu varies over the cylinder.
+        spec = builtin_problem("example31_poly")
+        grid = SpatialGrid(extents=spec.extents, nodes=(9,))
+        timegrid = TimeGrid(n_levels=5, horizon=spec.horizon)
+        rng = np.random.default_rng(0)
+        y, u, e = (SpaceTimeField(rng.uniform(lo, 1.0, (5, 7)), grid, timegrid)
+                   for lo in (-1.0, 0.0, 0.0))
+        point = KKTPoint(y, u, SpaceTimeField.zeros(grid, timegrid), e, 0.0)
+        dens = 0.1 + 6.0 * e.values * y.values**4 * u.values
+        assert dens.max() > 2.0 * dens.min()
+        value, location = legendre_min(spec, point)
+        assert value == pytest.approx(dens.min(), rel=1e-12)
+        assert location == np.unravel_index(np.argmin(dens), dens.shape)
 
 
 class TestGrowthProbe:

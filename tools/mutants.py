@@ -1,4 +1,4 @@
-"""Mutation check of parakkt's audit code and state march.
+"""Mutation check of parakkt's audit code, state march and pointwise roots.
 
     python3 tools/mutants.py                 # every mutant
     python3 tools/mutants.py --only kkt-comp-abs chord-never-refreshes
@@ -89,6 +89,15 @@ MUTANTS = (
     Mutant("holder-floor-one-cell", "regularity.py", "estimate_holder",
            "6.0 * min(d_ax)", "1.0 * min(d_ax)",
            "Hölder sampling floor at one cell in place of six"),
+    Mutant("kkt-division-lu-sign", "kkt.py", "recover_multiplier_division",
+           "(adjoint.values - l_u) / g_u", "(adjoint.values + l_u) / g_u",
+           "division multiplier (phi + L_u) / g_u"),
+    Mutant("soc-legendre-max", "soc.py", "legendre_min",
+           "np.argmin(dens)", "np.argmax(dens)",
+           "Legendre density at its maximum in place of its minimum"),
+    Mutant("soc-c2-no-reaction", "soc.py", "_c2_residual",
+           "fp * z.values", "np.zeros_like(z.values)",
+           "linearized-state residual without its reaction term f'(y) z"),
     # The certificate's recursion gate.
     Mutant("certificate-skips-recursions", "kkt.py", "ResidualReport.refusal",
            "res <= recursion_tol * scale", "True",
@@ -99,6 +108,27 @@ MUTANTS = (
     Mutant("certificate-ignores-newton-tol", "optimizer.py", "solve_ocp",
            "max(RECURSION_TOL, 100.0 * solver.newton_tol)", "RECURSION_TOL",
            "solve_ocp gates the recursions at 1e-8 whatever newton_tol"),
+    # Descent for the mixed family.
+    Mutant("descent-no-refreeze", "optimizer.py", "solve_ocp",
+           "_line_search(spec, w, state, control, objective, adjoint, e_new, direction, restored)",
+           "None",
+           "no second line search on the merit frozen at e_new"),
+    Mutant("certificate-no-adjoint-retry", "optimizer.py", "solve_ocp",
+           "last_adjoint_res > report.adjoint_res > gate * report.adjoint_scale", "False",
+           "a shrinking adjoint recursion above its gate ends the solve"),
+    # The pointwise root's Newton pass.
+    Mutant("root-pass-any-step", "kkt.py", "_monotone_root",
+           "(v1 == 0) | (np.abs(s) <= 4.0 * eps * (1.0 + np.abs(u1)))",
+           "(v1 == 0) | np.isfinite(s)",
+           "Newton pass settles a node on any finite step"),
+    Mutant("root-pass-tol-4e-8", "kkt.py", "_monotone_root",
+           "np.abs(s) <= 4.0 * eps * (1.0 + np.abs(u1))",
+           "np.abs(s) <= 4e-08 * (1.0 + np.abs(u1))",
+           "Newton pass tolerance 4e-8 in place of 4 eps"),
+    Mutant("root-pass-settles-none", "kkt.py", "_monotone_root",
+           "settled = (v1 == 0) | (np.abs(s) <= 4.0 * eps * (1.0 + np.abs(u1)))",
+           "settled = np.zeros(u.shape, dtype=bool)",
+           "every node the pass settled re-enters the bracket phase"),
     # The chord march.
     Mutant("chord-never-refreshes", "parabolic.py", "_chord_march",
            "d_held is None or rnorm > CONTRACTION * last", "d_held is None",
