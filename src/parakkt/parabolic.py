@@ -14,7 +14,9 @@ factorization of the transposed step matrix, taken at a sweep's first solve
 under a minimum-degree ordering of its symmetrized pattern, solved with
 ``trans="T"`` and released at the sweep's end; the linearized and adjoint
 sweeps refine each solve against it to a backward error of 2 eps.
-``"dense"`` is the independent reference.
+``"dense"`` is the independent reference.  The linearized and adjoint
+sweeps are one recursion (``_StepSolver.sweep``), run forward or backward;
+on ``gtsv`` it checks finiteness once per sweep, not once per level.
 
 The solvers and audits that make many short sweeps (``solve_ocp``,
 ``recompute_certificate``, ``kkt_residuals`` and the sweeping ``soc``
@@ -28,10 +30,11 @@ any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls, each row bit for bit its own
 march (``_march_states``): on a tridiagonal step matrix all rows at once
-with exact Newton, otherwise row after row with a chord Newton on the
-sweep's held factor.  A row's Newton stops when its residual meets the
-tolerance; the march fails when a residual is not finite or a row reaches
-``NEWTON_MAX_ITER`` steps, and a stack fails at the first such row it meets.
+with exact Newton, each step one ``gtsv`` call, otherwise row after row
+with a chord Newton on the sweep's held factor.  A row's Newton stops when
+its residual meets the tolerance; the march fails when a residual is not
+finite or a row reaches ``NEWTON_MAX_ITER`` steps, and a stack fails at the
+first such row it meets.
 ``solve_state`` marches a stack of one; the restoration of ``optimizer``
 marches its trials.
 
@@ -145,6 +148,7 @@ class _StepSolver:
                  linear_solver: str = "auto", rows: int = 1):
         self.operator = operator
         self.rows = rows
+        self.tau = tau
         self.n = operator.shape[0]
         self.lu = self.lu_diag = None
         matrix = (sp.identity(self.n, format="csr") / tau + operator).tocsr()
@@ -180,6 +184,39 @@ class _StepSolver:
         out[1:] += lower[:m - 1] * y[:-1]
         out[:-1] += upper[:m - 1] * y[1:]
         return out
+
+    def sweep(self, reaction: np.ndarray, source: np.ndarray, levels) -> np.ndarray:
+        """The recursion v_m = solve(reaction[m], v_prev / tau + source[m], m)
+        over the levels m of ``levels`` in that order, v_prev being the level
+        solved before (zero before the first); zero on the levels not swept.
+
+        On ``gtsv`` (n > 1) every level's diagonal is formed in one addition,
+        ``info`` is tested at each level and finiteness once, at the end.  A
+        sweep that fails either test is made again with ``solve`` per level,
+        which raises at the step, and with the message, of the failure.
+        """
+        values = np.zeros(source.shape)
+        if self.mode == "banded" and self.n > 1 and self._gtsv_sweep(
+                reaction, source, levels, values):
+            return values
+        ahead = np.zeros(self.n)
+        for m in levels:
+            values[m] = ahead = self.solve(reaction[m], ahead / self.tau + source[m], m)
+        return values
+
+    def _gtsv_sweep(self, reaction, source, levels, values) -> bool:
+        n, tau, gtsv = self.n, self.tau, self.gtsv
+        dl, du = self.dl[:n - 1], self.du[:n - 1]     # a stack's solver has them tiled
+        with np.errstate(all="ignore"):
+            diagonals = self.d[:n] + reaction
+            ahead = np.zeros(n)
+            for m in levels:
+                ahead, info = gtsv(dl, diagonals[m], du, ahead / tau + source[m],
+                                   overwrite_d=True, overwrite_b=True)[3:]
+                if info != 0:
+                    return False
+                values[m] = ahead
+            return bool(np.isfinite(values).all())
 
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int,
               held: bool = False) -> np.ndarray:
@@ -362,12 +399,16 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     1-D grid) the rows march at once with exact Newton: every iteration of a
     level evaluates one residual over the flat stack of its rows (A y from
     ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
-    evaluation.  Each row has its own tolerance, in a Python float.  A row
-    is frozen the moment it converges while others of its level march on:
-    its right-hand side is zeroed, so its step is zero and it keeps the
-    iterate its own sweep stops at.  The first row met whose residual is not
-    finite, or that is still above its tolerance after ``NEWTON_MAX_ITER``
-    iterations, fails the whole stack with its ``SolveError``.  A level
+    evaluation.  ``gtsv`` is called on the solver's diagonals, sliced once
+    per march, with no finiteness test: a step that ``gtsv`` refuses, or
+    after which a residual is not finite, is replayed with
+    ``_StepSolver.solve``, which raises where and as a checked step would.
+    Each row has its own tolerance, in a Python float.  A row is frozen the
+    moment it converges while others of its level march on: its right-hand
+    side is zeroed, so its step is zero and it keeps the iterate its own
+    sweep stops at.  The first row met whose residual is not finite, or that
+    is still above its tolerance after ``NEWTON_MAX_ITER`` iterations, fails
+    the whole stack with its ``SolveError``.  A level
     starts from the iterate the level before ended on, so its first residual
     reuses the f(y) and A y computed there.
 
@@ -389,9 +430,14 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                        for row in range(n_rows)]
             return (np.stack([states for states, _ in marches], axis=1),
                     [count for _, count in marches])
+        m = n_rows * n
+        # A 1x1 or dense step matrix has no gtsv; its steps are all solve().
+        gtsv = stepper.gtsv if stepper.mode == "banded" and n > 1 else None
+        if gtsv is not None:
+            dl, d, du = stepper.dl[:m - 1], stepper.d[:m], stepper.du[:m - 1]
         u_max = np.abs(u).max(axis=2).tolist()
         u = u.reshape(n_levels, -1)
-        values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
+        values = np.empty((n_levels, m))     # level by level, rows flat
         values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
         max_newton = [0] * n_rows
         fy = ay = None                    # f(y) and A y at the current iterate
@@ -408,6 +454,8 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                     fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
                 res = (y - y_prev) / tau + ay + fy - u_lvl
                 rnorms = row_max(res)
+                if n_solves and not all(map(math.isfinite, rnorms)):
+                    stepper.solve(dfy, rhs, j + 1)     # raises if the last step's solve failed
                 still, settled = [], []
                 for i in live:
                     rnorm = rnorms[i]
@@ -431,8 +479,15 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                     frozen = np.ones(y.size)
                 for i in settled:
                     frozen[i * n:(i + 1) * n] = 0.0
+                dfy = np.asarray(df(y=y), dtype=float)
                 rhs = res if frozen is None else res * frozen
-                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
+                if gtsv is None:
+                    dy = stepper.solve(dfy, rhs, j + 1)
+                else:
+                    dy, info = gtsv(dl, d + dfy, du, rhs, overwrite_d=True)[3:]
+                    if info != 0:
+                        stepper.solve(dfy, rhs, j + 1)      # raises the step's error
+                y = y - dy
                 fy = None
                 n_solves += 1
             values[j + 1] = y
@@ -502,13 +557,9 @@ def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,
     if not potential.same_layout(rhs):
         raise ConfigError("potential and rhs live on different grids")
     grid, timegrid = potential.grid, potential.timegrid
-    tau = timegrid.tau
-    values = np.empty((timegrid.n_levels, grid.n_interior))
-    values[0] = 0.0
-    with _step_solver(spec, grid, tau, options.linear_solver) as stepper:
-        for j in range(timegrid.n_levels - 1):
-            b = values[j] / tau + rhs.values[j + 1]
-            values[j + 1] = stepper.solve(potential.values[j + 1], b, j + 1)
+    with _step_solver(spec, grid, timegrid.tau, options.linear_solver) as stepper:
+        values = stepper.sweep(potential.values, rhs.values,
+                               range(1, timegrid.n_levels))
     return SpaceTimeField(values, grid, timegrid)
 
 
@@ -529,7 +580,6 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
     if not (state.same_layout(control) and state.same_layout(multiplier)):
         raise ConfigError("state, control, and multiplier layouts differ")
     grid, timegrid = state.grid, state.timegrid
-    tau = timegrid.tau
     l_y = eval_scalar_map(spec.cost.dy, grid, timegrid, state.values,
                           control.values)
     g_y = eval_scalar_map(spec.constraint.dy, grid, timegrid, state.values,
@@ -538,13 +588,9 @@ def solve_adjoint(spec: ProblemSpec, state: SpaceTimeField,
     fp = eval_broadcast(spec.nonlinearity.df, state.values.shape,
                         y=state.values)
 
-    values = np.empty((timegrid.n_levels, grid.n_interior))
-    ahead = np.zeros(grid.n_interior)
-    with _step_solver(spec, grid, tau, options.linear_solver,
+    with _step_solver(spec, grid, timegrid.tau, options.linear_solver,
                       transposed=True) as stepper:
-        for m in range(timegrid.n_levels - 1, -1, -1):
-            values[m] = stepper.solve(fp[m], ahead / tau + source[m], m)
-            ahead = values[m]
+        values = stepper.sweep(fp, source, range(timegrid.n_levels - 1, -1, -1))
     return SpaceTimeField(values, grid, timegrid)
 
 

@@ -1,5 +1,6 @@
 """Forward state solves, linearized solves, and failure modes."""
 
+import dataclasses
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -626,6 +627,118 @@ class TestStepSolver:
         assert _StepSolver(A, 0.1, "dense").mode == "dense"
 
 
+class TestSweep:
+    """Both linear recursions are one ``_StepSolver.sweep``.  On ``gtsv`` it
+    is the per-level ``solve`` loop bit for bit, and it fails at the step, and
+    with the message, where that loop fails, with no numpy warning."""
+
+    @staticmethod
+    def sweeps(name, nodes, levels=9, seed=3):
+        """The duality spec on the grid, and its linearized and adjoint sweeps
+        at a random state (potential y^2) with random sources r and s."""
+        spec = duality_spec(name)
+        g = SpatialGrid(extents=spec.extents, nodes=nodes)
+        tg = TimeGrid(levels, spec.horizon)
+        rng = np.random.default_rng(seed)
+        y = np.sqrt(rng.uniform(0.0, 3.0, (levels, g.n_interior)))
+        r, s = rng.normal(size=(2, levels, g.n_interior))
+        return spec, g, tg, y, r, s
+
+    @staticmethod
+    def level_loops(A, tau, y, r, s):
+        """The linearized and adjoint sweeps as loops of one ``solve`` per level."""
+        forward, backward = _StepSolver(A, tau), _StepSolver(A.T.tocsr(), tau)
+        fp = y**2
+        z = np.empty(y.shape)
+        z[0] = 0.0
+        for j in range(len(y) - 1):
+            z[j + 1] = forward.solve(fp[j + 1], z[j] / tau + r[j + 1], j + 1)
+        p = np.empty(y.shape)
+        ahead = np.zeros(y.shape[1])
+        for m in range(len(y) - 1, -1, -1):
+            p[m] = ahead = backward.solve(fp[m], ahead / tau + s[m], m)
+        return z, p
+
+    @staticmethod
+    def public(spec, g, tg, y, r, s):
+        def field(values):
+            return SpaceTimeField(values, g, tg)
+
+        z = solve_linear_parabolic(spec, field(y**2), field(r))
+        p = solve_adjoint(spec, field(y), SpaceTimeField.zeros(g, tg), field(-s))
+        return z.values, p.values
+
+    @pytest.mark.parametrize("name, nodes", [("tracking_box_1d", (17,)),
+                                             ("tracking_box_2d", (9, 3)),
+                                             ("tracking_box_1d", (3,))],
+                             ids=["17", "9x3", "3"])
+    def test_equals_the_level_loop(self, name, nodes):
+        spec, g, tg, y, r, s = self.sweeps(name, nodes)
+        assert _StepSolver(assemble_operator(spec, g), tg.tau).mode == "banded"
+        expected = self.level_loops(assemble_operator(spec, g), tg.tau, y, r, s)
+        got = self.public(spec, g, tg, y, r, s)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("name, nodes", [("tracking_box_1d", (17,)),
+                                             ("tracking_box_2d", (9, 3))],
+                             ids=["17", "9x3"])
+    def test_on_the_solver_a_stacked_march_built(self, name, nodes):
+        """In a scope the forward solver a march of 4 rows built, its
+        diagonals tiled 4 times, serves the linearized sweep."""
+        spec, g, tg, y, r, s = self.sweeps(name, nodes)
+        expected = self.level_loops(assemble_operator(spec, g), tg.tau, y, r, s)
+        with step_scope():
+            _march_states(spec, g, tg, np.stack([r] * 4, axis=1), SolverOptions())
+            stepper = parakkt.parabolic._step_solver(spec, g, tg.tau, "auto")
+            assert stepper.rows == 4 and stepper.d.size == 4 * g.n_interior
+            got = self.public(spec, g, tg, y, r, s)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @staticmethod
+    def stepper_and_data(name, nodes):
+        """A ``gtsv`` step solver at tau = 1/8 and a reaction and source of
+        9 levels."""
+        spec = parakkt.builtin_problem(name)
+        g = SpatialGrid(extents=spec.extents, nodes=nodes)
+        stepper = _StepSolver(assemble_operator(spec, g), 0.125)
+        assert stepper.mode == "banded"
+        rng = np.random.default_rng(8)
+        return (stepper, rng.uniform(0.0, 1.0, (9, stepper.n)),
+                rng.normal(size=(9, stepper.n)))
+
+    GRIDS = pytest.mark.parametrize("name, nodes", [("tracking_box_1d", (17,)),
+                                                    ("tracking_box_2d", (9, 3))],
+                                    ids=["17", "9x3"])
+    DIRECTIONS = pytest.mark.parametrize("levels", [range(1, 9), range(8, -1, -1)],
+                                         ids=["forward", "backward"])
+
+    @DIRECTIONS
+    @GRIDS
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_source_is_named_at_its_step(self, bad, name, nodes, levels):
+        stepper, reaction, source = self.stepper_and_data(name, nodes)
+        source[4, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolveError, match="^non-finite right-hand side at step 4$"):
+                stepper.sweep(reaction, source, levels)
+
+    @DIRECTIONS
+    @GRIDS
+    def test_a_singular_level_is_named_at_its_step(self, name, nodes, levels):
+        """The reaction -diag(I/tau + A) at level 5 leaves a zero diagonal,
+        singular at an odd number of nodes."""
+        stepper, reaction, source = self.stepper_and_data(name, nodes)
+        reaction[5] = -stepper.d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolveError,
+                               match="^singular step matrix at step 5; reduce the time step$"):
+                stepper.sweep(reaction, source, levels)
+
+
 class TestStepScope:
     """Sweeps in a ``step_scope`` share one operator and one step solver per
     direction, and give the fields sweeps outside any scope give, bit for
@@ -754,6 +867,31 @@ class TestFailureModes:
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="singular step matrix"):
                 solve_state(spec, u, SolverOptions(linear_solver=ls))
+
+    @pytest.mark.parametrize("fault", ["nan", "singular"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_failed_step_is_named_at_its_step(self, rows, fault):
+        """f' is nan above y = 0.5, so a gtsv step returns nan with no error
+        code; or f' cancels the diagonal of I/tau + A, singular at 15 nodes.
+        The stacked gtsv march names the step as the dense backend, which
+        checks every solve, does, and with no numpy warning."""
+        spec, controls = TestStackedStateSolve.controls(*[30.0, 0.0, 1.0][:rows])
+        g, tau = controls[0].grid, controls[0].timegrid.tau
+        diagonal = _StepSolver(assemble_operator(spec, g), tau).d
+        df = spec.nonlinearity.df
+        faulty = {"nan": lambda y: np.where(y > 0.5, np.nan, df(y=y)),
+                  "singular": lambda y: -np.tile(diagonal, y.size // diagonal.size)}
+        spec = dataclasses.replace(spec, nonlinearity=dataclasses.replace(
+            spec.nonlinearity, df=faulty[fault]))
+        errors = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ls in ("auto", "dense"):
+                with pytest.raises(SolveError) as failed:
+                    TestStackedStateSolve.march(spec, controls, SolverOptions(linear_solver=ls))
+                errors.append(str(failed.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("singular step matrix at step ")
 
     def test_newton_exhaustion(self, monkeypatch):
         monkeypatch.setattr(parakkt.parabolic, "NEWTON_MAX_ITER", 1)

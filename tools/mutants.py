@@ -139,6 +139,25 @@ MUTANTS = (
     Mutant("chord-on-tridiagonal", "parabolic.py", "_march_states",
            "stepper.a_diagonals is None", "True",
            "chord also on tridiagonal step matrices"),
+    # The gtsv sweep and the gtsv march name a failed step by replaying it.
+    Mutant("sweep-skips-finiteness", "parabolic.py", "_StepSolver._gtsv_sweep",
+           "bool(np.isfinite(values).all())", "True",
+           "a gtsv sweep never tests its result for finiteness"),
+    Mutant("sweep-no-checked-rerun", "parabolic.py", "_StepSolver.sweep",
+           "self.mode == 'banded' and self.n > 1 and "
+           "self._gtsv_sweep(reaction, source, levels, values)",
+           "self.mode == 'banded' and self.n > 1 and "
+           "(self._gtsv_sweep(reaction, source, levels, values) or True)",
+           "a failed gtsv sweep returns its levels instead of re-running checked"),
+    Mutant("sweep-diagonal-without-reaction", "parabolic.py", "_StepSolver._gtsv_sweep",
+           "self.d[:n] + reaction", "np.tile(self.d[:n], (len(reaction), 1))",
+           "gtsv sweep levels on diag(I/tau + A) without the reaction"),
+    Mutant("march-no-step-replay", "parabolic.py", "_march_states",
+           "n_solves and (not all(map(math.isfinite, rnorms)))", "False",
+           "a gtsv step that is not finite is named as a non-finite residual"),
+    Mutant("march-ignores-info", "parabolic.py", "_march_states",
+           "info != 0", "False",
+           "the gtsv march ignores gtsv's error code"),
 )
 
 
@@ -190,6 +209,17 @@ def _copy_checkout(dest: str) -> None:
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
+def failure_id(line: str) -> str:
+    """The test id of pytest's ``FAILED <id> - <message>`` line.  A
+    parametrized id may hold " - " itself, so it runs to its closing "]"."""
+    rest = line.split(" ", 1)[1]
+    name = rest.split(" - ")[0]
+    if "[" not in name:
+        return name
+    close = rest.find("] - ", rest.index("["))
+    return rest[:close + 1] if close >= 0 else rest.rstrip()
+
+
 def run_suite(checkout: str) -> tuple[int, float, str]:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -199,8 +229,7 @@ def run_suite(checkout: str) -> tuple[int, float, str]:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
             cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         code = proc.returncode
-        first = next((line.split(" - ")[0].split(" ", 1)[1]
-                      for line in proc.stdout.splitlines()
+        first = next((failure_id(line) for line in proc.stdout.splitlines()
                       if line.startswith(("FAILED ", "ERROR "))), "")
     except subprocess.TimeoutExpired:
         code, first = -1, "timeout"
