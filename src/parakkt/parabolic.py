@@ -30,11 +30,10 @@ any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls, each row bit for bit its own
 march (``_march_states``): on a tridiagonal step matrix all rows at once
-with exact Newton, each step one ``gtsv`` call, otherwise row after row
-with a chord Newton on the sweep's held factor.  A row's Newton stops when
-its residual meets the tolerance; the march fails when a residual is not
-finite or a row reaches ``NEWTON_MAX_ITER`` steps, and a stack fails at the
-first such row it meets.
+with exact Newton, otherwise row after row with a chord Newton on the
+sweep's held factor.  A row's Newton stops when its residual meets the
+tolerance; the march fails when a residual is not finite or a row reaches
+``NEWTON_MAX_ITER`` steps, and a stack fails at the first such row it meets.
 ``solve_state`` marches a stack of one; the restoration of ``optimizer``
 marches its trials.
 
@@ -107,7 +106,9 @@ class _StepSolver:
     direction and serves every sweep of that direction with it (see
     ``step_scope``).  At bandwidth at most 1 (every 1-D grid) each system
     goes to LAPACK ``gtsv`` on the three diagonals of M, taken once (a 1x1
-    system is a division).  Otherwise one SuperLU factorization
+    system is a division); a ``sweep`` there solves its levels unchecked
+    and tests finiteness once, replaying a failed sweep checked to name the
+    step.  Otherwise one SuperLU factorization
     (``spla.splu``) of M + diag(d0) is held, d0 being the first solve's d.
     A ``held`` solve (a chord step of the state march) is the LU solve with
     M + diag(d), factored afresh, and held, when d is not the held factor's
@@ -190,36 +191,30 @@ class _StepSolver:
         over the levels m of ``levels`` in that order, v_prev being the level
         solved before (zero before the first); zero on the levels not swept.
 
-        On ``gtsv`` (n > 1) every level's diagonal is formed in one addition,
-        ``info`` is tested at each level and finiteness once, at the end.  A
-        sweep that fails either test is made again with ``solve`` per level,
-        which raises at the step, and with the message, of the failure.
+        On ``gtsv`` the levels are solved unchecked and the sweep tested for
+        finiteness once; a sweep that fails is made again checked, which
+        raises at the step, and with the message, of the failure.
         """
         values = np.zeros(source.shape)
-        if self.mode == "banded" and self.n > 1 and self._gtsv_sweep(
-                reaction, source, levels, values):
-            return values
-        ahead = np.zeros(self.n)
-        for m in levels:
-            values[m] = ahead = self.solve(reaction[m], ahead / self.tau + source[m], m)
+        if self.mode == "banded":
+            with np.errstate(all="ignore"):
+                self._recur(reaction, source, levels, values, checked=False)
+            if np.logical_and.reduce(np.isfinite(values), axis=None):
+                return values
+        self._recur(reaction, source, levels, values)
         return values
 
-    def _gtsv_sweep(self, reaction, source, levels, values) -> bool:
-        n, tau, gtsv = self.n, self.tau, self.gtsv
-        dl, du = self.dl[:n - 1], self.du[:n - 1]     # a stack's solver has them tiled
-        with np.errstate(all="ignore"):
-            diagonals = self.d[:n] + reaction
-            ahead = np.zeros(n)
-            for m in levels:
-                ahead, info = gtsv(dl, diagonals[m], du, ahead / tau + source[m],
-                                   overwrite_d=True, overwrite_b=True)[3:]
-                if info != 0:
-                    return False
-                values[m] = ahead
-            return bool(np.isfinite(values).all())
+    def _recur(self, reaction, source, levels, values, checked=True):
+        solve, tau, ahead = self.solve, self.tau, np.zeros(self.n)
+        for m in levels:
+            values[m] = ahead = solve(reaction[m], ahead / tau + source[m], m, checked=checked)
 
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int,
-              held: bool = False) -> np.ndarray:
+              held: bool = False, checked: bool = True) -> np.ndarray:
+        """x with (M + diag(diag_add)) x = rhs; a failed solve raises a
+        ``SolveError`` naming ``step``.  Unchecked (``gtsv``), a solve that
+        ``gtsv`` refuses returns NaN and a non-finite x is returned as it is,
+        for a sweep that tests finiteness once and replays a failure checked."""
         info = 0
         m = rhs.size
         try:
@@ -237,6 +232,8 @@ class _StepSolver:
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
             ) from exc
+        if not checked:
+            return x if info == 0 else np.full(m, np.nan)
         if info != 0 or not np.logical_and.reduce(np.isfinite(x)):
             # Only a failed solve pays for looking at its right-hand side.
             if not np.logical_and.reduce(np.isfinite(rhs)):
@@ -399,16 +396,12 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     1-D grid) the rows march at once with exact Newton: every iteration of a
     level evaluates one residual over the flat stack of its rows (A y from
     ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
-    evaluation.  ``gtsv`` is called on the solver's diagonals, sliced once
-    per march, with no finiteness test: a step that ``gtsv`` refuses, or
-    after which a residual is not finite, is replayed with
-    ``_StepSolver.solve``, which raises where and as a checked step would.
-    Each row has its own tolerance, in a Python float.  A row is frozen the
-    moment it converges while others of its level march on: its right-hand
-    side is zeroed, so its step is zero and it keeps the iterate its own
-    sweep stops at.  The first row met whose residual is not finite, or that
-    is still above its tolerance after ``NEWTON_MAX_ITER`` iterations, fails
-    the whole stack with its ``SolveError``.  A level
+    evaluation.  Each row has its own tolerance, in a Python float.  A row
+    is frozen the moment it converges while others of its level march on:
+    its right-hand side is zeroed, so its step is zero and it keeps the
+    iterate its own sweep stops at.  The first row met whose residual is not
+    finite, or that is still above its tolerance after ``NEWTON_MAX_ITER``
+    iterations, fails the whole stack with its ``SolveError``.  A level
     starts from the iterate the level before ended on, so its first residual
     reuses the f(y) and A y computed there.
 
@@ -430,14 +423,9 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                        for row in range(n_rows)]
             return (np.stack([states for states, _ in marches], axis=1),
                     [count for _, count in marches])
-        m = n_rows * n
-        # A 1x1 or dense step matrix has no gtsv; its steps are all solve().
-        gtsv = stepper.gtsv if stepper.mode == "banded" and n > 1 else None
-        if gtsv is not None:
-            dl, d, du = stepper.dl[:m - 1], stepper.d[:m], stepper.du[:m - 1]
         u_max = np.abs(u).max(axis=2).tolist()
         u = u.reshape(n_levels, -1)
-        values = np.empty((n_levels, m))     # level by level, rows flat
+        values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
         values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
         max_newton = [0] * n_rows
         fy = ay = None                    # f(y) and A y at the current iterate
@@ -454,8 +442,6 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                     fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
                 res = (y - y_prev) / tau + ay + fy - u_lvl
                 rnorms = row_max(res)
-                if n_solves and not all(map(math.isfinite, rnorms)):
-                    stepper.solve(dfy, rhs, j + 1)     # raises if the last step's solve failed
                 still, settled = [], []
                 for i in live:
                     rnorm = rnorms[i]
@@ -479,15 +465,8 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
                     frozen = np.ones(y.size)
                 for i in settled:
                     frozen[i * n:(i + 1) * n] = 0.0
-                dfy = np.asarray(df(y=y), dtype=float)
                 rhs = res if frozen is None else res * frozen
-                if gtsv is None:
-                    dy = stepper.solve(dfy, rhs, j + 1)
-                else:
-                    dy, info = gtsv(dl, d + dfy, du, rhs, overwrite_d=True)[3:]
-                    if info != 0:
-                        stepper.solve(dfy, rhs, j + 1)      # raises the step's error
-                y = y - dy
+                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
                 fy = None
                 n_solves += 1
             values[j + 1] = y

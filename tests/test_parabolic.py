@@ -727,11 +727,19 @@ class TestSweep:
 
     @DIRECTIONS
     @GRIDS
-    def test_a_singular_level_is_named_at_its_step(self, name, nodes, levels):
+    @pytest.mark.parametrize("overflow", [False, True], ids=["zero", "overflow"])
+    def test_a_singular_level_is_named_at_its_step(self, name, nodes, levels, overflow):
         """The reaction -diag(I/tau + A) at level 5 leaves a zero diagonal,
-        singular at an odd number of nodes."""
+        singular at an odd number of nodes.  Or it leaves 2^-40 of it, and a
+        source of 1e300 along the zero-diagonal matrix's null vector makes
+        gtsv overflow to inf and nan with no error code."""
         stepper, reaction, source = self.stepper_and_data(name, nodes)
-        reaction[5] = -stepper.d
+        if overflow:
+            reaction[5] = -stepper.d * (1.0 - 2.0**-40)
+            source[5] = 0.0
+            source[5, ::4], source[5, 2::4] = 1e300, -1e300
+        else:
+            reaction[5] = -stepper.d
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SolveError,

@@ -139,25 +139,20 @@ MUTANTS = (
     Mutant("chord-on-tridiagonal", "parabolic.py", "_march_states",
            "stepper.a_diagonals is None", "True",
            "chord also on tridiagonal step matrices"),
-    # The gtsv sweep and the gtsv march name a failed step by replaying it.
-    Mutant("sweep-skips-finiteness", "parabolic.py", "_StepSolver._gtsv_sweep",
-           "bool(np.isfinite(values).all())", "True",
+    # A gtsv sweep solves its levels unchecked and replays a failed sweep checked.
+    Mutant("sweep-skips-finiteness", "parabolic.py", "_StepSolver.sweep",
+           "np.logical_and.reduce(np.isfinite(values), axis=None)", "True",
            "a gtsv sweep never tests its result for finiteness"),
-    Mutant("sweep-no-checked-rerun", "parabolic.py", "_StepSolver.sweep",
-           "self.mode == 'banded' and self.n > 1 and "
-           "self._gtsv_sweep(reaction, source, levels, values)",
-           "self.mode == 'banded' and self.n > 1 and "
-           "(self._gtsv_sweep(reaction, source, levels, values) or True)",
-           "a failed gtsv sweep returns its levels instead of re-running checked"),
-    Mutant("sweep-diagonal-without-reaction", "parabolic.py", "_StepSolver._gtsv_sweep",
-           "self.d[:n] + reaction", "np.tile(self.d[:n], (len(reaction), 1))",
-           "gtsv sweep levels on diag(I/tau + A) without the reaction"),
-    Mutant("march-no-step-replay", "parabolic.py", "_march_states",
-           "n_solves and (not all(map(math.isfinite, rnorms)))", "False",
-           "a gtsv step that is not finite is named as a non-finite residual"),
-    Mutant("march-ignores-info", "parabolic.py", "_march_states",
-           "info != 0", "False",
-           "the gtsv march ignores gtsv's error code"),
+    Mutant("sweep-unchecked-rerun", "parabolic.py", "_StepSolver.sweep",
+           "self._recur(reaction, source, levels, values)",
+           "self._recur(reaction, source, levels, values, checked=self.mode != 'banded')",
+           "a failed gtsv sweep is made again unchecked and returns its levels"),
+    Mutant("sweep-without-reaction", "parabolic.py", "_StepSolver._recur",
+           "reaction[m]", "0.0",
+           "sweep levels on diag(I/tau + A) without the reaction"),
+    Mutant("unchecked-ignores-info", "parabolic.py", "_StepSolver.solve",
+           "x if info == 0 else np.full(m, np.nan)", "x",
+           "an unchecked gtsv solve returns what gtsv refused as a solution"),
 )
 
 
