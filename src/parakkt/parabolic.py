@@ -160,7 +160,10 @@ class _StepSolver:
             self.base = matrix.toarray()
         elif tridiagonal:
             self.mode = "banded"
-            self.dl, self.d, self.du = _tiled_diagonals(matrix, rows)
+            dl, self.d, du = _tiled_diagonals(matrix, rows)
+            # The three diagonals of a stack of k <= rows systems, by its size.
+            self.bands = {m: (dl[:m - 1], self.d[:m], du[:m - 1])
+                          for m in range(self.n, rows * self.n + 1, self.n)}
             self.gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self.d,))
         else:
             self.mode = "splu"
@@ -212,17 +215,18 @@ class _StepSolver:
     def solve(self, diag_add: np.ndarray, rhs: np.ndarray, step: int,
               held: bool = False, checked: bool = True) -> np.ndarray:
         """x with (M + diag(diag_add)) x = rhs; a failed solve raises a
-        ``SolveError`` naming ``step``.  Unchecked (``gtsv``), a solve that
-        ``gtsv`` refuses returns NaN and a non-finite x is returned as it is,
-        for a sweep that tests finiteness once and replays a failure checked."""
+        ``SolveError`` naming ``step``.  Unchecked, a solve that ``gtsv``
+        refuses returns NaN and a non-finite x is returned as it is, for a
+        caller that tests finiteness itself and replays a failure checked."""
         info = 0
         m = rhs.size
         try:
-            if self.mode == "banded" and self.n == 1:
-                x = rhs / (self.d[:m] + diag_add)
-            elif self.mode == "banded":
-                x, info = self.gtsv(self.dl[:m - 1], self.d[:m] + diag_add,
-                                    self.du[:m - 1], rhs, overwrite_d=True)[3:]
+            if self.mode == "banded":
+                dl, d, du = self.bands[m]
+                if self.n == 1:
+                    x = rhs / (d + diag_add)
+                else:
+                    x, info = self.gtsv(dl, d + diag_add, du, rhs, overwrite_d=True)[3:]
             elif self.mode == "splu":
                 x = self._by_row(self._held_solve if held else self._refined_solve,
                                  diag_add, rhs)
@@ -396,8 +400,9 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     1-D grid) the rows march at once with exact Newton: every iteration of a
     level evaluates one residual over the flat stack of its rows (A y from
     ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
-    evaluation.  Each row has its own tolerance, in a Python float.  A row
-    is frozen the moment it converges while others of its level march on:
+    evaluation.  A step is solved unchecked; one after which a residual is
+    not finite is replayed checked to name it.  Each row has its own
+    tolerance, in a Python float.  A row is frozen the moment it converges while others of its level march on:
     its right-hand side is zeroed, so its step is zero and it keeps the
     iterate its own sweep stops at.  The first row met whose residual is not
     finite, or that is still above its tolerance after ``NEWTON_MAX_ITER``
@@ -429,47 +434,53 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
         values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
         max_newton = [0] * n_rows
         fy = ay = None                    # f(y) and A y at the current iterate
-        for j in range(n_levels - 1):
-            y = y_prev = values[j]
-            u_lvl = u[j + 1]
-            tol = [options.newton_tol * (1.0 + a + b)
-                   for a, b in zip(row_max(y_prev), u_max[j + 1])]
-            live = list(range(n_rows))
-            frozen = None                 # 0 on converged rows, once some share a level
-            n_solves = 0
-            while True:
-                if fy is None:
-                    fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
-                res = (y - y_prev) / tau + ay + fy - u_lvl
-                rnorms = row_max(res)
-                still, settled = [], []
-                for i in live:
-                    rnorm = rnorms[i]
-                    if not math.isfinite(rnorm):
-                        raise SolveError(
-                            f"state Newton produced non-finite residual at step {j + 1}")
-                    if rnorm <= tol[i]:
-                        max_newton[i] = max(max_newton[i], n_solves)
-                        settled.append(i)
-                    elif n_solves >= NEWTON_MAX_ITER:
-                        raise SolveError(
-                            f"state Newton did not converge at step {j + 1}: "
-                            f"residual {rnorm:.3e} after {n_solves} iterations")
-                    else:
-                        still.append(i)
-                live = still
-                if not live:
-                    break
-                # A converged row solves for a zero step, which leaves it as it is.
-                if settled and frozen is None:
-                    frozen = np.ones(y.size)
-                for i in settled:
-                    frozen[i * n:(i + 1) * n] = 0.0
-                rhs = res if frozen is None else res * frozen
-                y = y - stepper.solve(np.asarray(df(y=y), dtype=float), rhs, j + 1)
-                fy = None
-                n_solves += 1
-            values[j + 1] = y
+        # Steps are unchecked: a step that is not finite shows in the next
+        # residual, on the way to which numpy is not to warn.
+        with np.errstate(all="ignore"):
+            for j in range(n_levels - 1):
+                y = y_prev = values[j]
+                u_lvl = u[j + 1]
+                tol = [options.newton_tol * (1.0 + a + b)
+                       for a, b in zip(row_max(y_prev), u_max[j + 1])]
+                live = list(range(n_rows))
+                frozen = None                 # 0 on converged rows, once some share a level
+                n_solves = 0
+                while True:
+                    if fy is None:
+                        fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
+                    res = (y - y_prev) / tau + ay + fy - u_lvl
+                    rnorms = row_max(res)
+                    if n_solves and not all(map(math.isfinite, rnorms)):
+                        stepper.solve(dfy, rhs, j + 1)     # raises if the last step failed
+                    still, settled = [], []
+                    for i in live:
+                        rnorm = rnorms[i]
+                        if not math.isfinite(rnorm):
+                            raise SolveError(
+                                f"state Newton produced non-finite residual at step {j + 1}")
+                        if rnorm <= tol[i]:
+                            max_newton[i] = max(max_newton[i], n_solves)
+                            settled.append(i)
+                        elif n_solves >= NEWTON_MAX_ITER:
+                            raise SolveError(
+                                f"state Newton did not converge at step {j + 1}: "
+                                f"residual {rnorm:.3e} after {n_solves} iterations")
+                        else:
+                            still.append(i)
+                    live = still
+                    if not live:
+                        break
+                    # A converged row solves for a zero step, which leaves it as it is.
+                    if settled and frozen is None:
+                        frozen = np.ones(y.size)
+                    for i in settled:
+                        frozen[i * n:(i + 1) * n] = 0.0
+                    rhs = res if frozen is None else res * frozen
+                    dfy = np.asarray(df(y=y), dtype=float)
+                    y = y - stepper.solve(dfy, rhs, j + 1, checked=False)
+                    fy = None
+                    n_solves += 1
+                values[j + 1] = y
     return values.reshape(n_levels, n_rows, n), max_newton
 
 

@@ -901,6 +901,26 @@ class TestFailureModes:
         assert errors[0] == errors[1]
         assert errors[0].startswith("singular step matrix at step ")
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_an_overflowing_step_is_named_at_its_step(self, rows):
+        """f' leaves 2^-40 of the diagonal of I/tau + A, and the first row's
+        control at level 1 is 1e300 along the null vector of what is left:
+        gtsv's step is inf and nan with no error code.  With 3 rows the
+        product A y meets 0 * inf at the zero joins of the stack."""
+        spec, controls = TestStackedStateSolve.controls(*[30.0, 0.0, 1.0][:rows])
+        g, tau = controls[0].grid, controls[0].timegrid.tau
+        diagonal = _StepSolver(assemble_operator(spec, g), tau).d
+        controls[0].values[1, ::4], controls[0].values[1, 2::4] = 1e300, -1e300
+        spec = dataclasses.replace(spec, nonlinearity=dataclasses.replace(
+            spec.nonlinearity,
+            df=lambda y: -np.tile(diagonal, y.size // diagonal.size) * (1.0 - 2.0**-40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ls in ("auto", "dense"):
+                with pytest.raises(SolveError,
+                                   match="^singular step matrix at step 1; reduce the time step$"):
+                    TestStackedStateSolve.march(spec, controls, SolverOptions(linear_solver=ls))
+
     def test_newton_exhaustion(self, monkeypatch):
         monkeypatch.setattr(parakkt.parabolic, "NEWTON_MAX_ITER", 1)
         spec = parakkt.builtin_problem("tracking_box_1d")

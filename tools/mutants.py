@@ -139,7 +139,7 @@ MUTANTS = (
     Mutant("chord-on-tridiagonal", "parabolic.py", "_march_states",
            "stepper.a_diagonals is None", "True",
            "chord also on tridiagonal step matrices"),
-    # A gtsv sweep solves its levels unchecked and replays a failed sweep checked.
+    # A gtsv sweep and a 1-D march solve unchecked and replay a failure checked.
     Mutant("sweep-skips-finiteness", "parabolic.py", "_StepSolver.sweep",
            "np.logical_and.reduce(np.isfinite(values), axis=None)", "True",
            "a gtsv sweep never tests its result for finiteness"),
@@ -153,6 +153,9 @@ MUTANTS = (
     Mutant("unchecked-ignores-info", "parabolic.py", "_StepSolver.solve",
            "x if info == 0 else np.full(m, np.nan)", "x",
            "an unchecked gtsv solve returns what gtsv refused as a solution"),
+    Mutant("march-no-step-replay", "parabolic.py", "_march_states",
+           "n_solves and (not all(map(math.isfinite, rnorms)))", "False",
+           "a march step that is not finite is named as a non-finite residual"),
 )
 
 
