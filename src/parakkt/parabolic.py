@@ -16,7 +16,8 @@ under a minimum-degree ordering of its symmetrized pattern, solved with
 sweeps refine each solve against it to a backward error of 2 eps.
 ``"dense"`` is the independent reference.  The linearized and adjoint
 sweeps are one recursion (``_StepSolver.sweep``), run forward or backward;
-on ``gtsv`` it checks finiteness once per sweep, not once per level.
+on ``gtsv`` it checks finiteness once per sweep, not once per level, and
+the 1-D state march checks a Newton step only through its next residual.
 
 The solvers and audits that make many short sweeps (``solve_ocp``,
 ``recompute_certificate``, ``kkt_residuals`` and the sweeping ``soc``
@@ -402,13 +403,14 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
     evaluation.  A step is solved unchecked; one after which a residual is
     not finite is replayed checked to name it.  Each row has its own
-    tolerance, in a Python float.  A row is frozen the moment it converges while others of its level march on:
-    its right-hand side is zeroed, so its step is zero and it keeps the
-    iterate its own sweep stops at.  The first row met whose residual is not
-    finite, or that is still above its tolerance after ``NEWTON_MAX_ITER``
-    iterations, fails the whole stack with its ``SolveError``.  A level
-    starts from the iterate the level before ended on, so its first residual
-    reuses the f(y) and A y computed there.
+    tolerance, in a Python float.  A row is frozen the moment it converges
+    while others of its level march on: its right-hand side is zeroed, so
+    its step is zero and it keeps the iterate its own sweep stops at.  The
+    first row met whose residual is not finite, or that is still above its
+    tolerance after ``NEWTON_MAX_ITER`` iterations, fails the whole stack
+    with its ``SolveError``.  A level starts from the iterate the level
+    before ended on, so its first residual reuses the f(y) and A y computed
+    there.
 
     Returns the (n_levels, B, n_interior) states and each row's worst Newton
     (or chord) count.
