@@ -83,7 +83,6 @@ from .soc import (
     CriticalDirection,
     GrowthProbe,
     legendre_min,
-    linearized_state,
     quadratic_form,
     quadratic_growth_probe,
     sample_critical_direction,

@@ -17,7 +17,7 @@ sweeps refine each solve against it to a backward error of 2 eps.
 ``"dense"`` is the independent reference.  The linearized and adjoint
 sweeps are one recursion (``_StepSolver.sweep``), run forward or backward;
 on ``gtsv`` it checks finiteness once per sweep, not once per level, and
-the 1-D state march checks a Newton step only through its next residual.
+the state march checks a Newton step only through its next residual.
 
 The solvers and audits that make many short sweeps (``solve_ocp``,
 ``recompute_certificate``, ``kkt_residuals`` and the sweeping ``soc``
@@ -30,11 +30,12 @@ scope, released when the outermost call returns or raises.  A call outside
 any scope builds its own, and the two give the same fields bit for bit.
 
 The state sweep marches a stack of controls, each row bit for bit its own
-march (``_march_states``): on a tridiagonal step matrix all rows at once
-with exact Newton, otherwise row after row with a chord Newton on the
-sweep's held factor.  A row's Newton stops when its residual meets the
-tolerance; the march fails when a residual is not finite or a row reaches
-``NEWTON_MAX_ITER`` steps, and a stack fails at the first such row it meets.
+march (``_march_states``), in one Newton loop (``_newton_march``): exact
+Newton on a tridiagonal step matrix, otherwise a chord Newton on the
+sweep's held factor; all rows at once on ``gtsv``, otherwise row after row.
+A row's Newton stops when its residual meets the tolerance; the march fails
+when a residual is not finite or a row reaches ``NEWTON_MAX_ITER`` steps,
+and a stack fails at the first such row it meets.
 ``solve_state`` marches a stack of one; the restoration of ``optimizer``
 marches its trials.
 
@@ -134,16 +135,15 @@ class _StepSolver:
     (``permc_spec="MMD_AT_PLUS_A"``; George and Liu, SIAM Rev. 31, 1989),
     which fills less than SuperLU's default COLAMD on the 2-D step matrices.
 
-    A solver made for ``rows`` > 1 also solves a stack of up to that many
-    systems, given as flat vectors d and b of k * n entries (k <= rows; d
-    may also be a scalar).  With ``gtsv`` the stack is one call on the
-    block-diagonal matrix, its diagonals tiled with zero joins, which
-    eliminates each block exactly as a call of its own would.  The other
-    backends solve the rows one by one, in order, on the one solver.
-    ``product`` gives A y; on a stack, which the state march makes only of
-    a tridiagonal A, it multiplies through the tiled diagonals, adding each
-    row's terms in the order ``csr_matvec`` does, so every block gets the
-    sums ``A @ y`` gives it alone.
+    On ``gtsv`` a solver made for ``rows`` > 1 also solves a stack of up to
+    that many systems, given as flat vectors d and b of k * n entries
+    (k <= rows; d may also be a scalar): one call on the block-diagonal
+    matrix, its diagonals tiled with zero joins, which eliminates each block
+    exactly as a call of its own would.  The other backends solve one system
+    per call.  ``product`` gives A y; on a tridiagonal A it multiplies
+    through the tiled diagonals, adding each row's terms in the order
+    ``csr_matvec`` does, so every block of a stack gets the sums ``A @ y``
+    gives it alone.
     """
 
     def __init__(self, operator: sp.csr_matrix, tau: float,
@@ -181,7 +181,7 @@ class _StepSolver:
         self.lu = self.lu_diag = None
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        if self.a_diagonals is None:          # one row: only 1-D stacks march at once
+        if self.a_diagonals is None:          # one row: only gtsv stacks march at once
             return self.operator @ y
         lower, diag, upper = self.a_diagonals
         m = y.size
@@ -229,10 +229,9 @@ class _StepSolver:
                 else:
                     x, info = self.gtsv(dl, d + diag_add, du, rhs, overwrite_d=True)[3:]
             elif self.mode == "splu":
-                x = self._by_row(self._held_solve if held else self._refined_solve,
-                                 diag_add, rhs)
+                x = (self._held_solve if held else self._refined_solve)(diag_add, rhs)
             else:
-                x = self._by_row(self._dense_solve, diag_add, rhs)
+                x = np.linalg.solve(self.base + np.diag(np.broadcast_to(diag_add, m)), rhs)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             raise SolveError(
                 f"singular step matrix at step {step}; reduce the time step"
@@ -247,15 +246,6 @@ class _StepSolver:
                 f"singular step matrix at step {step}; reduce the time step"
             )
         return x
-
-    def _by_row(self, solve_one, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if rhs.size == self.n:
-            return solve_one(diag_add, rhs)
-        d = np.broadcast_to(diag_add, rhs.shape).reshape(-1, self.n)
-        return np.concatenate([solve_one(*row) for row in zip(d, rhs.reshape(-1, self.n))])
-
-    def _dense_solve(self, diag_add: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.base + np.diag(np.broadcast_to(diag_add, rhs.shape)), rhs)
 
     def _factor(self, diag_add: np.ndarray):
         data = self.base.data.copy()
@@ -395,145 +385,118 @@ def _march_states(spec: ProblemSpec, grid: SpatialGrid, timegrid: TimeGrid,
     """Implicit Euler with Newton per step for a stack of B controls.
 
     ``u`` has shape (n_levels, B, n_interior); the march takes the step
-    solver of its grid for B rows (``_step_solver``).  When the step matrix
-    is not tridiagonal the rows march one after another on that solver, each
-    with a chord Newton (``_chord_march``).  When it is tridiagonal (every
-    1-D grid) the rows march at once with exact Newton: every iteration of a
-    level evaluates one residual over the flat stack of its rows (A y from
-    ``_StepSolver.product``), makes one stacked ``gtsv`` solve and one f'
-    evaluation.  A step is solved unchecked; one after which a residual is
-    not finite is replayed checked to name it.  Each row has its own
-    tolerance, in a Python float.  A row is frozen the moment it converges
-    while others of its level march on: its right-hand side is zeroed, so
-    its step is zero and it keeps the iterate its own sweep stops at.  The
-    first row met whose residual is not finite, or that is still above its
-    tolerance after ``NEWTON_MAX_ITER`` iterations, fails the whole stack
-    with its ``SolveError``.  A level starts from the iterate the level
-    before ended on, so its first residual reuses the f(y) and A y computed
-    there.
+    solver of its grid for B rows (``_step_solver``).  On ``gtsv`` all rows
+    march as one block, each iteration one stacked solve; on the other
+    backends each row is a block of its own (``_newton_march``).  The first
+    row met that fails fails the whole stack with its ``SolveError``.
 
     Returns the (n_levels, B, n_interior) states and each row's worst Newton
     (or chord) count.
     """
+    n_rows = u.shape[1]
+    with _step_solver(spec, grid, timegrid.tau, options.linear_solver, n_rows) as stepper:
+        y0 = sample_initial_state(spec, grid)
+        if stepper.mode == "banded":
+            return _newton_march(stepper, spec, y0, u, options.newton_tol)
+        marches = [_newton_march(stepper, spec, y0, u[:, row:row + 1], options.newton_tol)
+                   for row in range(n_rows)]
+    return (np.concatenate([states for states, _ in marches], axis=1),
+            [count for _, (count,) in marches])
+
+
+def _newton_march(stepper: _StepSolver, spec: ProblemSpec, y0: np.ndarray,
+                  u: np.ndarray, newton_tol: float):
+    """The march from ``y0`` of a block of B controls ``u`` (n_levels, B,
+    n_interior), every iteration of a level one residual over the flat block
+    (A y from ``_StepSolver.product``) and one ``stepper.solve``.
+
+    On a tridiagonal step matrix each step is exact Newton, with f' at the
+    iterate.  Otherwise it is a chord step (Kelley, *Iterative Methods for
+    Linear and Nonlinear Equations*, SIAM 1995, 5.4): the LU solve with
+    M + diag(d_held), the factor ``stepper`` holds, with no refinement, d_held
+    being f' at the march's first iterate, taken again at the current iterate
+    only when a step fails to cut the residual by ``CONTRACTION``.  A factor
+    depends on d_held alone, so a block of one row is bit for bit its own
+    march.
+
+    Each row has its own tolerance, in a Python float.  A row is frozen the
+    moment it converges while others of its level march on: its right-hand
+    side is zeroed, so its step is zero.  A step is solved unchecked; one
+    after which a residual is not finite is replayed checked to name it.  A
+    row fails on a residual that is not finite or one still above its
+    tolerance after ``NEWTON_MAX_ITER`` steps.  A level starts from the
+    iterate the level before ended on, so its first residual reuses the f(y)
+    and A y computed there.
+
+    Returns the (n_levels, B, n_interior) states and each row's worst count.
+    """
     n_levels, n_rows, n = u.shape
-    tau = timegrid.tau
+    tau = stepper.tau
     f, df = spec.nonlinearity.f, spec.nonlinearity.df
+    chord = stepper.a_diagonals is None
     starts = np.arange(0, n_rows * n, n)
 
     def row_max(v):
         return np.maximum.reduceat(np.abs(v), starts).tolist()
 
-    with _step_solver(spec, grid, tau, options.linear_solver, n_rows) as stepper:
-        if stepper.a_diagonals is None:
-            y0 = sample_initial_state(spec, grid)
-            marches = [_chord_march(stepper, spec, y0, u[:, row], tau, options.newton_tol)
-                       for row in range(n_rows)]
-            return (np.stack([states for states, _ in marches], axis=1),
-                    [count for _, count in marches])
-        u_max = np.abs(u).max(axis=2).tolist()
-        u = u.reshape(n_levels, -1)
-        values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
-        values[0] = np.tile(sample_initial_state(spec, grid), n_rows)
-        max_newton = [0] * n_rows
-        fy = ay = None                    # f(y) and A y at the current iterate
-        # Steps are unchecked: a step that is not finite shows in the next
-        # residual, on the way to which numpy is not to warn.
-        with np.errstate(all="ignore"):
-            for j in range(n_levels - 1):
-                y = y_prev = values[j]
-                u_lvl = u[j + 1]
-                tol = [options.newton_tol * (1.0 + a + b)
-                       for a, b in zip(row_max(y_prev), u_max[j + 1])]
-                live = list(range(n_rows))
-                frozen = None                 # 0 on converged rows, once some share a level
-                n_solves = 0
-                while True:
-                    if fy is None:
-                        fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
-                    res = (y - y_prev) / tau + ay + fy - u_lvl
-                    rnorms = row_max(res)
-                    if n_solves and not all(map(math.isfinite, rnorms)):
-                        stepper.solve(dfy, rhs, j + 1)     # raises if the last step failed
-                    still, settled = [], []
-                    for i in live:
-                        rnorm = rnorms[i]
-                        if not math.isfinite(rnorm):
-                            raise SolveError(
-                                f"state Newton produced non-finite residual at step {j + 1}")
-                        if rnorm <= tol[i]:
-                            max_newton[i] = max(max_newton[i], n_solves)
-                            settled.append(i)
-                        elif n_solves >= NEWTON_MAX_ITER:
-                            raise SolveError(
-                                f"state Newton did not converge at step {j + 1}: "
-                                f"residual {rnorm:.3e} after {n_solves} iterations")
-                        else:
-                            still.append(i)
-                    live = still
-                    if not live:
-                        break
-                    # A converged row solves for a zero step, which leaves it as it is.
-                    if settled and frozen is None:
-                        frozen = np.ones(y.size)
-                    for i in settled:
-                        frozen[i * n:(i + 1) * n] = 0.0
-                    rhs = res if frozen is None else res * frozen
-                    dfy = np.asarray(df(y=y), dtype=float)
-                    y = y - stepper.solve(dfy, rhs, j + 1, checked=False)
-                    fy = None
-                    n_solves += 1
-                values[j + 1] = y
+    u_max = np.abs(u).max(axis=2).tolist()
+    u = u.reshape(n_levels, -1)
+    values = np.empty((n_levels, n_rows * n))     # level by level, rows flat
+    values[0] = np.tile(y0, n_rows)
+    max_newton = [0] * n_rows
+    fy = ay = d = None                # f(y) and A y at the current iterate; f' of the step
+    # Steps are unchecked: a step that is not finite shows in the next
+    # residual, on the way to which numpy is not to warn.
+    with np.errstate(all="ignore"):
+        for j in range(n_levels - 1):
+            y = y_prev = values[j]
+            u_lvl = u[j + 1]
+            tol = [newton_tol * (1.0 + a + b)
+                   for a, b in zip(row_max(y_prev), u_max[j + 1])]
+            live = list(range(n_rows))
+            frozen = None                 # 0 on converged rows, once some share a level
+            n_solves = 0
+            last = math.inf               # the largest residual one step back
+            while True:
+                if fy is None:
+                    fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
+                res = (y - y_prev) / tau + ay + fy - u_lvl
+                rnorms = row_max(res)
+                if n_solves and not all(map(math.isfinite, rnorms)):
+                    stepper.solve(d, rhs, j + 1, held=chord)     # raises if the last step failed
+                still, settled = [], []
+                for i in live:
+                    rnorm = rnorms[i]
+                    if not math.isfinite(rnorm):
+                        raise SolveError(
+                            f"state Newton produced non-finite residual at step {j + 1}")
+                    if rnorm <= tol[i]:
+                        max_newton[i] = max(max_newton[i], n_solves)
+                        settled.append(i)
+                    elif n_solves >= NEWTON_MAX_ITER:
+                        raise SolveError(
+                            f"state Newton did not converge at step {j + 1}: "
+                            f"residual {rnorm:.3e} after {n_solves} iterations")
+                    else:
+                        still.append(i)
+                live = still
+                if not live:
+                    break
+                # A converged row solves for a zero step, which leaves it as it is.
+                if settled and frozen is None:
+                    frozen = np.ones(y.size)
+                for i in settled:
+                    frozen[i * n:(i + 1) * n] = 0.0
+                rhs = res if frozen is None else res * frozen
+                rnorm = max(rnorms)
+                if not chord or d is None or rnorm > CONTRACTION * last:
+                    d = np.asarray(df(y=y), dtype=float)
+                last = rnorm
+                y = y - stepper.solve(d, rhs, j + 1, held=chord, checked=False)
+                fy = None
+                n_solves += 1
+            values[j + 1] = y
     return values.reshape(n_levels, n_rows, n), max_newton
-
-
-def _chord_march(stepper: _StepSolver, spec: ProblemSpec, y0: np.ndarray,
-                 u: np.ndarray, tau: float, newton_tol: float):
-    """``_march_states`` of one control ``u`` (n_levels, n_interior) from
-    ``y0`` on a step matrix that is not tridiagonal; returns the states and
-    the worst count of chord steps.
-
-    Each Newton step is a chord step: one LU solve with M + diag(d_held),
-    the factor ``stepper`` holds, with no refinement (Kelley, *Iterative
-    Methods for Linear and Nonlinear Equations*, SIAM 1995, 5.4).  d_held is
-    f' at the march's first iterate, taken again at the current iterate, and
-    factored, only when a step fails to cut the residual by ``CONTRACTION``.
-    A factor depends on d_held alone, so a row of a stack is bit for bit its
-    own march.
-    """
-    f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    values = np.empty(u.shape)
-    values[0] = y0
-    max_steps = 0
-    fy = ay = d_held = None
-    for j in range(u.shape[0] - 1):
-        y = y_prev = values[j]
-        tol = newton_tol * (1.0 + float(np.max(np.abs(y_prev)))
-                            + float(np.max(np.abs(u[j + 1]))))
-        n_steps = 0
-        last = math.inf                   # the residual one step back
-        while True:
-            if fy is None:
-                fy, ay = np.asarray(f(y=y), dtype=float), stepper.product(y)
-            res = (y - y_prev) / tau + ay + fy - u[j + 1]
-            rnorm = float(np.max(np.abs(res)))
-            if not math.isfinite(rnorm):
-                raise SolveError(
-                    f"state Newton produced non-finite residual at step {j + 1}")
-            if rnorm <= tol:
-                break
-            if n_steps >= NEWTON_MAX_ITER:
-                raise SolveError(
-                    f"state Newton did not converge at step {j + 1}: "
-                    f"residual {rnorm:.3e} after {n_steps} iterations")
-            if d_held is None or rnorm > CONTRACTION * last:
-                d_held = np.asarray(df(y=y), dtype=float)
-            last = rnorm
-            y = y - stepper.solve(d_held, res, j + 1, held=True)
-            fy = None
-            n_steps += 1
-        max_steps = max(max_steps, n_steps)
-        values[j + 1] = y
-    return values, max_steps
 
 
 def solve_linear_parabolic(spec: ProblemSpec, potential: SpaceTimeField,

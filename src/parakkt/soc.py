@@ -39,7 +39,6 @@ from .problem import ProblemSpec, eval_broadcast, eval_scalar_map
 __all__ = [
     "CriticalDirection",
     "GrowthProbe",
-    "linearized_state",
     "quadratic_form",
     "sample_critical_direction",
     "legendre_min",
@@ -66,13 +65,6 @@ def _df_field(spec, state):
     y = state.values
     return SpaceTimeField(eval_broadcast(spec.nonlinearity.df, y.shape, y=y),
                           state.grid, state.timegrid)
-
-
-def linearized_state(spec: ProblemSpec, point: KKTPoint,
-                     v: SpaceTimeField,
-                     options: SolverOptions | None = None) -> SpaceTimeField:
-    """Solve the state equation linearized at the point, driven by ``v``."""
-    return solve_linear_parabolic(spec, _df_field(spec, point.state), v, options)
 
 
 def _c2_residual(spec, point, v, z):

@@ -1,6 +1,7 @@
 """Stacked sparse NLP used as an independent cross-check."""
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -178,6 +179,40 @@ class TestExchanges:
         assume(trace.converged)
         assert cmp.adjoint_inf <= 1e-8
         assert cmp.multiplier_inf <= 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_constraint_run(g, s):
+    """The solver's point at 17x17 and the oracle's solution at 5x5 of the
+    tracking problem with constraint s g and gamma2 = s."""
+    text = tracking_with_constraint(f"{s!r}*({g})")
+    spec = parakkt.loads(text.replace("gamma2 = 1\n", f"gamma2 = {s!r}\n"))
+    grid, timegrid = SpatialGrid(extents=spec.extents, nodes=(17,)), TimeGrid(17, spec.horizon)
+    point, trace, _ = solve_ocp(spec, grid, timegrid, OptimizerOptions(tol_kkt=1e-10))
+    assert trace.converged
+    grid, timegrid = SpatialGrid(extents=spec.extents, nodes=(5,)), TimeGrid(5, spec.horizon)
+    return point, solve_nlp_active_set(discretize_to_nlp(spec, grid, timegrid))
+
+
+class TestScaledConstraint:
+    """A metamorphic relation: the constraint s g, with gamma2 scaled alike,
+    has the feasible set of g, so the same primal-dual point with its
+    multiplier divided by s.  For s a power of two every product by s is
+    exact, and the solver and the oracle keep it bit for bit.  Other s
+    (3, 0.1) leave gaps of up to 5.6e-17 and are not drawn."""
+
+    @given(g=st.sampled_from(["u + 0.25*y^3 - 0.4", "u + 0.5*y - 0.4", "u - 0.4"]),
+           k=st.integers(-3, 3))
+    def test_scaling_g_divides_only_the_multiplier(self, g, k):
+        s = 2.0**k
+        point, sol = _scaled_constraint_run(g, s)
+        base, base_sol = _scaled_constraint_run(g, 1.0)
+        for name in ("state", "control", "adjoint"):
+            assert getattr(point, name).values.tobytes() == getattr(base, name).values.tobytes()
+        assert np.array_equal(point.multiplier.values, base.multiplier.values / s)
+        assert sol.z.tobytes() == base_sol.z.tobytes()
+        assert sol.lam.tobytes() == base_sol.lam.tobytes()
+        assert np.array_equal(sol.mu, base_sol.mu / s)
 
 
 class TestRefusals:

@@ -409,19 +409,14 @@ class TestStepSolver:
                                    for i in range(0, rows * n, n)])
         assert stacked.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n, linear_solver, mode", [
-        pytest.param(2, "auto", "banded", id="banded"),
-        pytest.param(3, "auto", "splu", id="splu"),
-        pytest.param(2, "dense", "dense", id="dense"),
-        pytest.param(3, "dense", "dense", id="dense-wide"),
-    ])
-    def test_a_singular_row_of_a_stack_raises(self, n, linear_solver, mode):
-        """The step matrix is all ones: tridiagonal at n = 2, bandwidth 2 at n = 3."""
-        stepper = unit_step_solver(np.ones((n, n)), linear_solver, 3)
-        assert stepper.mode == mode
-        first = np.arange(1.0, n + 1)
-        d = np.concatenate([np.ones(n), np.zeros(n), np.ones(n)])
-        b = np.concatenate([first, np.eye(n)[0], first])    # the middle row has no solution
+    def test_a_singular_row_of_a_stack_raises(self):
+        """The step matrix is all ones, tridiagonal at n = 2; only ``gtsv``
+        solves stacks."""
+        stepper = unit_step_solver(np.ones((2, 2)), rows=3)
+        assert stepper.mode == "banded"
+        first = np.arange(1.0, 3.0)
+        d = np.concatenate([np.ones(2), np.zeros(2), np.ones(2)])
+        b = np.concatenate([first, np.eye(2)[0], first])    # the middle row has no solution
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(SolveError, match="singular step matrix at step 6"):
@@ -601,21 +596,22 @@ class TestStepSolver:
                 stepper.solve(np.zeros(len(matrix)), b, 7)
 
     def test_a_refined_solve_may_solve_a_singular_consistent_system(self):
-        """Where the backends differ: the second row's matrix is all ones, and
-        b = (1, 1, 1) lies in its range.  Refinement against the first row's
-        factor returns a solution of that system; dense refuses the matrix."""
-        d = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        b = np.array([1.0, 2.0, 3.0, 1.0, 1.0, 1.0])
-        refined = unit_step_solver(np.ones((3, 3)), rows=2)
+        """Where the backends differ: the step matrix is all ones, and
+        b = (1, 1, 1) lies in its range.  A first solve at d = 1 factors;
+        the second, at d = 0, is refined against that factor and returns a
+        solution of the singular system; dense refuses the matrix."""
+        refined = unit_step_solver(np.ones((3, 3)))
         assert refined.mode == "splu"
-        x = refined.solve(d, b, 1)
+        refined.solve(np.ones(3), np.array([1.0, 2.0, 3.0]), 1)
+        b = np.ones(3)
+        x = refined.solve(np.zeros(3), b, 2)
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(x[3:], 1.0 / 3.0, rtol=0, atol=4 * eps)
-        assert self.backward_error(np.ones((3, 3)), 0.0, x[3:], b[3:]) <= 2 * eps
+        np.testing.assert_allclose(x, 1.0 / 3.0, rtol=0, atol=4 * eps)
+        assert self.backward_error(np.ones((3, 3)), 0.0, x, b) <= 2 * eps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(SolveError, match="singular step matrix at step 1"):
-                unit_step_solver(np.ones((3, 3)), "dense", rows=2).solve(d, b, 1)
+            with pytest.raises(SolveError, match="singular step matrix at step 2"):
+                unit_step_solver(np.ones((3, 3)), "dense").solve(np.zeros(3), b, 2)
 
     @pytest.mark.parametrize("nodes, mode", [((17,), "banded"), ((9, 3), "banded"),
                                              ((9, 9), "splu")])
@@ -876,21 +872,29 @@ class TestFailureModes:
             with pytest.raises(SolveError, match="singular step matrix"):
                 solve_state(spec, u, SolverOptions(linear_solver=ls))
 
-    @pytest.mark.parametrize("fault", ["nan", "singular"])
+    @pytest.mark.parametrize("dim, fault", [(1, "nan"), (1, "singular"), (2, "nan")],
+                             ids=["nan", "singular", "nan-2d"])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_a_failed_step_is_named_at_its_step(self, rows, fault):
+    def test_a_failed_step_is_named_at_its_step(self, rows, dim, fault):
         """f' is nan above y = 0.5, so a gtsv step returns nan with no error
-        code; or f' cancels the diagonal of I/tau + A, singular at 15 nodes.
-        The stacked gtsv march names the step as the dense backend, which
-        checks every solve, does, and with no numpy warning."""
-        spec, controls = TestStackedStateSolve.controls(*[30.0, 0.0, 1.0][:rows])
-        g, tau = controls[0].grid, controls[0].timegrid.tau
-        diagonal = _StepSolver(assemble_operator(spec, g), tau).d
+        code, and a 2-D chord step is an LU solve with a nan factor; or f'
+        cancels the diagonal of I/tau + A, singular at 15 nodes.  The march,
+        which solves its steps unchecked, names the step as the dense
+        backend, which checks every solve, does, and with no numpy warning."""
+        make = TestStackedStateSolve.controls if dim == 1 else TestChordMarch.controls
+        spec, controls = make(*[30.0, 0.0, 1.0][:rows])
         df = spec.nonlinearity.df
-        faulty = {"nan": lambda y: np.where(y > 0.5, np.nan, df(y=y)),
-                  "singular": lambda y: -np.tile(diagonal, y.size // diagonal.size)}
+        if fault == "singular":
+            g, tau = controls[0].grid, controls[0].timegrid.tau
+            diagonal = _StepSolver(assemble_operator(spec, g), tau).d
+
+        def faulty(y):
+            if fault == "nan":
+                return np.where(y > 0.5, np.nan, df(y=y))
+            return -np.tile(diagonal, y.size // diagonal.size)
+
         spec = dataclasses.replace(spec, nonlinearity=dataclasses.replace(
-            spec.nonlinearity, df=faulty[fault]))
+            spec.nonlinearity, df=faulty))
         errors = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -7,7 +7,6 @@ import pytest
 
 from parakkt import (
     legendre_min,
-    linearized_state,
     quadratic_form,
     quadratic_growth_probe,
     sample_critical_direction,
@@ -18,9 +17,9 @@ from parakkt.exceptions import AuditError, ConfigError, HypothesisViolationError
 from parakkt.grids import (SpaceTimeField, SpatialGrid, TimeGrid, objective_weights,
                            quadrature_weights)
 from parakkt.optimizer import _restored_trial, discrete_objective
-from parakkt.parabolic import SolverOptions, solve_state
+from parakkt.parabolic import SolverOptions, solve_linear_parabolic, solve_state
 from parakkt.problem import eval_scalar_map
-from parakkt.soc import CriticalDirection, _c2_residual, _smooth_random_fields
+from parakkt.soc import CriticalDirection, _c2_residual, _df_field, _smooth_random_fields
 
 from conftest import (CUBIC_TEXT, SLOPED_TEXT, solve_builtin, solve_spec, traced_peak,
                       tracking_with_constraint)
@@ -71,7 +70,8 @@ class TestCriticalDirection:
     def test_state_direction_solves_linearized_equation(self, tracking_bundle):
         spec, point, _, _ = tracking_bundle
         d = sample_critical_direction(spec, point, seed=0)
-        again = linearized_state(spec, point, d.control_direction)
+        again = solve_linear_parabolic(spec, _df_field(spec, point.state),
+                                       d.control_direction)
         np.testing.assert_allclose(
             again.values, d.state_direction.values, rtol=0, atol=1e-12
         )
@@ -230,7 +230,7 @@ class TestQuadraticForm:
         v = _smooth_random_fields(grid, timegrid, np.random.default_rng(5))[:, 0]
         v[0] = 0.0
         v = SpaceTimeField(v, grid, timegrid)
-        z = linearized_state(spec, point, v, options)
+        z = solve_linear_parabolic(spec, _df_field(spec, point.state), v, options)
         q = quadratic_form(spec, point, CriticalDirection(
             v, z, 0.0, True, _c2_residual(spec, point, v, z), 0.0))
         s, u = 1e-2, point.control.values

@@ -129,17 +129,20 @@ MUTANTS = (
            "settled = (v1 == 0) | (np.abs(s) <= 4.0 * eps * (1.0 + np.abs(u1)))",
            "settled = np.zeros(u.shape, dtype=bool)",
            "every node the pass settled re-enters the bracket phase"),
-    # The chord march.
-    Mutant("chord-never-refreshes", "parabolic.py", "_chord_march",
-           "d_held is None or rnorm > CONTRACTION * last", "d_held is None",
+    # The state march: chord off the tridiagonal, stacks on gtsv only.
+    Mutant("chord-never-refreshes", "parabolic.py", "_newton_march",
+           "not chord or d is None or rnorm > CONTRACTION * last", "not chord or d is None",
            "chord keeps the sweep's first factor"),
-    Mutant("chord-refreshes-every-step", "parabolic.py", "_chord_march",
+    Mutant("chord-refreshes-every-step", "parabolic.py", "_newton_march",
            "rnorm > CONTRACTION * last", "True",
            "chord factors at every step (exact Newton)"),
-    Mutant("chord-on-tridiagonal", "parabolic.py", "_march_states",
+    Mutant("chord-on-tridiagonal", "parabolic.py", "_newton_march",
            "stepper.a_diagonals is None", "True",
            "chord also on tridiagonal step matrices"),
-    # A gtsv sweep and a 1-D march solve unchecked and replay a failure checked.
+    Mutant("stack-on-every-backend", "parabolic.py", "_march_states",
+           "stepper.mode == 'banded'", "True",
+           "a stack marches as one block on splu and dense too"),
+    # A gtsv sweep and the march solve unchecked and replay a failure checked.
     Mutant("sweep-skips-finiteness", "parabolic.py", "_StepSolver.sweep",
            "np.logical_and.reduce(np.isfinite(values), axis=None)", "True",
            "a gtsv sweep never tests its result for finiteness"),
@@ -153,7 +156,7 @@ MUTANTS = (
     Mutant("unchecked-ignores-info", "parabolic.py", "_StepSolver.solve",
            "x if info == 0 else np.full(m, np.nan)", "x",
            "an unchecked gtsv solve returns what gtsv refused as a solution"),
-    Mutant("march-no-step-replay", "parabolic.py", "_march_states",
+    Mutant("march-no-step-replay", "parabolic.py", "_newton_march",
            "n_solves and (not all(map(math.isfinite, rnorms)))", "False",
            "a march step that is not finite is named as a non-finite residual"),
 )
