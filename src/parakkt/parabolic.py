@@ -18,6 +18,7 @@ sweeps refine each solve against it to a backward error of 2 eps.
 sweeps are one recursion (``_StepSolver.sweep``), run forward or backward;
 on ``gtsv`` it checks finiteness once per sweep, not once per level, and
 the state march checks a Newton step only through its next residual.
+Every product with A, M or |M| is one call of the CSR kernel of ``@``.
 
 The solvers and audits that make many short sweeps (``solve_ocp``,
 ``recompute_certificate``, ``kkt_residuals`` and the sweeping ``soc``
@@ -56,6 +57,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .exceptions import ConfigError, SolveError
 from .grids import (
@@ -80,6 +82,7 @@ _local = threading.local()     # .held: this thread's open step scope, or None
 
 NEWTON_MAX_ITER = 30
 CONTRACTION = 0.1     # a chord step must cut the residual by this, or refactor
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -140,27 +143,27 @@ class _StepSolver:
     (k <= rows; d may also be a scalar): one call on the block-diagonal
     matrix, its diagonals tiled with zero joins, which eliminates each block
     exactly as a call of its own would.  The other backends solve one system
-    per call.  ``product`` gives A y; on a tridiagonal A it multiplies
-    through the tiled diagonals, adding each row's terms in the order
-    ``csr_matvec`` does, so every block of a stack gets the sums ``A @ y``
-    gives it alone.
+    per call.  ``product`` gives A y, on ``gtsv`` for a stack of k <= rows
+    blocks through the CSR arrays of the block-diagonal stack of A, each
+    block the bits ``A @ y`` gives it alone (no zero joins, so a non-finite
+    block reaches no other).
     """
 
     def __init__(self, operator: sp.csr_matrix, tau: float,
                  linear_solver: str = "auto", rows: int = 1):
-        self.operator = operator
-        self.rows = rows
-        self.tau = tau
-        self.n = operator.shape[0]
+        self.rows, self.tau, self.n = rows, tau, operator.shape[0]
         self.lu = self.lu_diag = None
         matrix = (sp.identity(self.n, format="csr") / tau + operator).tocsr()
-        tridiagonal = _bandwidth(matrix) <= 1
-        self.a_diagonals = _tiled_diagonals(operator, rows) if tridiagonal else None
+        row_of = np.repeat(np.arange(self.n), np.diff(matrix.indptr))
+        self.tridiagonal = np.abs(matrix.indices - row_of).max() <= 1
+        # The CSR arrays of A, or on gtsv of a stack of k <= rows copies of A, by its size.
+        self.stacks = {self.n: (operator.indptr, operator.indices, operator.data)}
         if linear_solver == "dense":
             self.mode = "dense"
             self.base = matrix.toarray()
-        elif tridiagonal:
+        elif self.tridiagonal:
             self.mode = "banded"
+            self.stacks = _stacked_csr(operator, rows)
             dl, self.d, du = _tiled_diagonals(matrix, rows)
             # The three diagonals of a stack of k <= rows systems, by its size.
             self.bands = {m: (dl[:m - 1], self.d[:m], du[:m - 1])
@@ -170,9 +173,8 @@ class _StepSolver:
             self.mode = "splu"
             self.base = matrix
             self.base.sort_indices()
-            row_of = np.repeat(np.arange(self.n), np.diff(self.base.indptr))
             self.diag_pos = np.flatnonzero(self.base.indices == row_of)
-            self.abs_base = abs(self.base)
+            self.abs_data = np.abs(self.base.data)
 
     def __enter__(self):
         return self
@@ -181,14 +183,7 @@ class _StepSolver:
         self.lu = self.lu_diag = None
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        if self.a_diagonals is None:          # one row: only gtsv stacks march at once
-            return self.operator @ y
-        lower, diag, upper = self.a_diagonals
-        m = y.size
-        out = diag[:m] * y
-        out[1:] += lower[:m - 1] * y[:-1]
-        out[:-1] += upper[:m - 1] * y[1:]
-        return out
+        return _matvec(*self.stacks[y.size], y)
 
     def sweep(self, reaction: np.ndarray, source: np.ndarray, levels) -> np.ndarray:
         """The recursion v_m = solve(reaction[m], v_prev / tau + source[m], m)
@@ -267,18 +262,37 @@ class _StepSolver:
         x = self.lu.solve(rhs, trans="T")
         if np.array_equal(diag_add, self.lu_diag):
             return x
-        last = np.inf
+        indptr, indices, data = self.base.indptr, self.base.indices, self.base.data
+        abs_rhs, last = np.abs(rhs), math.inf
         while True:
-            r = rhs - (self.base @ x + diag_add * x)
-            scale = self.abs_base @ np.abs(x) + np.abs(diag_add * x) + np.abs(rhs)
-            err = float(np.max(np.abs(r) / np.maximum(scale, np.finfo(float).tiny)))
-            if err <= 2.0 * np.finfo(float).eps:
+            dx = diag_add * x
+            r = rhs - (_matvec(indptr, indices, data, x) + dx)
+            scale = _matvec(indptr, indices, self.abs_data, np.abs(x)) + np.abs(dx) + abs_rhs
+            err = float(np.max(np.abs(r) / np.maximum(scale, _TINY)))
+            if err <= 2.0 * _EPS:
                 return x
-            if not np.isfinite(err) or err > last / 2.0:
+            if not math.isfinite(err) or err > last / 2.0:
                 self.lu = None
                 return self._refined_solve(diag_add, rhs)
             last = err
             x = x + self.lu.solve(r, trans="T")
+
+
+def _matvec(indptr, indices, data, y: np.ndarray) -> np.ndarray:
+    """The CSR matrix (indptr, indices, data) times y: the kernel ``@`` calls,
+    which adds each row's terms in CSR order to its output, here zeros."""
+    out = np.zeros(len(indptr) - 1)
+    csr_matvec(out.size, y.size, indptr, indices, data, y, out)
+    return out
+
+
+def _stacked_csr(matrix: sp.csr_matrix, rows: int) -> dict:
+    """CSR arrays of the block-diagonal stack of k = 1..rows copies, by its size k n."""
+    n, nnz, k = matrix.shape[0], matrix.nnz, np.arange(rows)[:, None]
+    indptr = np.append(0, (matrix.indptr[1:] + nnz * k).ravel())
+    indices, data = (matrix.indices + n * k).ravel(), np.tile(matrix.data, rows)
+    return {j * n: (indptr[:j * n + 1], indices[:j * nnz], data[:j * nnz])
+            for j in range(1, rows + 1)}
 
 
 def _tiled_diagonals(matrix: sp.spmatrix, rows: int):
@@ -287,11 +301,6 @@ def _tiled_diagonals(matrix: sp.spmatrix, rows: int):
     def off(k):
         return np.tile(np.append(matrix.diagonal(k), 0.0), rows)[:-1]
     return off(-1), np.tile(matrix.diagonal(), rows), off(1)
-
-
-def _bandwidth(matrix: sp.spmatrix) -> int:
-    coo = matrix.tocoo()
-    return int(np.abs(coo.row - coo.col).max())
 
 
 @contextlib.contextmanager
@@ -371,12 +380,7 @@ def solve_state(spec: ProblemSpec, control: SpaceTimeField,
     data_size = float(np.sqrt(np.sum(qw.values * control.values**2)))
     data_size += float(np.max(np.abs(state.values[0])))
     sup = float(np.max(np.abs(state.values)))
-    if sup == 0.0:
-        ratio = 0.0
-    elif data_size == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = sup / data_size
+    ratio = 0.0 if sup == 0.0 else sup / data_size if data_size != 0.0 else math.inf
     return state, StateSolveReport(max_newton[0], ratio)
 
 
@@ -408,7 +412,8 @@ def _newton_march(stepper: _StepSolver, spec: ProblemSpec, y0: np.ndarray,
                   u: np.ndarray, newton_tol: float):
     """The march from ``y0`` of a block of B controls ``u`` (n_levels, B,
     n_interior), every iteration of a level one residual over the flat block
-    (A y from ``_StepSolver.product``) and one ``stepper.solve``.
+    (A y from ``_StepSolver.product``, one CSR kernel call) and one
+    ``stepper.solve``.
 
     On a tridiagonal step matrix each step is exact Newton, with f' at the
     iterate.  Otherwise it is a chord step (Kelley, *Iterative Methods for
@@ -433,7 +438,7 @@ def _newton_march(stepper: _StepSolver, spec: ProblemSpec, y0: np.ndarray,
     n_levels, n_rows, n = u.shape
     tau = stepper.tau
     f, df = spec.nonlinearity.f, spec.nonlinearity.df
-    chord = stepper.a_diagonals is None
+    chord = not stepper.tridiagonal
     starts = np.arange(0, n_rows * n, n)
 
     def row_max(v):

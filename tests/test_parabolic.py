@@ -620,7 +620,128 @@ class TestStepSolver:
         name = "tracking_box_1d" if len(nodes) == 1 else "tracking_box_2d"
         A = operator(parakkt.builtin_problem(name), nodes)
         assert _StepSolver(A, 0.1).mode == mode
-        assert _StepSolver(A, 0.1, "dense").mode == "dense"
+        dense = _StepSolver(A, 0.1, "dense")
+        assert dense.mode == "dense"
+        assert dense.tridiagonal == (mode == "banded")
+
+    @staticmethod
+    def blockwise(A, y):
+        """``A @ y_b`` for each block y_b of the flat stack y."""
+        n = A.shape[0]
+        return np.concatenate([A @ y[i:i + n] for i in range(0, y.size, n)])
+
+    @given(n=st.integers(1, 130), rows=st.integers(1, 8), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_stacked_product_is_a_at_each_block(self, n, rows, data, seed):
+        """On ``gtsv`` the product of a stack of k <= rows blocks is, block by
+        block, the bits scipy's ``@`` gives each block alone."""
+        k = data.draw(st.integers(1, rows), label="k")
+        rng = np.random.default_rng(seed)
+        lower, upper = rng.uniform(-1.0, 1.0, (2, n - 1))
+        A = sp.diags([lower, rng.uniform(0.5, 2.0, n), upper], [-1, 0, 1],
+                     shape=(n, n), format="csr")
+        stepper = _StepSolver(A, 0.5, rows=rows)
+        assert stepper.mode == "banded"
+        y = rng.normal(size=k * n) * 10.0 ** rng.integers(-3, 4, k * n)
+        assert np.array_equal(stepper.product(y), self.blockwise(A, y))
+
+    @pytest.mark.parametrize("linear_solver", ["auto", "dense"])
+    @pytest.mark.parametrize("a_section", ["", CROSS_DIFFUSION], ids=["laplace", "a12"])
+    @given(nodes=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+           rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_a_2d_product_is_a_at_each_block(self, a_section, linear_solver, nodes,
+                                             rows, seed):
+        """Off ``gtsv`` a block is one row, whatever ``rows`` the solver was
+        made for; on ``gtsv`` (2-D grids one interior node wide) a stack."""
+        text = parakkt.catalog.builtin_problem_text("tracking_box_2d") + a_section
+        A = operator(loads(text), nodes)
+        stepper = _StepSolver(A, 1.0 / 16, linear_solver, rows)
+        k = rows if stepper.mode == "banded" else 1
+        y = np.random.default_rng(seed).normal(size=k * A.shape[0])
+        assert np.array_equal(stepper.product(y), self.blockwise(A, y))
+
+    def test_a_non_finite_block_reaches_no_other(self):
+        """The stacked product has no zero joins, so 0 * inf never carries a
+        block's inf or nan into its neighbour."""
+        A = operator(parakkt.builtin_problem("tracking_box_1d"), (17,))
+        n = A.shape[0]
+        stepper = _StepSolver(A, 0.1, rows=3)
+        y = np.random.default_rng(2).normal(size=3 * n)
+        y[:n:3], y[1:n:3], y[2:n:3] = np.inf, -np.inf, np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            product = stepper.product(y)
+        assert np.isfinite(product[n:]).all()
+        assert np.array_equal(product[n:], self.blockwise(A, y[n:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.array_equal(product[:n], A @ y[:n], equal_nan=True)
+
+    class ScipyRefinedSolve:
+        """The refined ``splu`` solve written with scipy's sparse ``@``: the
+        reference a solver's kernel products must match bit for bit.  Counts
+        its factorizations and refinement corrections."""
+
+        def __init__(self, A, tau):
+            self.base = step_matrix(A, tau)
+            self.base.sort_indices()
+            row_of = np.repeat(np.arange(A.shape[0]), np.diff(self.base.indptr))
+            self.diag_pos = np.flatnonzero(self.base.indices == row_of)
+            self.abs_base = abs(self.base)
+            self.lu, self.factors, self.corrections = None, 0, 0
+
+        def factor(self, d):
+            data = self.base.data.copy()
+            data[self.diag_pos] += d
+            transposed = sp.csc_matrix((data, self.base.indices, self.base.indptr),
+                                       shape=self.base.shape)
+            self.lu = spla.splu(transposed, permc_spec="MMD_AT_PLUS_A")
+            self.lu_diag = d.copy()
+            self.factors += 1
+
+        def solve(self, d, b):
+            if self.lu is None:
+                self.factor(d)
+            x = self.lu.solve(b, trans="T")
+            if np.array_equal(d, self.lu_diag):
+                return x
+            last = np.inf
+            while True:
+                r = b - (self.base @ x + d * x)
+                scale = self.abs_base @ np.abs(x) + np.abs(d * x) + np.abs(b)
+                err = float(np.max(np.abs(r) / np.maximum(scale, np.finfo(float).tiny)))
+                if err <= 2.0 * np.finfo(float).eps:
+                    return x
+                if not np.isfinite(err) or err > last / 2.0:
+                    self.lu = None
+                    return self.solve(d, b)
+                last = err
+                x = x + self.lu.solve(r, trans="T")
+                self.corrections += 1
+
+    @pytest.mark.parametrize("which", ["laplace", "a12", "non-symmetric"])
+    def test_a_refined_solve_is_the_scipy_product_loop(self, which):
+        """Refined against a held factor (d0 + 1e-3 rand), refactored (d0 +
+        1e4) and refined again.  The right-hand sides are random, and also
+        (M + diag(d)) 1, whose solution's residual cancels in M x but not in
+        |M| |x|, so a scale taken through M in place of |M| shows."""
+        rng = np.random.default_rng(11)
+        if which == "non-symmetric":
+            A = non_symmetric_operator(rng)
+        else:
+            text = parakkt.catalog.builtin_problem_text("tracking_box_2d")
+            A = operator(loads(text + (CROSS_DIFFUSION if which == "a12" else "")), (9, 9))
+        tau, n = 1.0 / 16, A.shape[0]
+        stepper, reference = _StepSolver(A, tau), self.ScipyRefinedSolve(A, tau)
+        assert stepper.mode == "splu"
+        d0 = rng.uniform(0.0, 1.0, n)
+        smooth = step_matrix(A, tau) @ np.ones(n)
+        diagonals = [d0, d0 + 1e-3 * rng.random(n), d0 + 1e4, d0 + 1e4 + 1e-3 * rng.random(n),
+                     d0 + 1e-3 * rng.random(n)]
+        for step, d in enumerate(diagonals, start=1):
+            for b in (rng.normal(size=n), smooth + d, 1e3 * rng.normal(size=n)):
+                assert np.array_equal(stepper.solve(d, b, step), reference.solve(d, b))
+        assert reference.factors >= 2 and reference.corrections >= 1
 
 
 class TestSweep:
@@ -909,8 +1030,9 @@ class TestFailureModes:
     def test_an_overflowing_step_is_named_at_its_step(self, rows):
         """f' leaves 2^-40 of the diagonal of I/tau + A, and the first row's
         control at level 1 is 1e300 along the null vector of what is left:
-        gtsv's step is inf and nan with no error code.  With 3 rows the
-        product A y meets 0 * inf at the zero joins of the stack."""
+        gtsv's step is inf and nan with no error code.  With 3 rows only the
+        first row's block of the stack is not finite: the product A y keeps
+        the blocks apart, so the other rows' residuals stay finite."""
         spec, controls = TestStackedStateSolve.controls(*[30.0, 0.0, 1.0][:rows])
         g, tau = controls[0].grid, controls[0].timegrid.tau
         diagonal = _StepSolver(assemble_operator(spec, g), tau).d

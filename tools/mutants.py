@@ -137,7 +137,7 @@ MUTANTS = (
            "rnorm > CONTRACTION * last", "True",
            "chord factors at every step (exact Newton)"),
     Mutant("chord-on-tridiagonal", "parabolic.py", "_newton_march",
-           "stepper.a_diagonals is None", "True",
+           "not stepper.tridiagonal", "True",
            "chord also on tridiagonal step matrices"),
     Mutant("stack-on-every-backend", "parabolic.py", "_march_states",
            "stepper.mode == 'banded'", "True",
@@ -159,6 +159,19 @@ MUTANTS = (
     Mutant("march-no-step-replay", "parabolic.py", "_newton_march",
            "n_solves and (not all(map(math.isfinite, rnorms)))", "False",
            "a march step that is not finite is named as a non-finite residual"),
+    # Products with A, M and |M| through the CSR kernel.
+    Mutant("product-untiled", "parabolic.py", "_StepSolver.product",
+           "self.stacks[y.size]", "self.stacks[self.n]",
+           "a stack's product through the untiled A"),
+    Mutant("stack-shares-columns", "parabolic.py", "_stacked_csr",
+           "matrix.indices + n * k", "matrix.indices + 0 * k",
+           "every block of a stack multiplies the first block's y"),
+    Mutant("refine-scale-signed", "parabolic.py", "_StepSolver._refined_solve",
+           "self.abs_data", "data",
+           "refinement scale through M in place of abs(M)"),
+    Mutant("refine-residual-without-d", "parabolic.py", "_StepSolver._refined_solve",
+           "_matvec(indptr, indices, data, x) + dx", "_matvec(indptr, indices, data, x)",
+           "refinement residual of M in place of M + diag(d)"),
 )
 
 
